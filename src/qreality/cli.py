@@ -14,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -47,7 +46,6 @@ from .tomography import (
 )
 
 OUT_DIR_ENV = "QREALITY_OUT_DIR"
-THREADS_ENV = "QREALITY_THREADS"
 DEFAULT_SEED = 42
 
 SWEEP_SCHEMA = "qreality.sweep.v1"
@@ -64,14 +62,6 @@ OMEGA_STATES = {
 
 def _default_out_dir() -> str:
     return os.environ.get(OUT_DIR_ENV, "qreality_out")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed) -> None:
@@ -150,29 +140,11 @@ def cmd_sweep(parser, args) -> int:
 
     if args.tomo:
         child_seeds = np.random.SeedSequence(args.seed).generate_state(2 * len(records))
-        jobs = [
-            (rec, (int(child_seeds[2 * i]), int(child_seeds[2 * i + 1])))
-            for i, rec in enumerate(records)
-        ]
-        workers = _thread_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(
-                        lambda job: _tomo_for_record(
-                            job[0], args.branch, args.shots, args.resamples, job[1]
-                        ),
-                        jobs,
-                    )
-                )
-        else:
-            results = [
-                _tomo_for_record(rec, args.branch, args.shots, args.resamples, seeds)
-                for rec, seeds in jobs
-            ]
-        for rec, (mean, std) in zip(records, results):
-            rec.irreality_tomo_mean = mean
-            rec.irreality_tomo_std = std
+        for i, rec in enumerate(records):
+            seeds = (int(child_seeds[2 * i]), int(child_seeds[2 * i + 1]))
+            rec.irreality_tomo_mean, rec.irreality_tomo_std = _tomo_for_record(
+                rec, args.branch, args.shots, args.resamples, seeds
+            )
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -210,7 +182,6 @@ def cmd_sweep(parser, args) -> int:
         "tomo": bool(args.tomo),
         "shots": args.shots if args.tomo else None,
         "resamples": args.resamples if args.tomo else None,
-        "threads": _thread_count(),
     }
     _write_json(
         out_dir / "summary.json",

@@ -13,7 +13,6 @@ values can be shared across threads without synchronization.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -42,17 +41,6 @@ class ZeroProbabilityError(ValueError):
 
 class ConfigurationError(ValueError):
     """A configuration value is inconsistent with the requested operation."""
-
-
-def _kron_all(mats):
-    return functools.reduce(np.kron, mats)
-
-
-def _embed_single(op: np.ndarray, axis: int, n: int) -> np.ndarray:
-    """Lift a single-qubit operator to the full 2**n space at the given axis."""
-    mats = [_EYE2] * n
-    mats[axis] = np.asarray(op, dtype=complex)
-    return _kron_all(mats)
 
 
 @dataclass(frozen=True)
@@ -276,13 +264,23 @@ def dephasing_map(state: State, observable: ObservableSpec) -> DensityMatrix:
     """
     rho = _as_density(state)
     axis = rho.register.axis(observable.subsystem)
-    n = rho.register.n_qubits
-    out = np.zeros_like(rho.entries)
-    for proj in observable.projectors:
-        full = _embed_single(proj, axis, n)
-        out += full @ rho.entries @ full
-    out = (out + out.conj().T) / 2
-    return DensityMatrix(rho.register, out)
+    return DensityMatrix(
+        rho.register, _dephase(rho.entries, axis, rho.register.n_qubits, observable.projectors)
+    )
+
+
+def _dephase(mats: np.ndarray, axis: int, n: int, projectors) -> np.ndarray:
+    """Sum of P_k rho P_k on qubit ``axis`` of every matrix in a (..., 2^n, 2^n) stack.
+
+    The channel acts on the (row, column) index pair of that qubit alone, as
+    the 4x4 matrix sum_k P_k (x) P_k^T, contracted in one tensordot.
+    """
+    before, after = 2**axis, 2 ** (n - axis - 1)
+    t = mats.reshape(-1, before, 2, after, before, 2, after)
+    channel = np.einsum("kij,kzw->iwjz", projectors, projectors)
+    out = np.tensordot(channel, t, axes=([2, 3], [2, 5]))
+    out = np.moveaxis(out, (0, 1), (2, 5)).reshape(mats.shape)
+    return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
 def _outcome_vector(outcome, m: int) -> np.ndarray:

@@ -20,9 +20,10 @@ from .core import (
     LabelError,
     ObservableSpec,
     PureState,
+    QubitRegister,
     State,
     _as_density,
-    dephasing_map,
+    _dephase,
     partial_trace,
     purity,
 )
@@ -32,16 +33,16 @@ ENTROPY_EIGENVALUE_FLOOR = 1e-12
 MIXEDNESS_TOLERANCE = 1e-8
 
 
-def _entropy_of_eigenvalues(eigs: np.ndarray) -> float:
+def _entropies(mats: np.ndarray) -> np.ndarray:
+    """Von Neumann entropies in bits of a (..., d, d) stack of Hermitian matrices."""
+    eigs = np.linalg.eigvalsh(mats)
     if eigs.min() < -PSD_TOLERANCE:
         raise InvalidStateError(
             f"eigenvalue {eigs.min():.3e} below the PSD tolerance; not a valid state"
         )
-    # Eigenvalues in [-1e-10, 1e-12) count as exact zeros (0 log 0 = 0).
-    p = eigs[eigs >= ENTROPY_EIGENVALUE_FLOOR]
-    if p.size == 0:
-        return 0.0
-    return float(-(p * np.log2(p)).sum())
+    # Eigenvalues in [-1e-10, 1e-12) count as exact zeros: 1 in their place adds 1 log 1 = 0.
+    p = np.where(eigs >= ENTROPY_EIGENVALUE_FLOOR, eigs, 1.0)
+    return -(p * np.log2(p)).sum(axis=-1)
 
 
 def von_neumann_entropy(state: Union[State, np.ndarray]) -> float:
@@ -50,7 +51,7 @@ def von_neumann_entropy(state: Union[State, np.ndarray]) -> float:
         mat = _as_density(state).entries
     else:
         mat = np.asarray(state, dtype=complex)
-    return _entropy_of_eigenvalues(np.linalg.eigvalsh(mat))
+    return float(_entropies(mat))
 
 
 def binary_entropy(p: float) -> float:
@@ -80,14 +81,25 @@ def irreality(state: State, observable: ObservableSpec) -> IrrealityReport:
     discord part is the remainder.
     """
     rho = _as_density(state)
-    total = von_neumann_entropy(dephasing_map(rho, observable)) - von_neumann_entropy(rho)
+    total = float(_irreality_values(rho.entries, rho.register, observable))
     reduced = partial_trace(rho, (observable.subsystem,))
-    local = von_neumann_entropy(dephasing_map(reduced, observable)) - von_neumann_entropy(
-        reduced
-    )
+    local = float(_irreality_values(reduced.entries, reduced.register, observable))
     return IrrealityReport(
         irreality=total, coherence=local, discord=total - local, observable=observable
     )
+
+
+def _irreality_values(
+    mats: np.ndarray, register: QubitRegister, observable: ObservableSpec
+) -> np.ndarray:
+    """Irreality of ``observable`` for every state in a (..., d, d) stack on ``register``."""
+    if mats.shape[-1] != register.dimension:
+        raise InvalidStateError(
+            f"matrix dimension {mats.shape[-1]} does not match register {register.labels}"
+        )
+    axis = register.axis(observable.subsystem)
+    dephased = _dephase(mats, axis, register.n_qubits, observable.projectors)
+    return _entropies(dephased) - _entropies(mats)
 
 
 def _split_partition(state: State, partition) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -2,11 +2,13 @@
 
 The measurement scheme is the full set of 3^n Pauli-basis settings (Z, X or
 Y per qubit), each recording all 2^n joint outcomes.  Counts are drawn
-multinomially from Born probabilities, reconstruction is linear inversion
-over the Pauli operator basis, and physicality is restored by clipping
-negative eigenvalues and redistributing the deficit.  Every stochastic step
-takes an explicit seed and is bit-reproducible; Monte Carlo resamples use
-independent child seeds split from the caller's seed.
+multinomially from Born probabilities.  Linear inversion over the Pauli basis
+is one fixed linear map from the 3^n x 2^n frequencies to the 4^n matrix
+entries, built once per n <= MAX_QUBITS, so a stack of estimates takes one
+matrix product; physicality is restored by clipping negative eigenvalues and
+redistributing the deficit.  Every stochastic step takes an explicit seed and
+is bit-reproducible; Monte Carlo resamples use independent child seeds split
+from the caller's seed.
 """
 
 from __future__ import annotations
@@ -14,15 +16,17 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import DensityMatrix, ObservableSpec, QubitRegister, fidelity
-from .measures import irreality
+from .measures import _irreality_values
 
 SETTING_BASES = ("Z", "X", "Y")
+
+MAX_QUBITS = 4  # the dense inversion map takes 5.3 MB here, 24x more per qubit
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -134,57 +138,59 @@ def simulate_counts(
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _outcome_bits(n_qubits: int) -> np.ndarray:
-    bits = np.zeros((2**n_qubits, n_qubits), dtype=np.int64)
-    for o in range(2**n_qubits):
-        for q in range(n_qubits):
-            bits[o, q] = (o >> (n_qubits - 1 - q)) & 1
-    return bits
+def _check_qubit_count(n_qubits: int) -> None:
+    if n_qubits > MAX_QUBITS:
+        raise DatasetFormatError(f"n_qubits: {n_qubits} exceeds the maximum of {MAX_QUBITS}")
 
 
 @functools.lru_cache(maxsize=None)
-def _pauli_strings(n_qubits: int):
-    """Non-identity Pauli strings with their matrices, supports, and the
-    compatible settings / outcome-sign tables needed for linear inversion."""
-    settings = all_settings(n_qubits)
-    bits = _outcome_bits(n_qubits)
-    entries = []
-    for string in itertools.product("IXYZ", repeat=n_qubits):
-        if all(ch == "I" for ch in string):
-            continue
-        support = tuple(q for q, ch in enumerate(string) if ch != "I")
-        matrix = functools.reduce(np.kron, (_PAULI[ch] for ch in string))
-        compatible = tuple(
-            idx
-            for idx, setting in enumerate(settings)
-            if all(setting.bases[q] == string[q] for q in support)
-        )
-        signs = np.where(bits[:, support].sum(axis=1) % 2 == 0, 1.0, -1.0)
-        entries.append((string, matrix, compatible, signs))
-    return tuple(entries)
+def _inversion_map(n_qubits: int) -> np.ndarray:
+    """The (3^n * 2^n, 2 * 4^n) real matrix taking flattened frequencies to
+    matrix entries, as interleaved real and imaginary parts.
+
+    Summed over all Pauli strings, the inversion term of setting s and
+    outcome o factorizes over qubits into prod_q (I/3 + (-1)^o_q sigma_s_q):
+    a qubit outside a string's support contributes I/3, the average over
+    its three compatible settings.  The identity string is dropped here,
+    since its coefficient is fixed to 1.
+    """
+    _check_qubit_count(n_qubits)
+    local = np.array(
+        [[_PAULI["I"] / 3 + sign * _PAULI[b] for sign in (1, -1)] for b in SETTING_BASES]
+    )  # (setting, outcome, row, column)
+    full = np.ones((1, 1, 1, 1), dtype=complex)
+    for _ in range(n_qubits):
+        s, o, d, _ = full.shape
+        full = np.einsum("soij,tpkl->stopikjl", full, local)
+        full = full.reshape(3 * s, 2 * o, 2 * d, 2 * d)
+    dim = 2**n_qubits
+    full -= np.eye(dim) / 3**n_qubits
+    inversion = (full / dim).reshape(-1, dim * dim).view(float)
+    inversion.flags.writeable = False
+    return inversion
 
 
 def reconstruct_from_frequencies(freqs: np.ndarray, n_qubits: int) -> np.ndarray:
     """Linear inversion from per-setting outcome frequencies.
 
-    ``freqs`` rows follow the :func:`all_settings` order.  The identity
-    coefficient is fixed to 1, so the estimate has unit trace by
+    ``freqs`` has shape (..., 3^n, 2^n), rows in :func:`all_settings` order;
+    leading axes are a stack of independent estimates.  The identity
+    coefficient is fixed to 1, so each estimate has unit trace by
     construction; it may still fail to be positive semidefinite.
     """
     freqs = np.asarray(freqs, dtype=float)
     dim = 2**n_qubits
-    rho = np.eye(dim, dtype=complex)
-    for _, matrix, compatible, signs in _pauli_strings(n_qubits):
-        expectation = float(np.mean([freqs[idx] @ signs for idx in compatible]))
-        rho += expectation * matrix
-    return rho / dim
+    if freqs.shape[-2:] != (3**n_qubits, dim):
+        raise ValueError(f"frequencies of shape {freqs.shape} do not fit {n_qubits} qubits")
+    lead = freqs.shape[:-2]
+    flat = (freqs.reshape(*lead, -1) @ _inversion_map(n_qubits)).view(complex)
+    return flat.reshape(*lead, dim, dim) + np.eye(dim) / dim
 
 
-def reconstruct_linear(data: TomographyDataset) -> np.ndarray:
-    """Linear-inversion estimate from a complete dataset (possibly non-PSD)."""
-    n = data.n_qubits
-    expected = all_settings(n)
+def _frequencies(data: TomographyDataset, counts: np.ndarray) -> np.ndarray:
+    """Frequencies in :func:`all_settings` order from counts stacked like ``data.counts``."""
+    _check_qubit_count(data.n_qubits)
+    expected = all_settings(data.n_qubits)
     by_bases = {s.bases: i for i, s in enumerate(data.settings)}
     missing = [s.bases for s in expected if s.bases not in by_bases]
     if missing:
@@ -192,47 +198,59 @@ def reconstruct_linear(data: TomographyDataset) -> np.ndarray:
             f"dataset is missing {len(missing)} of {len(expected)} settings, "
             f"first missing: {missing[0]}"
         )
-    totals = data.counts.sum(axis=1)
+    ordered = counts[..., [by_bases[s.bases] for s in expected], :]
+    totals = ordered.sum(axis=-1, keepdims=True)
     if np.any(totals == 0):
         raise IncompleteDataError("a setting has zero total counts")
-    ordered = np.stack([data.counts[by_bases[s.bases]] for s in expected])
-    freqs = ordered / ordered.sum(axis=1, keepdims=True)
-    return reconstruct_from_frequencies(freqs, n)
+    return ordered / totals
+
+
+def reconstruct_linear(data: TomographyDataset) -> np.ndarray:
+    """Linear-inversion estimate from a complete dataset (possibly non-PSD)."""
+    return reconstruct_from_frequencies(_frequencies(data, data.counts), data.n_qubits)
+
+
+def _project(mats: np.ndarray) -> np.ndarray:
+    """Eigenvalue clipping of every matrix in a (..., d, d) stack.
+
+    Each matrix is Hermitized and trace-normalized, then negative eigenvalues
+    are zeroed from the most negative up while the deficit is spread evenly
+    over the remaining ones, keeping the eigenvectors fixed (Smolin,
+    Gambetta and Smith, PRL 108, 070502, 2012).
+    """
+    mat = np.asarray(mats, dtype=complex)
+    mat = (mat + mat.conj().swapaxes(-1, -2)) / 2
+    tr = np.trace(mat, axis1=-2, axis2=-1).real
+    if np.any(np.abs(tr) < 1e-12):
+        raise ValueError("matrix has (near-)zero trace; cannot normalize")
+    mat = mat / tr[..., None, None]
+    w, v = np.linalg.eigh(mat)  # ascending
+    # Clipping the k smallest eigenvalues leaves deficit_k = their sum
+    # (accumulated smallest first) to spread over the d - k others; the
+    # rule stops at the first k whose eigenvalue survives that share.
+    dim = w.shape[-1]
+    deficit = np.zeros_like(w)
+    np.cumsum(w[..., :-1], axis=-1, out=deficit[..., 1:])
+    share = deficit / (dim - np.arange(dim))
+    k = np.argmin(w + share < 0.0, axis=-1)[..., None]
+    kept = np.arange(dim) >= k
+    w_fixed = np.where(kept, w + np.take_along_axis(share, k, axis=-1), 0.0)
+    w_fixed = w_fixed / w_fixed.sum(axis=-1, keepdims=True)  # absorb float drift
+    out = (v * w_fixed[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
 def project_to_physical(
     rho_hat: np.ndarray, register: Optional[QubitRegister] = None
 ) -> DensityMatrix:
-    """Nearest density matrix by eigenvalue clipping and redistribution.
-
-    The input is Hermitized and trace-normalized, then negative eigenvalues
-    are zeroed from the most negative up while the deficit is spread evenly
-    over the remaining ones, keeping the eigenvectors fixed.
-    """
-    mat = np.asarray(rho_hat, dtype=complex)
-    mat = (mat + mat.conj().T) / 2
-    tr = float(np.real(np.trace(mat)))
-    if abs(tr) < 1e-12:
-        raise ValueError("matrix has (near-)zero trace; cannot normalize")
-    mat = mat / tr
-    w, v = np.linalg.eigh(mat)
-    lam = w[::-1].copy()  # descending
-    deficit = 0.0
-    for i in range(lam.size - 1, -1, -1):
-        if lam[i] + deficit / (i + 1) < 0.0:
-            deficit += lam[i]
-            lam[i] = 0.0
-        else:
-            lam[: i + 1] += deficit / (i + 1)
-            break
-    w_fixed = lam[::-1]
-    w_fixed = w_fixed / w_fixed.sum()  # absorb float drift; the sum is 1 exactly
-    out = (v * w_fixed) @ v.conj().T
-    out = (out + out.conj().T) / 2
-    n = int(round(np.log2(mat.shape[0])))
-    if register is None:
-        register = QubitRegister(tuple(f"q{i}" for i in range(n)))
+    """Nearest density matrix by eigenvalue clipping and redistribution."""
+    out = _project(rho_hat)
+    register = register or _default_register(int(np.log2(out.shape[-1])))
     return DensityMatrix(register, out)
+
+
+def _default_register(n_qubits: int) -> QubitRegister:
+    return QubitRegister(tuple(f"q{i}" for i in range(n_qubits)))
 
 
 def monte_carlo_irreality(
@@ -245,25 +263,21 @@ def monte_carlo_irreality(
     """Mean and standard deviation of the reconstructed irreality.
 
     Counts are resampled as Poisson variables around the observed values
-    (parametric bootstrap), reconstructed, projected to a physical state,
-    and measured.  Child seeds are split deterministically from ``seed``.
+    (parametric bootstrap), one child seed per resample split
+    deterministically from ``seed``.  The whole stack of resamples is then
+    reconstructed, projected to physical states and measured at once.
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be at least 2")
-    children = np.random.SeedSequence(seed).spawn(n_resamples)
-    values = np.empty(n_resamples)
-    for r, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        resampled = rng.poisson(data.counts)
-        empty = resampled.sum(axis=1) == 0
-        if np.any(empty):
-            # Degenerate resample (only possible at tiny counts); keep the
-            # observed row rather than dividing by zero.
-            resampled[empty] = data.counts[empty]
-        rho = project_to_physical(
-            reconstruct_linear(replace(data, counts=resampled)), register
-        )
-        values[r] = irreality(rho, observable).irreality
+    resampled = np.empty((n_resamples, *data.counts.shape), dtype=np.int64)
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(n_resamples)):
+        resampled[r] = np.random.default_rng(child).poisson(data.counts)
+    # A degenerate resample row (only possible at tiny counts) keeps the
+    # observed row rather than dividing by zero.
+    empty = np.nonzero(resampled.sum(axis=-1) == 0)
+    resampled[empty] = data.counts[empty[1]]
+    rho = _project(reconstruct_from_frequencies(_frequencies(data, resampled), data.n_qubits))
+    values = _irreality_values(rho, register or _default_register(data.n_qubits), observable)
     return float(values.mean()), float(values.std(ddof=1))
 
 
@@ -278,7 +292,7 @@ class ReconstructionResult:
 
 
 def tomography_end_to_end(
-    rho_true: DensityMatrix, shots: int, seed: int, *, max_qubits: int = 4
+    rho_true: DensityMatrix, shots: int, seed: int, *, max_qubits: int = MAX_QUBITS
 ) -> ReconstructionResult:
     """Simulate counts, reconstruct, restore physicality, report fidelity."""
     n = rho_true.register.n_qubits
@@ -328,13 +342,18 @@ def dataset_from_dict(payload: dict) -> TomographyDataset:
         if field not in payload:
             raise DatasetFormatError(f"missing required field {field!r}")
     n = payload["n_qubits"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise DatasetFormatError(f"n_qubits: expected positive integer, got {n!r}")
+    _check_qubit_count(n)
     shots = payload["shots_per_setting"]
-    if not isinstance(shots, int) or shots < 1:
+    if type(shots) is not int or shots < 1:
         raise DatasetFormatError(
             f"shots_per_setting: expected positive integer, got {shots!r}"
         )
+    try:
+        seed = int(payload["seed"])
+    except (TypeError, ValueError, OverflowError):
+        raise DatasetFormatError(f"seed: expected integer, got {payload['seed']!r}") from None
     raw_settings = payload["settings"]
     if not isinstance(raw_settings, list) or not raw_settings:
         raise DatasetFormatError("settings: expected a nonempty list")
@@ -356,7 +375,7 @@ def dataset_from_dict(payload: dict) -> TomographyDataset:
         if not isinstance(row, list) or len(row) != 2**n:
             raise DatasetFormatError(f"{where}.counts: expected {2**n} integers")
         for j, c in enumerate(row):
-            if not isinstance(c, int) or c < 0:
+            if type(c) is not int or c < 0:
                 raise DatasetFormatError(
                     f"{where}.counts[{j}]: expected nonnegative integer, got {c!r}"
                 )
@@ -370,7 +389,7 @@ def dataset_from_dict(payload: dict) -> TomographyDataset:
     return TomographyDataset(
         n_qubits=n,
         shots_per_setting=shots,
-        seed=int(payload["seed"]),
+        seed=seed,
         settings=tuple(settings),
         counts=np.array(counts, dtype=np.int64),
     )

@@ -6,6 +6,7 @@ path with the library implementations it checks.
 """
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -106,3 +107,90 @@ def random_unitary(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def pauli_inversion(freqs, n):
+    """Linear inversion with one loop per Pauli string.
+
+    ``freqs`` rows follow the product order of "ZXY" per qubit.  Each
+    expectation is the mean over the settings that measure every qubit of
+    the string's support in the string's own basis.
+    """
+    settings = list(itertools.product("ZXY", repeat=n))
+    dim = 2**n
+    rho = np.eye(dim, dtype=complex)
+    for string in itertools.product("IXYZ", repeat=n):
+        support = [q for q in range(n) if string[q] != "I"]
+        if not support:
+            continue
+        values = []
+        for s, bases in enumerate(settings):
+            if all(bases[q] == string[q] for q in support):
+                signs = [
+                    (-1) ** sum(bits_of(o, n)[q] for q in support) for o in range(dim)
+                ]
+                values.append(float(np.dot(freqs[s], signs)))
+        rho += np.mean(values) * kron_all([PAULI[ch] for ch in string])
+    return rho / dim
+
+
+def sgs_clip(mat):
+    """Eigenvalue clipping of one matrix, one eigenvalue at a time."""
+    mat = (mat + mat.conj().T) / 2
+    mat = mat / np.trace(mat).real
+    w, v = np.linalg.eigh(mat)
+    lam = list(w[::-1])
+    deficit = 0.0
+    for i in range(len(lam) - 1, -1, -1):
+        if lam[i] + deficit / (i + 1) < 0.0:
+            deficit += lam[i]
+            lam[i] = 0.0
+        else:
+            for j in range(i + 1):
+                lam[j] += deficit / (i + 1)
+            break
+    lam = np.array(lam[::-1])
+    lam = lam / lam.sum()
+    out = v @ np.diag(lam) @ v.conj().T
+    return (out + out.conj().T) / 2
+
+
+def simplex_projection(values):
+    """Euclidean projection onto the probability simplex (Duchi et al. 2008)."""
+    u = np.sort(values)[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, len(u) + 1)
+    rho = ks[u - (css - 1.0) / ks > 0][-1]
+    theta = (css[rho - 1] - 1.0) / rho
+    return np.maximum(values - theta, 0.0)
+
+
+def monte_carlo_irreality_reference(counts, n, axis, basis, n_resamples, seed):
+    """Per-resample Monte Carlo irreality; returns (mean, std, substituted rows).
+
+    ``counts`` rows follow the product order of "ZXY" per qubit; ``basis``
+    columns are the measured qubit's eigenvectors.
+    """
+    counts = np.asarray(counts)
+    projectors = [embed(np.outer(basis[:, k], basis[:, k].conj()), axis, n) for k in range(2)]
+    values = []
+    substituted = 0
+    for child in np.random.SeedSequence(seed).spawn(n_resamples):
+        resampled = np.random.default_rng(child).poisson(counts)
+        for s in range(len(resampled)):
+            if resampled[s].sum() == 0:
+                resampled[s] = counts[s]
+                substituted += 1
+        freqs = resampled / resampled.sum(axis=1, keepdims=True)
+        rho = sgs_clip(pauli_inversion(freqs, n))
+        dephased = sum(p @ rho @ p for p in projectors)
+        values.append(entropy_bits(dephased) - entropy_bits(rho))
+    return float(np.mean(values)), float(np.std(values, ddof=1)), substituted

@@ -155,6 +155,31 @@ class TestSweep:
             assert float(row["irreality_tomo_std"]) > 0
             assert row["irreality_tomo_mean"] != ""
 
+    def test_tomo_rerun_is_byte_identical(self, tmp_path):
+        args = [
+            "sweep",
+            "--target",
+            "d1",
+            "--config",
+            "Cx",
+            "--grid",
+            "4",
+            "--tomo",
+            "--shots",
+            "1000",
+            "--resamples",
+            "8",
+            "--seed",
+            "3",
+        ]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(args + ["--out-dir", str(first)]) == 0
+        assert run(args + ["--out-dir", str(second)]) == 0
+        for name in ("sweep.csv", "summary.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        summary = json.loads((first / "summary.json").read_text())
+        assert "threads" not in summary["config"]
+
 
 class TestTomo:
     def test_simulated_run_reports_high_fidelity(self, tmp_path):
@@ -225,6 +250,30 @@ class TestTomo:
         assert code == 1
         assert "shots_per_setting" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "n_qubits, seed, message",
+        [
+            (True, 0, "n_qubits: expected positive integer"),
+            (6, 0, "n_qubits: 6 exceeds the maximum of 4"),
+            (1, None, "seed: expected integer"),
+        ],
+    )
+    def test_rejected_header_is_one_error_line(
+        self, tmp_path, capsys, n_qubits, seed, message
+    ):
+        payload = {
+            "n_qubits": n_qubits,
+            "shots_per_setting": 10,
+            "seed": seed,
+            "settings": [{"bases": ["Z"], "counts": [10, 0]}],
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run(["tomo", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and message in lines[0]
+
     def test_missing_setting_is_runtime_error(self, tmp_path):
         payload = {
             "n_qubits": 1,
@@ -290,31 +339,6 @@ class TestEnvironmentOverrides:
         monkeypatch.setenv("QREALITY_OUT_DIR", str(tmp_path / "from_env"))
         assert run(["sweep", "--grid", "3"]) == 0
         assert (tmp_path / "from_env" / "sweep.csv").exists()
-
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        args = [
-            "sweep",
-            "--target",
-            "d1",
-            "--config",
-            "Cx",
-            "--grid",
-            "4",
-            "--tomo",
-            "--shots",
-            "1000",
-            "--resamples",
-            "8",
-            "--seed",
-            "3",
-        ]
-        monkeypatch.setenv("QREALITY_THREADS", "1")
-        run(args + ["--out-dir", str(tmp_path / "serial")])
-        monkeypatch.setenv("QREALITY_THREADS", "4")
-        run(args + ["--out-dir", str(tmp_path / "threaded")])
-        assert (tmp_path / "serial" / "sweep.csv").read_bytes() == (
-            tmp_path / "threaded" / "sweep.csv"
-        ).read_bytes()
 
     def test_module_entry_point(self, tmp_path):
         import subprocess

@@ -19,6 +19,7 @@ from qreality import (
     von_neumann_entropy,
 )
 from qreality.eraser import ProtocolConfig, omega_state
+from qreality.measures import _irreality_values
 
 from oracles import (
     binary_entropy_exact,
@@ -121,6 +122,27 @@ class TestIrreality:
 
             local = irreality(partial_trace(rho, ("q",)), obs)
             assert rep.coherence == pytest.approx(local.irreality, abs=1e-9)
+
+    def test_stack_matches_oracle_for_any_observable(self, rng):
+        reg = QubitRegister(("p", "q", "r"))
+        stack = np.stack([random_density(rng, 3, rank=1 + k % 8) for k in range(16)])
+        for axis, label in enumerate(reg.labels):
+            basis = random_unitary(rng, 2)
+            obs = ObservableSpec.from_basis(label, basis)
+            values = _irreality_values(stack, reg, obs)
+            for rho, value in zip(stack, values):
+                dephased = dephase_block_zero(rho, axis, basis, 3)
+                expected = entropy_bits(dephased) - entropy_bits(rho)
+                assert value == pytest.approx(expected, abs=1e-10)
+                single = irreality(DensityMatrix(reg, rho), obs).irreality
+                assert value == pytest.approx(single, abs=1e-14)
+
+    def test_stack_psd_check(self, rng):
+        reg = QubitRegister(("p", "q"))
+        stack = np.stack([random_density(rng, 2) for _ in range(4)])
+        stack[2] = np.diag([0.6, 0.4 + 1e-6, 0.0, -1e-6])
+        with pytest.raises(InvalidStateError, match="PSD"):
+            _irreality_values(stack, reg, ObservableSpec.pauli("q", "X"))
 
     def test_realism_criterion(self, rng):
         reg = QubitRegister(("p", "q"))

@@ -23,9 +23,15 @@ from qreality import (
     tomography_end_to_end,
 )
 from qreality.eraser import ProtocolConfig, omega_state
-from qreality.tomography import DatasetFormatError, MeasurementSetting
+from qreality.tomography import MAX_QUBITS, DatasetFormatError, MeasurementSetting, _project
 
-from oracles import random_density
+from oracles import (
+    monte_carlo_irreality_reference,
+    pauli_inversion,
+    random_density,
+    sgs_clip,
+    simplex_projection,
+)
 
 BDT_REG = QubitRegister(("b", "d1", "d2"))
 
@@ -101,13 +107,46 @@ class TestSimulateCounts:
 
 class TestReconstruction:
     def test_exact_frequencies_invert_exactly(self, rng):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             reg = QubitRegister(tuple(f"q{i}" for i in range(n)))
             rho = DensityMatrix(reg, random_density(rng, n))
             freqs = exact_frequency_matrix(rho)
             rho_hat = reconstruct_from_frequencies(freqs, n)
             np.testing.assert_allclose(rho_hat, rho.entries, atol=1e-10)
             assert fidelity(project_to_physical(rho_hat, reg), rho) > 1 - 1e-9
+
+    def test_matches_per_pauli_string_inversion(self, rng):
+        for n in (1, 2, 3):
+            freqs = rng.dirichlet(np.ones(2**n), size=3**n)
+            np.testing.assert_allclose(
+                reconstruct_from_frequencies(freqs, n), pauli_inversion(freqs, n), atol=1e-14
+            )
+
+    def test_stack_equals_slice_by_slice(self, rng):
+        for n in (1, 2, 3):
+            stack = rng.dirichlet(np.ones(2**n), size=(2, 5, 3**n))
+            batched = reconstruct_from_frequencies(stack, n)
+            assert batched.shape == (2, 5, 2**n, 2**n)
+            for idx in np.ndindex(2, 5):
+                np.testing.assert_allclose(
+                    batched[idx], reconstruct_from_frequencies(stack[idx], n), atol=1e-15
+                )
+
+    def test_wrong_frequency_shape_rejected(self):
+        with pytest.raises(ValueError, match="2 qubits"):
+            reconstruct_from_frequencies(np.full((9, 2), 0.5), 2)
+
+    def test_register_above_cap_rejected(self):
+        n = MAX_QUBITS + 1
+        data = TomographyDataset(
+            n_qubits=n,
+            shots_per_setting=1,
+            seed=0,
+            settings=all_settings(n),
+            counts=np.ones((3**n, 2**n), dtype=np.int64),
+        )
+        with pytest.raises(DatasetFormatError, match="maximum"):
+            reconstruct_linear(data)
 
     def test_trace_one_by_construction(self, rng):
         data = simulate_counts(omega2x(), 100, seed=5)
@@ -172,8 +211,66 @@ class TestProjectToPhysical:
         expected = vecs @ np.diag([1.0, 0.0]) @ vecs.T
         np.testing.assert_allclose(out.entries, expected, atol=1e-12)
 
+    def test_stacked_clipping_is_simplex_projection(self, rng):
+        for n in (1, 2, 3):
+            dim = 2**n
+            g = rng.normal(size=(200, dim, dim)) + 1j * rng.normal(size=(200, dim, dim))
+            herm = (g + g.conj().swapaxes(-1, -2)) / 2
+            trace = np.trace(herm, axis1=-2, axis2=-1).real
+            herm = herm + ((1 - trace) / dim)[:, None, None] * np.eye(dim)
+            out = _project(herm)
+            for mat, got in zip(herm, out):
+                w, v = np.linalg.eigh(mat)
+                expected = (v * simplex_projection(w)) @ v.conj().T
+                np.testing.assert_allclose(got, expected, atol=1e-12)
+                np.testing.assert_allclose(got, sgs_clip(mat), atol=1e-14)
+
+    def test_single_matrix_is_the_one_element_stack(self, rng):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        herm = (g + g.conj().T) / 2
+        herm = herm / np.trace(herm).real
+        out = project_to_physical(herm, QubitRegister(("p", "q")))
+        np.testing.assert_array_equal(out.entries, _project(herm[None])[0])
+
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["Z", "X"])
+    def test_matches_per_resample_oracle(self, rng, n, kind):
+        reg = QubitRegister(tuple(f"q{i}" for i in range(n)))
+        rho = DensityMatrix(reg, random_density(rng, n, rank=1))
+        data = simulate_counts(rho, 400, seed=30 + n)
+        observable = ObservableSpec.pauli(f"q{n - 1}", kind)
+        basis = np.eye(2) if kind == "Z" else np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        mean, std = monte_carlo_irreality(data, observable, 12, seed=31, register=reg)
+        ref_mean, ref_std, _ = monte_carlo_irreality_reference(
+            data.counts, n, n - 1, basis, 12, seed=31
+        )
+        assert abs(mean - ref_mean) < 1e-12
+        assert abs(std - ref_std) < 1e-12
+
+    def test_matches_oracle_with_degenerate_resamples(self):
+        reg = QubitRegister(("p", "q"))
+        bell = PureState(reg, np.array([1, 0, 0, 1]) / np.sqrt(2)).to_density()
+        data = simulate_counts(bell, 1, seed=32)
+        observable = ObservableSpec.pauli("p", "X")
+        basis = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        mean, std = monte_carlo_irreality(data, observable, 20, seed=33, register=reg)
+        ref_mean, ref_std, substituted = monte_carlo_irreality_reference(
+            data.counts, 2, 0, basis, 20, seed=33
+        )
+        assert substituted > 0
+        assert abs(mean - ref_mean) < 1e-12
+        assert abs(std - ref_std) < 1e-12
+
+    def test_register_dimension_mismatch_rejected(self):
+        data = simulate_counts(omega2z(), 100, seed=34)
+        with pytest.raises(ValueError, match="register"):
+            monte_carlo_irreality(
+                data, ObservableSpec.pauli("p", "Z"), 2, seed=35,
+                register=QubitRegister(("p", "q")),
+            )
+
     def test_minimal_resample_count_runs(self):
         data = simulate_counts(omega2z(), 1000, seed=8)
         mean, std = monte_carlo_irreality(
