@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ConfigurationError, ObservableSpec, QubitRegister
+from .core import ConfigurationError, DensityMatrix, ObservableSpec, QubitRegister
 from .eraser import (
+    OMEGA_REGISTER,
     ProtocolConfig,
     SweepRecord,
     TARGETS,
@@ -107,16 +108,10 @@ def _theta_grid(parser, args) -> np.ndarray:
     return np.linspace(lo, hi, args.grid)
 
 
-def _tomo_for_record(record: SweepRecord, branch: str, shots, resamples, seeds):
-    cfg = ProtocolConfig(
-        theta=record.theta, alice_config=record.config, alice_branch=branch
-    )
-    omega, _ = omega_state(cfg, record.target)
-    data = simulate_counts(omega, shots, seeds[0])
+def _tomo_for_record(record: SweepRecord, shots, resamples, seeds):
+    data = simulate_counts(DensityMatrix(OMEGA_REGISTER, record.omega), shots, seeds[0])
     observable = ObservableSpec.pauli(record.target, "Z")
-    return monte_carlo_irreality(
-        data, observable, resamples, seeds[1], register=omega.register
-    )
+    return monte_carlo_irreality(data, observable, resamples, seeds[1], register=OMEGA_REGISTER)
 
 
 def cmd_sweep(parser, args) -> int:
@@ -141,9 +136,11 @@ def cmd_sweep(parser, args) -> int:
     if args.tomo:
         child_seeds = np.random.SeedSequence(args.seed).generate_state(2 * len(records))
         for i, rec in enumerate(records):
+            if rec.omega is None:
+                continue  # undefined row: no state to measure
             seeds = (int(child_seeds[2 * i]), int(child_seeds[2 * i + 1]))
             rec.irreality_tomo_mean, rec.irreality_tomo_std = _tomo_for_record(
-                rec, args.branch, args.shots, args.resamples, seeds
+                rec, args.shots, args.resamples, seeds
             )
 
     out_dir = Path(args.out_dir)
@@ -277,8 +274,9 @@ def cmd_tomo(parser, args) -> int:
         ["row", "col", "row_ket", "col_ket", "real"],
         rows,
     )
-    _write_manifest(out_dir, "tomo", config_dict, args.seed)
-    print(f"seed: {args.seed}")
+    seed = report["diagnostics"]["seed"]  # the dataset's own seed for a file
+    _write_manifest(out_dir, "tomo", config_dict, seed)
+    print(f"seed: {seed}")
     if report["fidelity_to_truth"] is not None:
         print(f"fidelity to truth: {report['fidelity_to_truth']:.6f}")
     print(f"purity: {report['purity']:.6f}")
@@ -296,9 +294,8 @@ def cmd_mzi(parser, args) -> int:
         decohere_after_first_bs=args.decohere,
     )
     phis = np.linspace(0.0, 2 * np.pi, args.grid, endpoint=False)
-    rows = []
-    for phi, (p0, p1) in zip(phis, detector_probabilities(cfg, phis)):
-        rows.append([_fmt(phi), _fmt(p0), _fmt(p1)])
+    probs = detector_probabilities(cfg, phis)
+    rows = [[_fmt(phi), _fmt(p0), _fmt(p1)] for phi, (p0, p1) in zip(phis, probs)]
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -438,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     tomo.add_argument("--degrees", action="store_true")
     tomo.add_argument("--branch", choices=("plus", "minus"), default="plus")
     tomo.add_argument("--shots", type=int, default=100_000)
-    tomo.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    tomo.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for --simulate")
     tomo.add_argument("--out-dir", default=_default_out_dir())
 
     mzi = sub.add_parser("mzi", help="interferometer phase sweep and marker analysis")

@@ -151,10 +151,6 @@ class DensityMatrix:
         object.__setattr__(self, "entries", mat)
 
     @classmethod
-    def from_pure(cls, psi: PureState) -> "DensityMatrix":
-        return psi.to_density()
-
-    @classmethod
     def maximally_mixed(cls, register: QubitRegister) -> "DensityMatrix":
         dim = register.dimension
         return cls(register, np.eye(dim, dtype=complex) / dim)

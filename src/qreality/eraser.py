@@ -20,23 +20,26 @@ displacer alignment), so all protocol amplitudes are real.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .core import (
+    ZERO_PROBABILITY_THRESHOLD,
     ConfigurationError,
     DensityMatrix,
     ObservableSpec,
     PureState,
     QubitRegister,
+    ZeroProbabilityError,
     apply_unitary,
     post_select,
 )
-from .measures import irreality
+from .measures import _irreality_values
 
 ERASER_LABELS = ("A", "B", "a", "b", "d1", "d2")
+OMEGA_REGISTER = QubitRegister(("b", "d1", "d2"))
 
 ALICE_CONFIGS = ("Cz", "Cx")
 BRANCH_SIGNS = ("plus", "minus")
@@ -172,6 +175,20 @@ _PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 _MINUS = np.array([1.0, -1.0]) / np.sqrt(2)
 
 
+def _outcomes(cfg: ProtocolConfig, alice_z_outcome: int, bob_sign: str):
+    """Alice's outcome vector on (A, a) and Bob's on B."""
+    if alice_z_outcome not in (0, 1):
+        raise ConfigurationError("alice_z_outcome must be 0 or 1")
+    if bob_sign not in BRANCH_SIGNS:
+        raise ConfigurationError(f"bob_sign must be one of {BRANCH_SIGNS}")
+    if cfg.alice_config == "Cz":
+        alice_pol = np.eye(2)[alice_z_outcome]
+    else:
+        alice_pol = _PLUS if cfg.alice_branch == "plus" else _MINUS
+    alice_outcome = np.kron(alice_pol, [1.0, 0.0])  # path a projected on |0>
+    return alice_outcome, _PLUS if bob_sign == "plus" else _MINUS
+
+
 def alice_and_bob_project(
     stage: ProtocolStage,
     cfg: ProtocolConfig,
@@ -188,18 +205,7 @@ def alice_and_bob_project(
     """
     if stage.name not in ("Psi1", "Psi2"):
         raise ConfigurationError("projections are defined at stages Psi1 and Psi2")
-    if alice_z_outcome not in (0, 1):
-        raise ConfigurationError("alice_z_outcome must be 0 or 1")
-    if bob_sign not in BRANCH_SIGNS:
-        raise ConfigurationError(f"bob_sign must be one of {BRANCH_SIGNS}")
-
-    if cfg.alice_config == "Cz":
-        alice_pol = np.eye(2)[alice_z_outcome]
-    else:
-        alice_pol = _PLUS if cfg.alice_branch == "plus" else _MINUS
-    alice_outcome = np.kron(alice_pol, [1.0, 0.0])  # path a projected on |0>
-    bob_outcome = _PLUS if bob_sign == "plus" else _MINUS
-
+    alice_outcome, bob_outcome = _outcomes(cfg, alice_z_outcome, bob_sign)
     state, p_alice = post_select(stage.state, alice_outcome, ("A", "a"))
     state, p_bob = post_select(state, bob_outcome, ("B",))
     return state.to_density(), p_alice * p_bob
@@ -207,15 +213,20 @@ def alice_and_bob_project(
 
 @dataclass
 class SweepRecord:
-    """One row of an irreality-versus-theta sweep."""
+    """One row of an irreality-versus-theta sweep; ``omega`` is on ``OMEGA_REGISTER``.
+
+    A row with a zero-probability projection (Cz at theta = pi) has no
+    state: its irreality and ``omega`` are None, its probability 0.
+    """
 
     theta: float
     config: str
     target: str
-    irreality_analytic: float
+    irreality_analytic: Optional[float]
     selection_probability: float
     irreality_tomo_mean: Optional[float] = None
     irreality_tomo_std: Optional[float] = None
+    omega: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def stage_for_target(target: str) -> str:
@@ -226,12 +237,50 @@ def stage_for_target(target: str) -> str:
     return "Psi1" if label == "b" else "Psi2"
 
 
-def omega_state(
-    cfg: ProtocolConfig, target: str, **variants
-) -> tuple[DensityMatrix, float]:
-    """Omega state and selection probability for the stage probing ``target``."""
-    stage = protocol_stage(cfg, stage_for_target(target))
-    return alice_and_bob_project(stage, cfg, **variants)
+def _normalize_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized rows and their squared norms; rows below the threshold become 0."""
+    probs = (amps.real**2 + amps.imag**2).sum(axis=-1)
+    defined = probs >= ZERO_PROBABILITY_THRESHOLD
+    out = np.divide(amps, np.sqrt(probs)[:, None], out=np.zeros_like(amps), where=defined[:, None])
+    return out, np.where(defined, probs, 0.0)
+
+
+def _omega_stack(cfg, target: str, thetas: np.ndarray, *, alice_z_outcome=0, bob_sign="plus"):
+    """Omega states (T, 8, 8) and selection probabilities (T,) over a theta grid.
+
+    Bob's devices never act on Alice's polarization A, so the A = 0 and
+    A = 1 blocks of one evolved state are the evolved basis kets |000011>
+    and |110011>.  Projected on Alice's outcome once they give r0, r1, and
+    row t is cos(theta_t/2) r0 + sin(theta_t/2) r1, then normalized,
+    projected on Bob's outcome and normalized again, as by two
+    :func:`post_select` calls (bit for bit at the default displacer
+    settings).  Undefined rows are zero matrices with probability 0.
+    """
+    alice_outcome, bob_outcome = _outcomes(cfg, alice_z_outcome, bob_sign)
+    half = dataclasses.replace(cfg, theta=np.pi / 2)
+    psi = protocol_stage(half, stage_for_target(target)).state
+    # Axes: A (which ket), B, a, then (b, d1, d2) flattened.
+    kets = psi.amplitudes.reshape(2, 2, 2, 8) / np.array([half.c, half.s])[:, None, None, None]
+    r = np.einsum("Aa,ABaj->ABj", alice_outcome.reshape(2, 2).conj(), kets)
+    amps = np.stack([np.cos(thetas / 2), np.sin(thetas / 2)], axis=-1) @ r.reshape(2, 16)
+    amps, p_alice = _normalize_rows(amps)
+    amps = np.einsum("B,tBj->tj", bob_outcome.conj(), amps.reshape(-1, 2, 8))
+    amps, p_bob = _normalize_rows(amps)
+    omegas = amps[:, :, None] * amps[:, None, :].conj()
+    omegas.flags.writeable = False
+    return omegas, p_alice * p_bob
+
+
+def omega_state(cfg: ProtocolConfig, target: str, **variants) -> tuple[DensityMatrix, float]:
+    """Omega state and selection probability for the stage probing ``target``.
+
+    The one-point case of :func:`irreality_curve`'s kernel; ``variants`` are
+    those of :func:`alice_and_bob_project`, and so is the error raised.
+    """
+    omegas, probs = _omega_stack(cfg, target, np.array([cfg.theta]), **variants)
+    if probs[0] == 0.0:
+        raise ZeroProbabilityError(f"a projection at theta {cfg.theta} has zero probability")
+    return DensityMatrix(OMEGA_REGISTER, omegas[0]), float(probs[0])
 
 
 def default_theta_grid(n: int = 41) -> np.ndarray:
@@ -246,29 +295,28 @@ def irreality_curve(
 ) -> list[SweepRecord]:
     """Analytic irreality of the chosen degree of freedom over a theta grid.
 
-    For Cz the curve is identically zero; for Cx it equals the binary
-    entropy of cos^2(theta/2), with the d1 and d2 curves coinciding.
+    The grid is one stack of omega states, measured by one stacked
+    irreality call.  For Cz the curve is identically zero; for Cx it equals
+    the binary entropy of cos^2(theta/2), with the d1 and d2 curves
+    coinciding.  Undefined rows are described on :class:`SweepRecord`.
     """
-    thetas = [float(t) for t in theta_grid]
-    if not thetas:
+    thetas = np.array([float(t) for t in theta_grid])
+    if not thetas.size:
         raise ConfigurationError("theta grid must be nonempty")
-    label = TARGETS.get(target)
-    if label is None:
-        raise ConfigurationError(f"target must be one of {sorted(TARGETS)}")
-    observable = ObservableSpec.pauli(label, "Z")
+    for theta in (thetas.min(), thetas.max()):  # NaN propagates to both ends
+        dataclasses.replace(cfg_template, theta=float(theta))
 
-    records = []
-    for theta in thetas:
-        cfg = dataclasses.replace(cfg_template, theta=theta)
-        omega, prob = omega_state(cfg, label)
-        report = irreality(omega, observable)
-        records.append(
-            SweepRecord(
-                theta=theta,
-                config=cfg.alice_config,
-                target=label,
-                irreality_analytic=report.irreality,
-                selection_probability=prob,
-            )
+    omegas, probs = _omega_stack(cfg_template, target, thetas)  # checks the target
+    label = TARGETS[target]
+    values = _irreality_values(omegas, OMEGA_REGISTER, ObservableSpec.pauli(label, "Z"))
+    return [
+        SweepRecord(
+            theta=float(theta),
+            config=cfg_template.alice_config,
+            target=label,
+            irreality_analytic=float(value) if prob > 0.0 else None,
+            selection_probability=float(prob),
+            omega=omega if prob > 0.0 else None,
         )
-    return records
+        for theta, omega, prob, value in zip(thetas, omegas, probs, values)
+    ]

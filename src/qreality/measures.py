@@ -123,16 +123,6 @@ def mutual_information(state: State, partition) -> float:
     )
 
 
-def conditional_information(state: State, partition) -> float:
-    """Correlation bound used by :func:`complementarity_check`.
-
-    Implemented as the quantum mutual information.  Kept as its own
-    function so an alternate reading of the bound can be swapped in one
-    place.
-    """
-    return mutual_information(state, partition)
-
-
 def entanglement_entropy(state: State, partition) -> float:
     """Entropy of the reduced state across a bipartition of a pure state."""
     part_a, _ = _split_partition(state, partition)
@@ -169,5 +159,5 @@ def complementarity_check(
     rest = tuple(
         lb for lb in state.register.labels if lb != observable.subsystem
     )
-    rhs = conditional_information(state, ((observable.subsystem,), rest))
+    rhs = mutual_information(state, ((observable.subsystem,), rest))
     return ComplementarityResult(lhs=lhs, rhs=rhs, holds=lhs >= rhs - slack)

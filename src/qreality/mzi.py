@@ -100,12 +100,9 @@ def mzi_state(cfg: MziConfig, stage: str) -> State:
 
     state = apply_unitary(state, _BS, ("Q",))
     if cfg.decohere_after_first_bs:
-        probe = DensityMatrix.maximally_mixed(QubitRegister(("Q",)))
+        state = DensityMatrix.maximally_mixed(QubitRegister(("Q",)))
         if cfg.extended:
-            markers = PureState.from_bits(QubitRegister(("d1", "d2")), "11")
-            state = tensor(probe, markers.to_density())
-        else:
-            state = probe
+            state = tensor(state, PureState.from_bits(QubitRegister(("d1", "d2")), "11"))
     if cfg.extended:
         state = apply_unitary(state, _marker_write(), ("Q", "d1", "d2"))
     if stage == "s1":
@@ -119,24 +116,26 @@ def mzi_state(cfg: MziConfig, stage: str) -> State:
     return apply_unitary(state, _BS, ("Q",))
 
 
-def _click_probabilities(cfg: MziConfig) -> tuple[float, float]:
-    state = mzi_state(cfg, "s3" if cfg.closed else "s2")
-    rho_q = partial_trace(state, ("Q",))
-    p0 = float(np.real(rho_q.entries[0, 0]))
-    p1 = float(np.real(rho_q.entries[1, 1]))
-    return p0, p1
-
-
 def detector_probabilities(cfg: MziConfig, phi_grid) -> list[tuple[float, float]]:
     """Click probabilities (p0, p1) over a phase grid.
 
     Closed device: p0 = cos^2(phi/2).  Open device: the detectors see the
     arms directly and p0 = 1/2 for every phase.
+
+    The phase shifter and second beam splitter act on the probe Q alone,
+    so the device is built once, to s2 at phi = 0, and the whole grid is
+    diag(V rho_Q V^+) with V = BS P(phi) (closed) or P(phi) (open).
     """
-    phis = [float(p) for p in np.atleast_1d(phi_grid)]
-    if not phis:
+    phis = np.array([float(p) for p in np.atleast_1d(phi_grid)])
+    if not phis.size:
         raise ConfigurationError("phi grid must be nonempty")
-    return [_click_probabilities(dataclasses.replace(cfg, phi=p)) for p in phis]
+    if not np.isfinite(phis).all():
+        raise ConfigurationError("phi must be finite")
+    rho_q = partial_trace(mzi_state(dataclasses.replace(cfg, phi=0.0), "s2"), ("Q",))
+    shift = np.stack([np.ones_like(phis), np.exp(1j * phis)], axis=-1)  # diag of P(phi)
+    bs2 = _BS if cfg.closed else np.eye(2)  # the second beam splitter, if present
+    p = np.einsum("ki,gi,ij,gj,kj->gk", bs2, shift, rho_q.entries, shift.conj(), bs2.conj()).real
+    return list(zip(p[:, 0].tolist(), p[:, 1].tolist()))
 
 
 def visibility(cfg: MziConfig, *, n_grid: int = 256) -> float:
@@ -194,11 +193,7 @@ def extended_output_analysis(cfg: MziConfig, *, detector: int = 0) -> ExtendedOu
     else:
         ee = 0.0  # mixed marker output carries no pure-state entanglement entropy
 
-    probe_reg = QubitRegister(("Q",))
-    if cfg.decohere_after_first_bs:
-        probe_s1: State = DensityMatrix.maximally_mixed(probe_reg)
-    else:
-        probe_s1 = apply_unitary(PureState(probe_reg, [1.0, 0.0]), _BS, ("Q",))
+    probe_s1 = mzi_state(dataclasses.replace(cfg, extended=False), "s1")
     irr = irreality(probe_s1, ObservableSpec.pauli("Q", "Z")).irreality
 
     return ExtendedOutputReport(

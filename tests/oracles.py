@@ -2,13 +2,20 @@
 
 Everything here is deliberately written against raw numpy arrays with
 explicit index loops or full-space kron products, so it shares no code
-path with the library implementations it checks.
+path with the library implementations it checks.  The exceptions are the
+per-point references at the end: they rebuild one device state per grid
+point with the library's single-state operations (stage states,
+post-selection, partial trace), the path the stacked grid kernels replace.
 """
 
+import dataclasses
 import functools
 import itertools
 
 import numpy as np
+
+from qreality import ObservableSpec, irreality, mzi_state, partial_trace
+from qreality.eraser import TARGETS, alice_and_bob_project, protocol_stage
 
 
 def kron_all(mats):
@@ -194,3 +201,25 @@ def monte_carlo_irreality_reference(counts, n, axis, basis, n_resamples, seed):
         dephased = sum(p @ rho @ p for p in projectors)
         values.append(entropy_bits(dephased) - entropy_bits(rho))
     return float(np.mean(values)), float(np.std(values, ddof=1)), substituted
+
+
+def omega_per_theta(cfg, target, **variants):
+    """Omega state and selection probability of one theta, by two post-selections."""
+    stage = "Psi1" if TARGETS[target] == "b" else "Psi2"
+    return alice_and_bob_project(protocol_stage(cfg, stage), cfg, **variants)
+
+
+def irreality_per_theta(cfg, target):
+    """(irreality, selection probability) of one theta, as the sweep rows were built."""
+    omega, prob = omega_per_theta(cfg, target)
+    return irreality(omega, ObservableSpec.pauli(TARGETS[target], "Z")).irreality, prob
+
+
+def detector_probabilities_per_phi(cfg, phis):
+    """(p0, p1) per phase from the whole device state at that phase."""
+    out = []
+    for phi in phis:
+        state = mzi_state(dataclasses.replace(cfg, phi=float(phi)), "s3" if cfg.closed else "s2")
+        rho = partial_trace(state, ("Q",)).entries
+        out.append((float(rho[0, 0].real), float(rho[1, 1].real)))
+    return out

@@ -180,6 +180,29 @@ class TestSweep:
         summary = json.loads((first / "summary.json").read_text())
         assert "threads" not in summary["config"]
 
+    @pytest.mark.parametrize("config", ["Cz", "Cx"])
+    @pytest.mark.parametrize("tomo", [False, True])
+    def test_theta_pi_row_is_written(self, tmp_path, config, tomo):
+        args = ["sweep", "--target", "d1", "--config", config, "--grid", "3",
+                "--theta-max", "3.141592653589793", "--out-dir", str(tmp_path)]
+        if tomo:
+            args += ["--tomo", "--shots", "500", "--resamples", "5"]
+        assert run(args) == 0
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        last = rows[-1]
+        assert float(last["theta"]) == np.pi
+        if config == "Cz":
+            assert last["irreality_analytic"] == ""
+            assert last["selection_probability"] == "0.0"
+            assert last["irreality_tomo_mean"] == last["irreality_tomo_std"] == ""
+        else:
+            assert float(last["irreality_analytic"]) == pytest.approx(0.0, abs=1e-9)
+            assert float(last["selection_probability"]) == pytest.approx(0.25, abs=1e-12)
+            assert (last["irreality_tomo_mean"] != "") == tomo
+        for row in rows[:-1]:
+            assert row["irreality_analytic"] != ""
+            assert (row["irreality_tomo_std"] != "") == tomo
+
 
 class TestTomo:
     def test_simulated_run_reports_high_fidelity(self, tmp_path):
@@ -242,6 +265,15 @@ class TestTomo:
         report = json.loads((out / "report.json").read_text())
         assert report["fidelity_to_truth"] is None
         assert report["purity"] > 0.9
+
+    def test_dataset_seed_is_printed_and_recorded(self, tmp_path, capsys):
+        omega, _ = omega_state(ProtocolConfig(theta=1.0, alice_config="Cx"), "d1")
+        dataset_path = tmp_path / "counts.json"
+        save_dataset(simulate_counts(omega, 1000, seed=7), dataset_path)
+        out = tmp_path / "run"
+        assert run(["tomo", str(dataset_path), "--out-dir", str(out)]) == 0
+        assert "seed: 7" in capsys.readouterr().out
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 7
 
     def test_malformed_dataset_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
