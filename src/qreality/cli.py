@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ConfigurationError, DensityMatrix, ObservableSpec, QubitRegister
+from .core import ConfigurationError, DensityMatrix, ObservableSpec, QubitRegister, _pauli_z
 from .eraser import (
     OMEGA_REGISTER,
     ProtocolConfig,
@@ -110,8 +110,9 @@ def _theta_grid(parser, args) -> np.ndarray:
 
 def _tomo_for_record(record: SweepRecord, shots, resamples, seeds):
     data = simulate_counts(DensityMatrix(OMEGA_REGISTER, record.omega), shots, seeds[0])
-    observable = ObservableSpec.pauli(record.target, "Z")
-    return monte_carlo_irreality(data, observable, resamples, seeds[1], register=OMEGA_REGISTER)
+    return monte_carlo_irreality(
+        data, _pauli_z(record.target), resamples, seeds[1], register=OMEGA_REGISTER
+    )
 
 
 def cmd_sweep(parser, args) -> int:
@@ -232,12 +233,9 @@ def cmd_tomo(parser, args) -> int:
         }
     else:
         data = load_dataset(args.dataset)
-        if data.n_qubits == 3:
-            register = QubitRegister(("b", "d1", "d2"))
-        else:
-            register = QubitRegister(tuple(f"q{i}" for i in range(data.n_qubits)))
         rho_linear = reconstruct_linear(data)
-        rho = project_to_physical(rho_linear, register)
+        rho = project_to_physical(rho_linear)  # labels q0 ... q{n-1}
+        register = rho.register
         eigs = np.linalg.eigvalsh((rho_linear + rho_linear.conj().T) / 2)
         report = {
             "dataset": str(args.dataset),
@@ -295,7 +293,7 @@ def cmd_mzi(parser, args) -> int:
     )
     phis = np.linspace(0.0, 2 * np.pi, args.grid, endpoint=False)
     probs = detector_probabilities(cfg, phis)
-    rows = [[_fmt(phi), _fmt(p0), _fmt(p1)] for phi, (p0, p1) in zip(phis, probs)]
+    rows = [[repr(phi), repr(p0), repr(p1)] for phi, (p0, p1) in zip(phis.tolist(), probs)]
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

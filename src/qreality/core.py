@@ -13,6 +13,7 @@ values can be shared across threads without synchronization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -211,6 +212,12 @@ class ObservableSpec:
         else:
             raise ValueError(f"unknown Pauli kind {kind!r}")
         return cls.from_basis(subsystem, basis)
+
+
+@functools.lru_cache(maxsize=32)
+def _pauli_z(subsystem: str) -> ObservableSpec:
+    """The Z observable on ``subsystem``, built and validated once per label."""
+    return ObservableSpec.pauli(subsystem, "Z")
 
 
 def _as_density(state: State) -> DensityMatrix:

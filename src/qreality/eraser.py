@@ -20,6 +20,7 @@ displacer alignment), so all protocol amplitudes are real.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -29,10 +30,10 @@ from .core import (
     ZERO_PROBABILITY_THRESHOLD,
     ConfigurationError,
     DensityMatrix,
-    ObservableSpec,
     PureState,
     QubitRegister,
     ZeroProbabilityError,
+    _pauli_z,
     apply_unitary,
     post_select,
 )
@@ -77,7 +78,7 @@ class ProtocolConfig:
             raise ConfigurationError(f"alice_branch must be one of {BRANCH_SIGNS}")
         gamma1, delta1, gamma2, delta2 = self.bd_settings
         for k, (delta, gamma) in enumerate(((delta1, gamma1), (delta2, gamma2)), start=1):
-            if abs(delta**2 + gamma**2 - 1.0) > _BD_NORM_ATOL:
+            if not abs(delta**2 + gamma**2 - 1.0) <= _BD_NORM_ATOL:  # NaN fails too
                 raise ConfigurationError(
                     f"displacer {k} amplitudes (delta, gamma) = ({delta}, {gamma}) "
                     "are not normalized"
@@ -245,22 +246,35 @@ def _normalize_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, np.where(defined, probs, 0.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _basis_kets(bd_settings: tuple, stage: str) -> np.ndarray:
+    """The evolved basis kets |000011> and |110011> at ``stage``, read-only.
+
+    Bob's devices never act on Alice's polarization A, so they are the
+    A = 0 and A = 1 blocks of one evolved state at theta = pi/2, divided by
+    cos(pi/4) and sin(pi/4); Alice's configuration does not enter the
+    stages.  Axes: A (which ket), B, a, then (b, d1, d2) flattened.  Built
+    once per displacer setting and stage.
+    """
+    half = ProtocolConfig(theta=np.pi / 2, alice_config="Cz", bd_settings=bd_settings)
+    psi = protocol_stage(half, stage).state
+    kets = psi.amplitudes.reshape(2, 2, 2, 8) / np.array([half.c, half.s])[:, None, None, None]
+    kets.flags.writeable = False
+    return kets
+
+
 def _omega_stack(cfg, target: str, thetas: np.ndarray, *, alice_z_outcome=0, bob_sign="plus"):
     """Omega states (T, 8, 8) and selection probabilities (T,) over a theta grid.
 
-    Bob's devices never act on Alice's polarization A, so the A = 0 and
-    A = 1 blocks of one evolved state are the evolved basis kets |000011>
-    and |110011>.  Projected on Alice's outcome once they give r0, r1, and
-    row t is cos(theta_t/2) r0 + sin(theta_t/2) r1, then normalized,
-    projected on Bob's outcome and normalized again, as by two
-    :func:`post_select` calls (bit for bit at the default displacer
-    settings).  Undefined rows are zero matrices with probability 0.
+    The evolved basis kets (:func:`_basis_kets`), projected on Alice's
+    outcome once, give r0, r1, and row t is cos(theta_t/2) r0 +
+    sin(theta_t/2) r1, then normalized, projected on Bob's outcome and
+    normalized again, as by two :func:`post_select` calls (bit for bit at
+    the default displacer settings).  Undefined rows are zero matrices with
+    probability 0.
     """
     alice_outcome, bob_outcome = _outcomes(cfg, alice_z_outcome, bob_sign)
-    half = dataclasses.replace(cfg, theta=np.pi / 2)
-    psi = protocol_stage(half, stage_for_target(target)).state
-    # Axes: A (which ket), B, a, then (b, d1, d2) flattened.
-    kets = psi.amplitudes.reshape(2, 2, 2, 8) / np.array([half.c, half.s])[:, None, None, None]
+    kets = _basis_kets(tuple(cfg.bd_settings), stage_for_target(target))
     r = np.einsum("Aa,ABaj->ABj", alice_outcome.reshape(2, 2).conj(), kets)
     amps = np.stack([np.cos(thetas / 2), np.sin(thetas / 2)], axis=-1) @ r.reshape(2, 16)
     amps, p_alice = _normalize_rows(amps)
@@ -308,7 +322,7 @@ def irreality_curve(
 
     omegas, probs = _omega_stack(cfg_template, target, thetas)  # checks the target
     label = TARGETS[target]
-    values = _irreality_values(omegas, OMEGA_REGISTER, ObservableSpec.pauli(label, "Z"))
+    values = _irreality_values(omegas, OMEGA_REGISTER, _pauli_z(label))
     return [
         SweepRecord(
             theta=float(theta),

@@ -17,7 +17,7 @@ a merely classically correlated marker pair.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +25,10 @@ import numpy as np
 from .core import (
     ConfigurationError,
     DensityMatrix,
-    ObservableSpec,
     PureState,
     QubitRegister,
     State,
+    _pauli_z,
     apply_unitary,
     partial_trace,
     post_select,
@@ -75,12 +75,34 @@ def _marker_write() -> np.ndarray:
     return gate
 
 
-def _input_state(cfg: MziConfig) -> PureState:
+def _markers() -> PureState:
+    return PureState.from_bits(QubitRegister(("d1", "d2")), "11")
+
+
+def _input_state(extended: bool) -> PureState:
     probe = PureState(QubitRegister(("Q",)), [1.0, 0.0])
-    if not cfg.extended:
-        return probe
-    markers = PureState.from_bits(QubitRegister(("d1", "d2")), "11")
-    return tensor(probe, markers)
+    return tensor(probe, _markers()) if extended else probe
+
+
+@functools.lru_cache(maxsize=4)
+def _s1_state(extended: bool, decohere: bool) -> State:
+    """The device at s1, before any phase; built once per flag pair."""
+    if decohere:
+        state = DensityMatrix.maximally_mixed(QubitRegister(("Q",)))
+        if extended:
+            state = tensor(state, _markers())
+    else:
+        state = apply_unitary(_input_state(extended), _BS, ("Q",))
+    if extended:
+        state = apply_unitary(state, _marker_write(), ("Q", "d1", "d2"))
+    return state
+
+
+@functools.lru_cache(maxsize=4)
+def _probe_marginal(extended: bool, decohere: bool) -> DensityMatrix:
+    """rho_Q at s2 for phi = 0, which ``closed`` does not change; built once per flag pair."""
+    cfg = MziConfig(phi=0.0, extended=extended, decohere_after_first_bs=decohere)
+    return partial_trace(mzi_state(cfg, "s2"), ("Q",))
 
 
 def mzi_state(cfg: MziConfig, stage: str) -> State:
@@ -94,17 +116,10 @@ def mzi_state(cfg: MziConfig, stage: str) -> State:
     if stage == "s3" and not cfg.closed:
         raise ConfigurationError("stage s3 requires the closed configuration")
 
-    state: State = _input_state(cfg)
     if stage == "s0":
-        return state
+        return _input_state(cfg.extended)
 
-    state = apply_unitary(state, _BS, ("Q",))
-    if cfg.decohere_after_first_bs:
-        state = DensityMatrix.maximally_mixed(QubitRegister(("Q",)))
-        if cfg.extended:
-            state = tensor(state, PureState.from_bits(QubitRegister(("d1", "d2")), "11"))
-    if cfg.extended:
-        state = apply_unitary(state, _marker_write(), ("Q", "d1", "d2"))
+    state = _s1_state(bool(cfg.extended), bool(cfg.decohere_after_first_bs))
     if stage == "s1":
         return state
 
@@ -123,15 +138,15 @@ def detector_probabilities(cfg: MziConfig, phi_grid) -> list[tuple[float, float]
     arms directly and p0 = 1/2 for every phase.
 
     The phase shifter and second beam splitter act on the probe Q alone,
-    so the device is built once, to s2 at phi = 0, and the whole grid is
-    diag(V rho_Q V^+) with V = BS P(phi) (closed) or P(phi) (open).
+    so the whole grid is diag(V rho_Q V^+) with V = BS P(phi) (closed) or
+    P(phi) (open), and rho_Q is the probe at s2 for phi = 0.
     """
     phis = np.array([float(p) for p in np.atleast_1d(phi_grid)])
     if not phis.size:
         raise ConfigurationError("phi grid must be nonempty")
     if not np.isfinite(phis).all():
         raise ConfigurationError("phi must be finite")
-    rho_q = partial_trace(mzi_state(dataclasses.replace(cfg, phi=0.0), "s2"), ("Q",))
+    rho_q = _probe_marginal(bool(cfg.extended), bool(cfg.decohere_after_first_bs))
     shift = np.stack([np.ones_like(phis), np.exp(1j * phis)], axis=-1)  # diag of P(phi)
     bs2 = _BS if cfg.closed else np.eye(2)  # the second beam splitter, if present
     p = np.einsum("ki,gi,ij,gj,kj->gk", bs2, shift, rho_q.entries, shift.conj(), bs2.conj()).real
@@ -193,8 +208,8 @@ def extended_output_analysis(cfg: MziConfig, *, detector: int = 0) -> ExtendedOu
     else:
         ee = 0.0  # mixed marker output carries no pure-state entanglement entropy
 
-    probe_s1 = mzi_state(dataclasses.replace(cfg, extended=False), "s1")
-    irr = irreality(probe_s1, ObservableSpec.pauli("Q", "Z")).irreality
+    probe_s1 = _s1_state(False, bool(cfg.decohere_after_first_bs))
+    irr = irreality(probe_s1, _pauli_z("Q")).irreality
 
     return ExtendedOutputReport(
         postselected_state=rho_markers,

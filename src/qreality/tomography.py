@@ -69,16 +69,25 @@ class MeasurementSetting:
         return len(self.bases)
 
     def eigenvector_matrix(self) -> np.ndarray:
-        """2^n x 2^n matrix whose columns are the joint-outcome eigenvectors."""
-        return functools.reduce(np.kron, (_EIGENBASIS[b] for b in self.bases))
+        """2^n x 2^n matrix whose columns are the joint-outcome eigenvectors (read-only)."""
+        return _eigenvector_matrix(self.bases)
 
     def projectors(self) -> list[np.ndarray]:
         v = self.eigenvector_matrix()
         return [np.outer(v[:, k], v[:, k].conj()) for k in range(v.shape[1])]
 
 
+# Room for every setting of up to MAX_QUBITS qubits: 3 + 9 + 27 + 81.
+@functools.lru_cache(maxsize=sum(3**n for n in range(1, MAX_QUBITS + 1)))
+def _eigenvector_matrix(bases: tuple[str, ...]) -> np.ndarray:
+    v = functools.reduce(np.kron, (_EIGENBASIS[b] for b in bases))
+    v.flags.writeable = False
+    return v
+
+
+@functools.lru_cache(maxsize=MAX_QUBITS, typed=True)  # typed: 3.0 still raises TypeError
 def all_settings(n_qubits: int) -> tuple[MeasurementSetting, ...]:
-    """The 3^n settings in a fixed, deterministic order."""
+    """The 3^n settings in a fixed, deterministic order, built once per n."""
     return tuple(
         MeasurementSetting(bases)
         for bases in itertools.product(SETTING_BASES, repeat=n_qubits)
@@ -291,13 +300,11 @@ class ReconstructionResult:
     diagnostics: dict
 
 
-def tomography_end_to_end(
-    rho_true: DensityMatrix, shots: int, seed: int, *, max_qubits: int = MAX_QUBITS
-) -> ReconstructionResult:
+def tomography_end_to_end(rho_true: DensityMatrix, shots: int, seed: int) -> ReconstructionResult:
     """Simulate counts, reconstruct, restore physicality, report fidelity."""
     n = rho_true.register.n_qubits
-    if n > max_qubits:
-        raise ValueError(f"register has {n} qubits, maximum supported is {max_qubits}")
+    if n > MAX_QUBITS:
+        raise ValueError(f"register has {n} qubits, maximum supported is {MAX_QUBITS}")
     data = simulate_counts(rho_true, shots, seed)
     rho_linear = reconstruct_linear(data)
     eigs = np.linalg.eigvalsh((rho_linear + rho_linear.conj().T) / 2)

@@ -275,6 +275,15 @@ class TestTomo:
         assert "seed: 7" in capsys.readouterr().out
         assert json.loads((out / "manifest.json").read_text())["seed"] == 7
 
+    def test_three_qubit_dataset_gets_generic_labels(self, tmp_path):
+        omega, _ = omega_state(ProtocolConfig(theta=1.0, alice_config="Cx"), "d1")
+        dataset_path = tmp_path / "counts.json"
+        save_dataset(simulate_counts(omega, 1000, seed=7), dataset_path)
+        out = tmp_path / "run"
+        assert run(["tomo", str(dataset_path), "--out-dir", str(out)]) == 0
+        matrix = json.loads((out / "density_matrix.json").read_text())
+        assert matrix["labels"] == ["q0", "q1", "q2"]
+
     def test_malformed_dataset_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n_qubits": 1}')

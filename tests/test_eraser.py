@@ -85,6 +85,14 @@ class TestBuildPsi0:
             ProtocolConfig(theta=0.5, alice_config="Cz", bd_settings=(0.5, 0.5, 1.0, 0.0))
 
 
+    @pytest.mark.parametrize("position", range(4))
+    def test_nan_bd_setting_rejected(self, position):
+        settings = [0.0, 1.0, 1.0, 0.0]
+        settings[position] = float("nan")
+        with pytest.raises(ConfigurationError):
+            ProtocolConfig(theta=0.5, alice_config="Cz", bd_settings=tuple(settings))
+
+
 class TestEvolveToPsi1:
     def test_theta_zero(self):
         cfg = ProtocolConfig(theta=0.0, alice_config="Cz")

@@ -1,0 +1,143 @@
+"""Per-process tables of the protocol's fixed pieces.
+
+The evolved basis kets, the Z observables, the Pauli eigenvector matrices
+and the MZI s1 state and probe marginal are each built once and served from
+a bounded ``functools`` cache.  Every table entry must equal, bit for bit,
+an uncached build through the reference path, be read-only, and the tables
+must stay within their size bound however many keys pass through them.
+"""
+
+import functools
+import itertools
+
+import numpy as np
+import pytest
+
+from qreality import ObservableSpec, mzi_state, partial_trace
+from qreality.core import _pauli_z
+from qreality.eraser import ProtocolConfig, _basis_kets, irreality_curve, protocol_stage
+from qreality.mzi import MziConfig, _probe_marginal, _s1_state, detector_probabilities
+from qreality.tomography import _eigenvector_matrix, all_settings
+
+# (gamma1, delta1, gamma2, delta2): the default and two rotated displacer pairs
+BD_SETTINGS = [
+    (0.0, 1.0, 1.0, 0.0),
+    (0.8, 0.6, float(np.cos(0.3)), float(np.sin(0.3))),
+    (float(np.sin(1.1)), float(np.cos(1.1)), 0.28, 0.96),
+]
+FLAGS = list(itertools.product((True, False), repeat=3))  # (closed, extended, decohere)
+EIGENBASES = {
+    "Z": np.eye(2, dtype=complex),
+    "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
+}
+
+
+def assert_read_only(array):
+    with pytest.raises(ValueError):
+        array[(0,) * array.ndim] = 1.0
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestBasisKets:
+    @pytest.mark.parametrize("bd_settings", BD_SETTINGS)
+    @pytest.mark.parametrize("stage", ["Psi1", "Psi2"])
+    def test_matches_protocol_stage(self, bd_settings, stage):
+        cfg = ProtocolConfig(theta=0.0, alice_config="Cx", bd_settings=bd_settings)
+        irreality_curve(cfg, "b" if stage == "Psi1" else "d1", [0.2, 1.3])
+        cached = _basis_kets(bd_settings, stage)
+        assert _basis_kets(bd_settings, stage) is cached
+
+        half = ProtocolConfig(theta=np.pi / 2, alice_config="Cz", bd_settings=bd_settings)
+        amps = protocol_stage(half, stage).state.amplitudes
+        want = amps.reshape(2, 2, 2, 8) / np.array([half.c, half.s])[:, None, None, None]
+        assert_bits_equal(cached, want)
+        assert_read_only(cached)
+
+    def test_bounded_over_many_displacer_settings(self):
+        for a in np.linspace(0.0, 2 * np.pi, 1000, endpoint=False):
+            bd = (float(np.sin(a)), float(np.cos(a)), float(np.cos(2 * a)), float(np.sin(2 * a)))
+            irreality_curve(ProtocolConfig(theta=0.0, alice_config="Cx", bd_settings=bd), "d2", [0.7])
+        info = _basis_kets.cache_info()
+        assert info.currsize <= info.maxsize
+
+
+class TestZObservable:
+    @pytest.mark.parametrize("label", ["b", "d1", "d2", "Q"])
+    def test_matches_pauli_and_is_read_only(self, label):
+        cached = _pauli_z(label)
+        assert _pauli_z(label) is cached
+        want = ObservableSpec.pauli(label, "Z")
+        assert cached.subsystem == label
+        for got, ref in zip(cached.projectors, want.projectors, strict=True):
+            assert_bits_equal(got, ref)
+            assert_read_only(got)
+
+    def test_bounded_over_many_labels(self):
+        for k in range(1000):
+            _pauli_z(f"label{k}")
+        info = _pauli_z.cache_info()
+        assert info.currsize <= info.maxsize
+
+
+class TestEigenvectorMatrices:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_match_kron_of_single_qubit_bases(self, n):
+        settings = all_settings(n)
+        assert all_settings(n) is settings
+        assert len(settings) == 3**n
+        for setting in settings:
+            got = setting.eigenvector_matrix()
+            want = functools.reduce(np.kron, (EIGENBASES[b] for b in setting.bases))
+            assert_bits_equal(got, want)
+            assert_read_only(got)
+
+    def test_table_holds_every_setting_up_to_four_qubits(self):
+        info = _eigenvector_matrix.cache_info()
+        assert info.maxsize == 3 + 9 + 27 + 81
+        for n in range(1, 6):  # five qubits overflow the table and evict
+            for setting in all_settings(n):
+                setting.eigenvector_matrix()
+        assert _eigenvector_matrix.cache_info().currsize <= info.maxsize
+        assert all_settings.cache_info().currsize <= all_settings.cache_info().maxsize
+
+    def test_float_register_size_still_rejected(self):
+        all_settings(3)
+        with pytest.raises(TypeError):
+            all_settings(3.0)
+
+
+class TestMziTables:
+    @pytest.mark.parametrize("closed, extended, decohere", FLAGS)
+    def test_probe_marginal_matches_fresh_build(self, closed, extended, decohere):
+        cfg = MziConfig(
+            phi=0.0, closed=closed, extended=extended, decohere_after_first_bs=decohere
+        )
+        detector_probabilities(cfg, [0.0, 1.0])
+        cached = _probe_marginal(extended, decohere)
+        assert _probe_marginal(extended, decohere) is cached
+        s1 = _s1_state(extended, decohere)
+
+        _probe_marginal.cache_clear()
+        _s1_state.cache_clear()
+        want = partial_trace(mzi_state(cfg, "s2"), ("Q",))
+        assert_bits_equal(cached.entries, want.entries)
+        assert_read_only(cached.entries)
+        fresh_s1 = mzi_state(cfg, "s1")
+        array = "entries" if decohere else "amplitudes"
+        assert_bits_equal(getattr(s1, array), getattr(fresh_s1, array))
+        assert_read_only(getattr(s1, array))
+
+    def test_tables_stay_at_four_flag_pairs(self):
+        for closed, extended, decohere in FLAGS:
+            cfg = MziConfig(
+                phi=0.3, closed=closed, extended=extended, decohere_after_first_bs=decohere
+            )
+            detector_probabilities(cfg, [0.3])
+            mzi_state(cfg, "s1")
+        assert _probe_marginal.cache_info().currsize <= 4
+        assert _s1_state.cache_info().currsize <= 4
