@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -36,6 +37,7 @@ from .mzi import (
     visibility,
 )
 from .tomography import (
+    MAX_COUNT,
     DatasetFormatError,
     IncompleteDataError,
     load_dataset,
@@ -59,10 +61,6 @@ OMEGA_STATES = {
     "omega2z": ("d1", "Cz"),
     "omega2x": ("d1", "Cx"),
 }
-
-
-def _default_out_dir() -> str:
-    return os.environ.get(OUT_DIR_ENV, "qreality_out")
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed) -> None:
@@ -108,6 +106,11 @@ def _theta_grid(parser, args) -> np.ndarray:
     return np.linspace(lo, hi, args.grid)
 
 
+def _check_shots_fit(parser, shots: int) -> None:
+    if shots > MAX_COUNT:
+        parser.error(f"--shots must be at most {MAX_COUNT}, the largest int64 count")
+
+
 def _tomo_for_record(record: SweepRecord, shots, resamples, seeds):
     data = simulate_counts(DensityMatrix(OMEGA_REGISTER, record.omega), shots, seeds[0])
     return monte_carlo_irreality(
@@ -125,6 +128,8 @@ def cmd_sweep(parser, args) -> int:
         parser.error("--resamples must be at least 2")
     if args.tomo and args.shots < 1:
         parser.error("--shots must be at least 1")
+    if args.tomo:
+        _check_shots_fit(parser, args.shots)
     configs = ("Cz", "Cx") if args.config == "both" else (args.config,)
 
     records: list[SweepRecord] = []
@@ -205,6 +210,8 @@ def _ket_labels(register: QubitRegister) -> list[str]:
 def cmd_tomo(parser, args) -> int:
     if (args.dataset is None) == (not args.simulate):
         parser.error("provide exactly one of: a dataset file, or --simulate")
+    if args.simulate:
+        _check_shots_fit(parser, args.shots)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -402,7 +409,14 @@ def cmd_selftest(parser, args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every call.
+
+    Callers must not change it.  Nothing in it depends on the environment:
+    ``--out-dir`` defaults to None, and :func:`main` reads ``QREALITY_OUT_DIR``
+    on each call.
+    """
     parser = argparse.ArgumentParser(
         prog="qreality",
         description="Irreality sweeps, simulated tomography, and MZI demos.",
@@ -423,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--shots", type=int, default=10_000)
     sweep.add_argument("--resamples", type=int, default=100)
     sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sweep.add_argument("--out-dir", default=_default_out_dir())
+    sweep.add_argument("--out-dir")
 
     tomo = sub.add_parser("tomo", help="reconstruct a state from counts")
     tomo.add_argument("dataset", nargs="?", default=None, help="counts JSON file")
@@ -434,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     tomo.add_argument("--branch", choices=("plus", "minus"), default="plus")
     tomo.add_argument("--shots", type=int, default=100_000)
     tomo.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for --simulate")
-    tomo.add_argument("--out-dir", default=_default_out_dir())
+    tomo.add_argument("--out-dir")
 
     mzi = sub.add_parser("mzi", help="interferometer phase sweep and marker analysis")
     mode = mzi.add_mutually_exclusive_group()
@@ -444,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     mzi.add_argument("--decohere", action="store_true", help="decohere the probe after the first beam splitter")
     mzi.add_argument("--phi", type=float, default=0.0, help="phase used for the marker analysis")
     mzi.add_argument("--grid", type=int, default=256)
-    mzi.add_argument("--out-dir", default=_default_out_dir())
+    mzi.add_argument("--out-dir")
 
     sub.add_parser("selftest", help="run quick internal consistency checks")
     return parser
@@ -453,6 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "out_dir" in args and args.out_dir is None:
+        args.out_dir = os.environ.get(OUT_DIR_ENV, "qreality_out")
     handlers = {
         "sweep": cmd_sweep,
         "tomo": cmd_tomo,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -76,6 +77,11 @@ class ProtocolConfig:
             raise ConfigurationError(f"alice_config must be one of {ALICE_CONFIGS}")
         if self.alice_branch not in BRANCH_SIGNS:
             raise ConfigurationError(f"alice_branch must be one of {BRANCH_SIGNS}")
+        for amplitude in self.bd_settings:
+            if not isinstance(amplitude, numbers.Real):
+                raise ConfigurationError(
+                    f"displacer amplitude {amplitude!r} is not a real number"
+                )
         gamma1, delta1, gamma2, delta2 = self.bd_settings
         for k, (delta, gamma) in enumerate(((delta1, gamma1), (delta2, gamma2)), start=1):
             if not abs(delta**2 + gamma**2 - 1.0) <= _BD_NORM_ATOL:  # NaN fails too

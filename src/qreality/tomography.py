@@ -28,6 +28,8 @@ SETTING_BASES = ("Z", "X", "Y")
 
 MAX_QUBITS = 4  # the dense inversion map takes 5.3 MB here, 24x more per qubit
 
+MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are stored as int64
+
 _PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -113,6 +115,13 @@ class TomographyDataset:
             )
         if np.any(counts < 0):
             raise DatasetFormatError("counts must be nonnegative")
+        first_index = {}
+        for i, setting in enumerate(self.settings):
+            j = first_index.setdefault(setting.bases, i)
+            if j != i:
+                raise DatasetFormatError(
+                    f"settings[{i}]: bases {list(setting.bases)} repeat settings[{j}]"
+                )
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "settings", tuple(self.settings))
@@ -357,10 +366,13 @@ def dataset_from_dict(payload: dict) -> TomographyDataset:
         raise DatasetFormatError(
             f"shots_per_setting: expected positive integer, got {shots!r}"
         )
-    try:
-        seed = int(payload["seed"])
-    except (TypeError, ValueError, OverflowError):
-        raise DatasetFormatError(f"seed: expected integer, got {payload['seed']!r}") from None
+    if shots > MAX_COUNT:  # bounds every count too, since a row sums to at most shots
+        raise DatasetFormatError(
+            f"shots_per_setting: {shots} exceeds the maximum of {MAX_COUNT}"
+        )
+    seed = payload["seed"]
+    if type(seed) is not int:
+        raise DatasetFormatError(f"seed: expected integer, got {seed!r}")
     raw_settings = payload["settings"]
     if not isinstance(raw_settings, list) or not raw_settings:
         raise DatasetFormatError("settings: expected a nonempty list")

@@ -1,11 +1,12 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
 from qreality import save_dataset, simulate_counts
-from qreality.cli import main
+from qreality.cli import build_parser, main
 from qreality.eraser import ProtocolConfig, omega_state
 
 from oracles import binary_entropy_exact
@@ -297,6 +298,9 @@ class TestTomo:
             (True, 0, "n_qubits: expected positive integer"),
             (6, 0, "n_qubits: 6 exceeds the maximum of 4"),
             (1, None, "seed: expected integer"),
+            (1, 1.5, "seed: expected integer, got 1.5"),
+            (1, True, "seed: expected integer, got True"),
+            (1, "7", "seed: expected integer, got '7'"),
         ],
     )
     def test_rejected_header_is_one_error_line(
@@ -314,6 +318,44 @@ class TestTomo:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and message in lines[0]
+
+    def test_duplicate_setting_is_one_error_line(self, tmp_path, capsys):
+        payload = {
+            "n_qubits": 1,
+            "shots_per_setting": 10,
+            "seed": 0,
+            "settings": [
+                {"bases": [b], "counts": [5, 5]} for b in ("Z", "X", "Y", "X")
+            ],
+        }
+        bad = tmp_path / "duplicate.json"
+        bad.write_text(json.dumps(payload))
+        assert run(["tomo", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: settings[3]: ") and "settings[1]" in lines[0]
+
+    def test_counts_beyond_int64_are_one_error_line(self, tmp_path, capsys):
+        payload = {
+            "n_qubits": 1,
+            "shots_per_setting": 2**71,
+            "seed": 0,
+            "settings": [
+                {"bases": [b], "counts": [2**70, 0]} for b in ("Z", "X", "Y")
+            ],
+        }
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(payload))
+        assert run(["tomo", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: shots_per_setting: ")
+
+    @pytest.mark.parametrize("command", [["sweep", "--tomo"], ["tomo", "--simulate"]])
+    def test_shots_flag_beyond_int64_is_usage_error(self, tmp_path, capsys, command):
+        argv = command + ["--shots", str(10**20), "--out-dir", str(tmp_path)]
+        assert run(argv) == 2
+        assert "--shots must be at most 9223372036854775807" in capsys.readouterr().err
 
     def test_missing_setting_is_runtime_error(self, tmp_path):
         payload = {
@@ -393,6 +435,55 @@ class TestEnvironmentOverrides:
         )
         assert proc.returncode == 0
         assert "visibility: 0.0" in proc.stdout
+
+
+class TestParserReuse:
+    def test_out_dir_env_read_on_every_call(self, tmp_path, monkeypatch):
+        for name in ("a", "b"):
+            monkeypatch.setenv("QREALITY_OUT_DIR", str(tmp_path / name))
+            assert run(["sweep", "--grid", "3"]) == 0
+            assert (tmp_path / name / "sweep.csv").exists()
+
+    def test_reuse_after_errors_matches_fresh_process(self, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import qreality
+
+        assert run(["sweep", "--grid", "0", "--out-dir", str(tmp_path / "x")]) == 2
+        assert run(["mzi", "--closed", "--open", "--out-dir", str(tmp_path / "x")]) == 2
+        assert run(["--version"]) == 0
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert run(["mzi", "--grid", "8", "--out-dir", str(reused)]) == 0
+        src = str(Path(qreality.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qreality", "mzi", "--grid", "8", "--out-dir", str(fresh)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0
+        names = sorted(p.name for p in reused.iterdir() if p.name != "manifest.json")
+        assert names == ["mzi.csv", "summary.json"]
+        for name in names:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_help_same_on_first_and_later_calls(self, capsys):
+        commands = ([], ["sweep"], ["tomo"], ["mzi"], ["selftest"])
+
+        def help_texts():
+            texts = []
+            for command in commands:
+                assert run(command + ["--help"]) == 0
+                texts.append(capsys.readouterr().out)
+            return texts
+
+        build_parser.cache_clear()
+        first = help_texts()
+        assert run(["sweep", "--grid", "0"]) == 2
+        assert build_parser() is build_parser()
+        assert help_texts() == first
+        assert all("usage: qreality" in text for text in first)
 
 
 class TestSelftestAndManifest:

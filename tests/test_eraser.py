@@ -92,6 +92,16 @@ class TestBuildPsi0:
         with pytest.raises(ConfigurationError):
             ProtocolConfig(theta=0.5, alice_config="Cz", bd_settings=tuple(settings))
 
+    @pytest.mark.parametrize("position", range(4))
+    def test_complex_bd_setting_rejected(self, position):
+        # 1j with its partner sqrt(2) passes the normalization check,
+        # (1j)^2 + 2 = 1, so only the realness check can catch it
+        settings = [0.0, 1.0, 1.0, 0.0]
+        settings[position] = 1j
+        settings[position ^ 1] = 2**0.5
+        with pytest.raises(ConfigurationError, match="not a real number"):
+            ProtocolConfig(theta=0.5, alice_config="Cz", bd_settings=tuple(settings))
+
 
 class TestEvolveToPsi1:
     def test_theta_zero(self):
