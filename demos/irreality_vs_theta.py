@@ -10,12 +10,12 @@ import numpy as np
 from qreality import ObservableSpec, binary_entropy, irreality
 from qreality.eraser import (
     ProtocolConfig,
+    apply_beam_displacers,
     build_psi0,
     default_theta_grid,
     evolve_to_psi1,
     irreality_curve,
     omega_state,
-    protocol_stage,
 )
 
 
@@ -24,7 +24,7 @@ def show_stages(theta):
     cfg = ProtocolConfig(theta=theta, alice_config="Cx")
     psi0 = build_psi0(cfg)
     psi1 = evolve_to_psi1(psi0)
-    psi2 = protocol_stage(cfg, "Psi2").state
+    psi2 = apply_beam_displacers(psi1, cfg)
     for name, state in (("Psi0", psi0), ("Psi1", psi1), ("Psi2", psi2)):
         support = np.flatnonzero(np.abs(state.amplitudes) > 1e-12)
         kets = ", ".join(

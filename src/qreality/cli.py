@@ -21,7 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ConfigurationError, DensityMatrix, ObservableSpec, QubitRegister, _pauli_z
+from .core import (
+    ConfigurationError, DensityMatrix, ObservableSpec, QubitRegister, _pauli_z, fidelity
+)
 from .eraser import (
     OMEGA_REGISTER,
     ProtocolConfig,
@@ -29,23 +31,26 @@ from .eraser import (
     TARGETS,
     irreality_curve,
     omega_state,
+    stage_for_target,
 )
 from .mzi import (
+    VISIBILITY_GRID,
     MziConfig,
+    _visibility,
     detector_probabilities,
     extended_output_analysis,
     visibility,
 )
 from .tomography import (
     MAX_COUNT,
+    MAX_POISSON_COUNT,
     DatasetFormatError,
     IncompleteDataError,
     load_dataset,
     monte_carlo_irreality,
     project_to_physical,
-    reconstruct_linear,
+    reconstruct,
     simulate_counts,
-    tomography_end_to_end,
 )
 
 OUT_DIR_ENV = "QREALITY_OUT_DIR"
@@ -54,6 +59,16 @@ DEFAULT_SEED = 42
 SWEEP_SCHEMA = "qreality.sweep.v1"
 MZI_SCHEMA = "qreality.mzi.v1"
 RHO_SCHEMA = "qreality.rho-real.v1"
+
+# Measured peaks: a sweep row takes about 5.5 KB (two rows per grid point
+# with --config both), an mzi phase about 0.44 KB and a Monte Carlo
+# resample of the 3-qubit omega state about 8.3 KB.  So --grid at its
+# limit needs about 1.1 GB for a sweep and 44 MB for mzi, and --resamples
+# at its limit about 0.8 GB.
+MAX_GRID = 100_000
+MAX_RESAMPLES = 100_000
+INT64_LIMIT = "the largest int64 count"
+POISSON_LIMIT = "the largest count numpy's Poisson resampling accepts"
 
 OMEGA_STATES = {
     "omega1z": ("b", "Cz"),
@@ -99,16 +114,18 @@ def _theta_grid(parser, args) -> np.ndarray:
     lo, hi = args.theta_min, args.theta_max
     if args.degrees:
         lo, hi = np.radians(lo), np.radians(hi)
-    if args.grid < 1:
-        parser.error("--grid must be at least 1")
+    _check_range(parser, "--grid", args.grid, 1, MAX_GRID, "to bound memory")
     if not (0.0 <= lo <= hi <= np.pi + 1e-12):
         parser.error("theta range must satisfy 0 <= min <= max <= pi")
     return np.linspace(lo, hi, args.grid)
 
 
-def _check_shots_fit(parser, shots: int) -> None:
-    if shots > MAX_COUNT:
-        parser.error(f"--shots must be at most {MAX_COUNT}, the largest int64 count")
+def _check_range(parser, flag: str, value: int, low, high: int, why: str) -> None:
+    """Usage error naming ``flag`` unless low <= value <= high; ``low`` None is no floor."""
+    if low is not None and value < low:
+        parser.error(f"{flag} must be at least {low}")
+    if value > high:
+        parser.error(f"{flag} must be at most {high}, {why}")
 
 
 def _tomo_for_record(record: SweepRecord, shots, resamples, seeds):
@@ -120,16 +137,14 @@ def _tomo_for_record(record: SweepRecord, shots, resamples, seeds):
 
 def cmd_sweep(parser, args) -> int:
     grid = _theta_grid(parser, args)
-    target = TARGETS.get(args.target)
-    stage = 1 if target == "b" else 2
+    target = TARGETS[args.target]
+    stage = stage_for_target(args.target)
     if args.stage is not None and args.stage != stage:
         parser.error(f"--target {args.target} belongs to stage {stage}, not {args.stage}")
-    if args.tomo and args.resamples < 2:
-        parser.error("--resamples must be at least 2")
-    if args.tomo and args.shots < 1:
-        parser.error("--shots must be at least 1")
     if args.tomo:
-        _check_shots_fit(parser, args.shots)
+        _check_range(parser, "--resamples", args.resamples, 2, MAX_RESAMPLES, "to bound memory")
+        _check_range(parser, "--shots", args.shots, 1, MAX_COUNT, INT64_LIMIT)
+        _check_range(parser, "--shots", args.shots, 1, MAX_POISSON_COUNT, POISSON_LIMIT)
     configs = ("Cz", "Cx") if args.config == "both" else (args.config,)
 
     records: list[SweepRecord] = []
@@ -211,7 +226,7 @@ def cmd_tomo(parser, args) -> int:
     if (args.dataset is None) == (not args.simulate):
         parser.error("provide exactly one of: a dataset file, or --simulate")
     if args.simulate:
-        _check_shots_fit(parser, args.shots)
+        _check_range(parser, "--shots", args.shots, None, MAX_COUNT, INT64_LIMIT)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -220,17 +235,10 @@ def cmd_tomo(parser, args) -> int:
         target, config = OMEGA_STATES[args.state]
         theta = np.radians(args.theta) if args.degrees else args.theta
         cfg = ProtocolConfig(theta=float(theta), alice_config=config, alice_branch=args.branch)
-        omega, _ = omega_state(cfg, target)
-        result = tomography_end_to_end(omega, args.shots, args.seed)
-        register = omega.register
-        rho = result.rho_physical
-        report = {
-            "state": args.state,
-            "theta": float(theta),
-            "fidelity_to_truth": result.fidelity_to_truth,
-            "purity": float(np.real(np.vdot(rho.entries, rho.entries))),
-            "diagnostics": result.diagnostics,
-        }
+        truth, _ = omega_state(cfg, target)
+        data = simulate_counts(truth, args.shots, args.seed)
+        register = truth.register
+        report = {"state": args.state, "theta": float(theta)}
         config_dict = {
             "simulate": True,
             "state": args.state,
@@ -239,23 +247,17 @@ def cmd_tomo(parser, args) -> int:
             "shots": args.shots,
         }
     else:
+        truth = register = None  # a file's qubits are labelled q0 ... q{n-1}
         data = load_dataset(args.dataset)
-        rho_linear = reconstruct_linear(data)
-        rho = project_to_physical(rho_linear)  # labels q0 ... q{n-1}
-        register = rho.register
-        eigs = np.linalg.eigvalsh((rho_linear + rho_linear.conj().T) / 2)
-        report = {
-            "dataset": str(args.dataset),
-            "fidelity_to_truth": None,
-            "purity": float(np.real(np.vdot(rho.entries, rho.entries))),
-            "diagnostics": {
-                "min_eigenvalue_linear": float(eigs.min()),
-                "n_settings": len(data.settings),
-                "shots_per_setting": data.shots_per_setting,
-                "seed": data.seed,
-            },
-        }
+        report = {"dataset": str(args.dataset)}
         config_dict = {"simulate": False, "dataset": str(args.dataset)}
+
+    result = reconstruct(data, register)
+    rho = result.rho_physical
+    register = rho.register
+    report["fidelity_to_truth"] = None if truth is None else fidelity(rho, truth)
+    report["purity"] = float(np.real(np.vdot(rho.entries, rho.entries)))
+    report["diagnostics"] = result.diagnostics
 
     _write_json(
         out_dir / "density_matrix.json",
@@ -290,8 +292,7 @@ def cmd_tomo(parser, args) -> int:
 
 
 def cmd_mzi(parser, args) -> int:
-    if args.grid < 1:
-        parser.error("--grid must be at least 1")
+    _check_range(parser, "--grid", args.grid, 1, MAX_GRID, "to bound memory")
     cfg = MziConfig(
         phi=0.0,
         closed=not args.open,
@@ -306,11 +307,13 @@ def cmd_mzi(parser, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "mzi.csv", MZI_SCHEMA, ["phi", "p0", "p1"], rows)
 
+    # on visibility's own grid the p0 column already holds its samples
+    vis = _visibility([p for p, _ in probs]) if args.grid == VISIBILITY_GRID else visibility(cfg)
     summary = {
         "closed": cfg.closed,
         "extended": cfg.extended,
         "decohere_after_first_bs": cfg.decohere_after_first_bs,
-        "visibility": visibility(cfg),
+        "visibility": vis,
         "grid": args.grid,
     }
     if cfg.extended:
@@ -457,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     mzi.add_argument("--extended", action="store_true", help="enable path markers d1, d2")
     mzi.add_argument("--decohere", action="store_true", help="decohere the probe after the first beam splitter")
     mzi.add_argument("--phi", type=float, default=0.0, help="phase used for the marker analysis")
-    mzi.add_argument("--grid", type=int, default=256)
+    mzi.add_argument("--grid", type=int, default=VISIBILITY_GRID)
     mzi.add_argument("--out-dir")
 
     sub.add_parser("selftest", help="run quick internal consistency checks")

@@ -36,7 +36,6 @@ from .core import (
     ZeroProbabilityError,
     _pauli_z,
     apply_unitary,
-    post_select,
 )
 from .measures import _irreality_values
 
@@ -99,16 +98,6 @@ class ProtocolConfig:
         return float(np.sin(self.theta / 2))
 
 
-@dataclass(frozen=True)
-class ProtocolStage:
-    name: str
-    state: PureState
-
-    def __post_init__(self):
-        if self.name not in ("Psi0", "Psi1", "Psi2"):
-            raise ConfigurationError(f"unknown stage {self.name!r}")
-
-
 def build_psi0(cfg: ProtocolConfig) -> PureState:
     """Initial state: entangled polarizations, paths at |0>, markers at |11>."""
     reg = eraser_register()
@@ -165,19 +154,6 @@ def apply_beam_displacers(psi1: PureState, cfg: ProtocolConfig) -> PureState:
     return apply_unitary(state, controlled_2, ("b", "B", "d2"))
 
 
-def protocol_stage(cfg: ProtocolConfig, name: str) -> ProtocolStage:
-    """Build the state at a named stage by applying the declared unitaries."""
-    psi = build_psi0(cfg)
-    if name == "Psi0":
-        return ProtocolStage(name, psi)
-    psi = evolve_to_psi1(psi)
-    if name == "Psi1":
-        return ProtocolStage(name, psi)
-    if name == "Psi2":
-        return ProtocolStage(name, apply_beam_displacers(psi, cfg))
-    raise ConfigurationError(f"unknown stage {name!r}")
-
-
 _PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 _MINUS = np.array([1.0, -1.0]) / np.sqrt(2)
 
@@ -194,28 +170,6 @@ def _outcomes(cfg: ProtocolConfig, alice_z_outcome: int, bob_sign: str):
         alice_pol = _PLUS if cfg.alice_branch == "plus" else _MINUS
     alice_outcome = np.kron(alice_pol, [1.0, 0.0])  # path a projected on |0>
     return alice_outcome, _PLUS if bob_sign == "plus" else _MINUS
-
-
-def alice_and_bob_project(
-    stage: ProtocolStage,
-    cfg: ProtocolConfig,
-    *,
-    alice_z_outcome: int = 0,
-    bob_sign: str = "plus",
-) -> tuple[DensityMatrix, float]:
-    """Project (A, a) per Alice's configuration and B onto |+> (or |->).
-
-    Returns the conditional omega state on (b, d1, d2) and the joint
-    selection probability.  ``alice_z_outcome`` selects the optional |1>_A
-    branch of Cz; ``bob_sign`` selects Bob's |-> variant.  Both default to
-    the standard protocol choices.
-    """
-    if stage.name not in ("Psi1", "Psi2"):
-        raise ConfigurationError("projections are defined at stages Psi1 and Psi2")
-    alice_outcome, bob_outcome = _outcomes(cfg, alice_z_outcome, bob_sign)
-    state, p_alice = post_select(stage.state, alice_outcome, ("A", "a"))
-    state, p_bob = post_select(state, bob_outcome, ("B",))
-    return state.to_density(), p_alice * p_bob
 
 
 @dataclass
@@ -236,12 +190,12 @@ class SweepRecord:
     omega: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
-def stage_for_target(target: str) -> str:
-    """Path irreality is probed at Psi1, marker irreality at Psi2."""
+def stage_for_target(target: str) -> int:
+    """Path irreality is probed at stage 1 (Psi1), marker irreality at stage 2 (Psi2)."""
     label = TARGETS.get(target)
     if label is None:
         raise ConfigurationError(f"target must be one of {sorted(TARGETS)}")
-    return "Psi1" if label == "b" else "Psi2"
+    return 1 if label == "b" else 2
 
 
 def _normalize_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,18 +207,22 @@ def _normalize_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=64)
-def _basis_kets(bd_settings: tuple, stage: str) -> np.ndarray:
-    """The evolved basis kets |000011> and |110011> at ``stage``, read-only.
+def _basis_kets(bd_settings: tuple, stage: int) -> np.ndarray:
+    """The basis kets |000011> and |110011> evolved to ``stage`` (1 or 2), read-only.
 
-    Bob's devices never act on Alice's polarization A, so they are the
-    A = 0 and A = 1 blocks of one evolved state at theta = pi/2, divided by
-    cos(pi/4) and sin(pi/4); Alice's configuration does not enter the
+    Bob's devices never act on Alice's polarization A, so each evolved ket
+    stays in its own A block; Alice's configuration does not enter the
     stages.  Axes: A (which ket), B, a, then (b, d1, d2) flattened.  Built
     once per displacer setting and stage.
     """
-    half = ProtocolConfig(theta=np.pi / 2, alice_config="Cz", bd_settings=bd_settings)
-    psi = protocol_stage(half, stage).state
-    kets = psi.amplitudes.reshape(2, 2, 2, 8) / np.array([half.c, half.s])[:, None, None, None]
+    cfg = ProtocolConfig(theta=0.0, alice_config="Cz", bd_settings=bd_settings)
+    blocks = []
+    for a, bits in enumerate(("000011", "110011")):
+        psi = evolve_to_psi1(PureState.from_bits(eraser_register(), bits))
+        if stage == 2:
+            psi = apply_beam_displacers(psi, cfg)
+        blocks.append(psi.amplitudes.reshape(2, 32)[a])
+    kets = np.stack(blocks).reshape(2, 2, 2, 8)
     kets.flags.writeable = False
     return kets
 
@@ -294,8 +252,11 @@ def _omega_stack(cfg, target: str, thetas: np.ndarray, *, alice_z_outcome=0, bob
 def omega_state(cfg: ProtocolConfig, target: str, **variants) -> tuple[DensityMatrix, float]:
     """Omega state and selection probability for the stage probing ``target``.
 
-    The one-point case of :func:`irreality_curve`'s kernel; ``variants`` are
-    those of :func:`alice_and_bob_project`, and so is the error raised.
+    The one-point case of :func:`irreality_curve`'s kernel.  ``variants``
+    are ``alice_z_outcome`` (0 or 1, the |1>_A branch of Cz) and
+    ``bob_sign`` ("plus" or "minus"); both default to the standard protocol
+    choices.  A projection with zero probability (Cz at theta = pi) raises
+    :class:`ZeroProbabilityError`.
     """
     omegas, probs = _omega_stack(cfg, target, np.array([cfg.theta]), **variants)
     if probs[0] == 0.0:

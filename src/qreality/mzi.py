@@ -44,6 +44,8 @@ _MIRROR = np.array([[0, 1j], [1j, 0]], dtype=complex)
 
 _PPT_TOL = 1e-10
 
+VISIBILITY_GRID = 256  # phases on [0, 2*pi) that visibility samples
+
 
 class UndefinedVisibilityError(ValueError):
     """Visibility is undefined because the click probability vanishes."""
@@ -153,12 +155,15 @@ def detector_probabilities(cfg: MziConfig, phi_grid) -> list[tuple[float, float]
     return list(zip(p[:, 0].tolist(), p[:, 1].tolist()))
 
 
-def visibility(cfg: MziConfig, *, n_grid: int = 256) -> float:
-    """(max - min) / (max + min) of p0 over a uniform phase grid on [0, 2*pi)."""
-    if n_grid < 64:
-        raise ConfigurationError("visibility grid needs at least 64 points")
-    grid = np.linspace(0.0, 2 * np.pi, n_grid, endpoint=False)
-    p0 = np.array([p for p, _ in detector_probabilities(cfg, grid)])
+def visibility(cfg: MziConfig) -> float:
+    """(max - min) / (max + min) of p0 over VISIBILITY_GRID phases on [0, 2*pi)."""
+    grid = np.linspace(0.0, 2 * np.pi, VISIBILITY_GRID, endpoint=False)
+    return _visibility([p for p, _ in detector_probabilities(cfg, grid)])
+
+
+def _visibility(p0) -> float:
+    """Visibility of the p0 fringe sampled at the given phases."""
+    p0 = np.asarray(p0)
     top, bottom = float(p0.max()), float(p0.min())
     if top + bottom < 1e-15:
         raise UndefinedVisibilityError("click probability vanishes on the whole grid")

@@ -13,6 +13,7 @@ from the caller's seed.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -29,6 +30,10 @@ SETTING_BASES = ("Z", "X", "Y")
 MAX_QUBITS = 4  # the dense inversion map takes 5.3 MB here, 24x more per qubit
 
 MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are stored as int64
+
+# numpy's Poisson draw rejects lam above int64 max - 10 sqrt(int64 max), so
+# the Monte Carlo resampling takes observed counts up to this value.
+MAX_POISSON_COUNT = int(MAX_COUNT - 10 * np.sqrt(MAX_COUNT))
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -301,7 +306,10 @@ def monte_carlo_irreality(
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Linear estimate, its physical projection, and quality diagnostics."""
+    """Linear estimate, its physical projection, and quality diagnostics.
+
+    ``fidelity_to_truth`` is None unless the true state is known.
+    """
 
     rho_linear: np.ndarray
     rho_physical: DensityMatrix
@@ -309,26 +317,38 @@ class ReconstructionResult:
     diagnostics: dict
 
 
+def reconstruct(
+    data: TomographyDataset, register: Optional[QubitRegister] = None
+) -> ReconstructionResult:
+    """Linear estimate, its physical projection and diagnostics; no fidelity.
+
+    The one reconstruction pipeline for simulated and file datasets alike.
+    Without ``register`` the qubits are labelled q0 ... q{n-1}.
+    """
+    rho_linear = reconstruct_linear(data)
+    eigs = np.linalg.eigvalsh((rho_linear + rho_linear.conj().T) / 2)
+    return ReconstructionResult(
+        rho_linear=rho_linear,
+        rho_physical=project_to_physical(rho_linear, register),
+        fidelity_to_truth=None,
+        diagnostics={
+            "min_eigenvalue_linear": float(eigs.min()),
+            "clipped_negative_mass": float(-eigs[eigs < 0].sum()),
+            "n_settings": len(data.settings),
+            "shots_per_setting": data.shots_per_setting,
+            "seed": data.seed,
+        },
+    )
+
+
 def tomography_end_to_end(rho_true: DensityMatrix, shots: int, seed: int) -> ReconstructionResult:
     """Simulate counts, reconstruct, restore physicality, report fidelity."""
     n = rho_true.register.n_qubits
     if n > MAX_QUBITS:
         raise ValueError(f"register has {n} qubits, maximum supported is {MAX_QUBITS}")
-    data = simulate_counts(rho_true, shots, seed)
-    rho_linear = reconstruct_linear(data)
-    eigs = np.linalg.eigvalsh((rho_linear + rho_linear.conj().T) / 2)
-    rho_physical = project_to_physical(rho_linear, rho_true.register)
-    return ReconstructionResult(
-        rho_linear=rho_linear,
-        rho_physical=rho_physical,
-        fidelity_to_truth=fidelity(rho_physical, rho_true),
-        diagnostics={
-            "min_eigenvalue_linear": float(eigs.min()),
-            "clipped_negative_mass": float(-eigs[eigs < 0].sum()),
-            "n_settings": len(data.settings),
-            "shots_per_setting": int(shots),
-            "seed": int(seed),
-        },
+    result = reconstruct(simulate_counts(rho_true, shots, seed), rho_true.register)
+    return dataclasses.replace(
+        result, fidelity_to_truth=fidelity(result.rho_physical, rho_true)
     )
 
 

@@ -14,8 +14,8 @@ import itertools
 
 import numpy as np
 
-from qreality import ObservableSpec, irreality, mzi_state, partial_trace
-from qreality.eraser import TARGETS, alice_and_bob_project, protocol_stage
+from qreality import ObservableSpec, irreality, mzi_state, partial_trace, post_select
+from qreality.eraser import TARGETS, apply_beam_displacers, build_psi0, evolve_to_psi1
 
 
 def kron_all(mats):
@@ -203,10 +203,28 @@ def monte_carlo_irreality_reference(counts, n, axis, basis, n_resamples, seed):
     return float(np.mean(values)), float(np.std(values, ddof=1)), substituted
 
 
-def omega_per_theta(cfg, target, **variants):
-    """Omega state and selection probability of one theta, by two post-selections."""
-    stage = "Psi1" if TARGETS[target] == "b" else "Psi2"
-    return alice_and_bob_project(protocol_stage(cfg, stage), cfg, **variants)
+def stage_state(cfg, stage):
+    """The six-qubit state at stage 1 (Psi1) or 2 (Psi2) for one theta."""
+    psi = evolve_to_psi1(build_psi0(cfg))
+    return apply_beam_displacers(psi, cfg) if stage == 2 else psi
+
+
+def omega_per_theta(cfg, target, *, alice_z_outcome=0, bob_sign="plus"):
+    """Omega state and selection probability of one theta, by two post-selections.
+
+    Alice projects (A, a) on her polarization outcome times |0>_a, then Bob
+    projects B on |+> (or |->); path targets are read at stage 1, marker
+    targets at stage 2.
+    """
+    x_basis = {
+        "plus": np.array([1.0, 1.0]) / np.sqrt(2),
+        "minus": np.array([1.0, -1.0]) / np.sqrt(2),
+    }
+    alice = np.eye(2)[alice_z_outcome] if cfg.alice_config == "Cz" else x_basis[cfg.alice_branch]
+    state = stage_state(cfg, 1 if TARGETS[target] == "b" else 2)
+    state, p_alice = post_select(state, np.kron(alice, [1.0, 0.0]), ("A", "a"))
+    state, p_bob = post_select(state, x_basis[bob_sign], ("B",))
+    return state.to_density(), p_alice * p_bob
 
 
 def irreality_per_theta(cfg, target):

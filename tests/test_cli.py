@@ -5,9 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from qreality import save_dataset, simulate_counts
-from qreality.cli import build_parser, main
+import qreality.cli
+import qreality.mzi
+from qreality import MziConfig, save_dataset, simulate_counts, visibility
+from qreality.cli import MAX_GRID, MAX_RESAMPLES, OMEGA_STATES, build_parser, main
 from qreality.eraser import ProtocolConfig, omega_state
+from qreality.tomography import MAX_POISSON_COUNT
 
 from oracles import binary_entropy_exact
 
@@ -204,6 +207,31 @@ class TestSweep:
             assert row["irreality_analytic"] != ""
             assert (row["irreality_tomo_std"] != "") == tomo
 
+    def test_shots_at_poisson_limit_runs(self, tmp_path):
+        args = ["sweep", "--tomo", "--grid", "1", "--resamples", "2", "--out-dir", str(tmp_path)]
+        assert run(args + ["--shots", str(MAX_POISSON_COUNT)]) == 0
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert all(row["irreality_tomo_std"] != "" for row in rows)
+
+    def test_shots_beyond_poisson_limit_is_usage_error(self, tmp_path, capsys):
+        args = ["sweep", "--tomo", "--grid", "1", "--resamples", "2", "--out-dir", str(tmp_path)]
+        assert run(args + ["--shots", str(MAX_POISSON_COUNT + 1)]) == 2
+        assert f"--shots must be at most {MAX_POISSON_COUNT}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag, limit",
+        [
+            (["sweep", "--grid"], "--grid", MAX_GRID),
+            (["sweep", "--tomo", "--grid", "1", "--resamples"], "--resamples", MAX_RESAMPLES),
+            (["mzi", "--grid"], "--grid", MAX_GRID),
+        ],
+    )
+    def test_size_beyond_limit_is_usage_error(self, tmp_path, capsys, argv, flag, limit):
+        assert run(argv + [str(limit + 1), "--out-dir", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines[-1] == f"qreality: error: {flag} must be at most {limit}, to bound memory"
+        assert not tmp_path.joinpath("sweep.csv").exists()
+
 
 class TestTomo:
     def test_simulated_run_reports_high_fidelity(self, tmp_path):
@@ -266,6 +294,29 @@ class TestTomo:
         report = json.loads((out / "report.json").read_text())
         assert report["fidelity_to_truth"] is None
         assert report["purity"] > 0.9
+
+    @pytest.mark.parametrize(
+        "state, shots, seed", [("omega1z", 300, 1), ("omega2x", 10_000, 42), ("omega1x", 1000, 8)]
+    )
+    def test_simulated_and_file_paths_agree(self, tmp_path, state, shots, seed):
+        target, config = OMEGA_STATES[state]
+        omega, _ = omega_state(ProtocolConfig(theta=float(np.pi / 2), alice_config=config), target)
+        dataset_path = tmp_path / "counts.json"
+        save_dataset(simulate_counts(omega, shots, seed), dataset_path)
+        sim, file = tmp_path / "sim", tmp_path / "file"
+        argv = ["--state", state, "--shots", str(shots), "--seed", str(seed)]
+        assert run(["tomo", "--simulate", *argv, "--out-dir", str(sim)]) == 0
+        assert run(["tomo", str(dataset_path), "--out-dir", str(file)]) == 0
+
+        name = "density_matrix_real.csv"
+        assert (sim / name).read_bytes() == (file / name).read_bytes()
+        matrices = [json.loads((d / "density_matrix.json").read_text()) for d in (sim, file)]
+        for part in ("real", "imag"):
+            assert matrices[0][part] == matrices[1][part]
+        reports = [json.loads((d / "report.json").read_text()) for d in (sim, file)]
+        assert reports[0]["diagnostics"] == reports[1]["diagnostics"]
+        assert reports[0]["purity"] == reports[1]["purity"]
+        assert "clipped_negative_mass" in reports[1]["diagnostics"]
 
     def test_dataset_seed_is_printed_and_recorded(self, tmp_path, capsys):
         omega, _ = omega_state(ProtocolConfig(theta=1.0, alice_config="Cx"), "d1")
@@ -372,6 +423,14 @@ class TestTomo:
         assert run(["tomo", "--out-dir", str(tmp_path)]) == 2
 
 
+MZI_FLAG_SETS = [
+    [device, *extended, *decohere]
+    for device in ("--closed", "--open")
+    for extended in ([], ["--extended"])
+    for decohere in ([], ["--decohere"])
+]
+
+
 class TestMzi:
     def test_closed_summary(self, tmp_path):
         out = tmp_path / "run"
@@ -415,6 +474,34 @@ class TestMzi:
 
     def test_zero_grid_usage_error(self, tmp_path):
         assert run(["mzi", "--grid", "0", "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("flags", [[], ["--extended", "--decohere"]])
+    def test_default_grid_is_evaluated_once(self, tmp_path, monkeypatch, flags):
+        calls = []
+        original = qreality.mzi.detector_probabilities
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(qreality.mzi, "detector_probabilities", counted)
+        monkeypatch.setattr(qreality.cli, "detector_probabilities", counted)
+        assert run(["mzi", *flags, "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("grid", ["256", "100"])
+    @pytest.mark.parametrize("flags", MZI_FLAG_SETS)
+    def test_summary_visibility_is_the_library_value(self, tmp_path, grid, flags):
+        assert run(["mzi", *flags, "--grid", grid, "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        cfg = MziConfig(
+            phi=0.0,
+            closed="--open" not in flags,
+            extended="--extended" in flags,
+            decohere_after_first_bs="--decohere" in flags,
+        )
+        assert summary["visibility"] == visibility(cfg)  # exact, so the JSON bytes match
+        assert summary["grid"] == int(grid)
 
 
 class TestEnvironmentOverrides:

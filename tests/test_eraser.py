@@ -13,7 +13,6 @@ from qreality import (
 )
 from qreality.eraser import (
     ProtocolConfig,
-    alice_and_bob_project,
     apply_beam_displacers,
     build_psi0,
     default_theta_grid,
@@ -21,7 +20,6 @@ from qreality.eraser import (
     evolve_to_psi1,
     irreality_curve,
     omega_state,
-    protocol_stage,
 )
 
 from oracles import binary_entropy_exact
@@ -188,20 +186,20 @@ class TestBeamDisplacers:
 class TestProjections:
     def test_stage1_cz_gives_definite_path(self):
         cfg = ProtocolConfig(theta=0.8, alice_config="Cz")
-        omega, prob = alice_and_bob_project(protocol_stage(cfg, "Psi1"), cfg)
+        omega, prob = omega_state(cfg, "b")
         expected = PureState.from_bits(BDT_REG, "011").to_density()
         assert fidelity(omega, expected) == pytest.approx(1.0, abs=1e-12)
         assert prob == pytest.approx(np.cos(0.4) ** 2 / 2, abs=1e-12)
 
     def test_stage2_cz_gives_shifted_marker(self):
         cfg = ProtocolConfig(theta=0.8, alice_config="Cz")
-        omega, _ = alice_and_bob_project(protocol_stage(cfg, "Psi2"), cfg)
+        omega, _ = omega_state(cfg, "d1")
         expected = PureState.from_bits(BDT_REG, "001").to_density()
         assert fidelity(omega, expected) == pytest.approx(1.0, abs=1e-12)
 
     def test_stage2_cx_bell_like(self):
         cfg = ProtocolConfig(theta=np.pi / 2, alice_config="Cx")
-        omega, prob = alice_and_bob_project(protocol_stage(cfg, "Psi2"), cfg)
+        omega, prob = omega_state(cfg, "d1")
         amps = np.zeros(8, dtype=complex)
         amps[BDT_REG.index_of("001")] = 1 / np.sqrt(2)
         amps[BDT_REG.index_of("110")] = 1 / np.sqrt(2)
@@ -214,7 +212,7 @@ class TestProjections:
         theta = 1.0
         c, s = np.cos(theta / 2), np.sin(theta / 2)
         cfg = ProtocolConfig(theta=theta, alice_config="Cx", alice_branch="minus")
-        omega, prob = alice_and_bob_project(protocol_stage(cfg, "Psi2"), cfg)
+        omega, prob = omega_state(cfg, "d1")
         amps = np.zeros(8, dtype=complex)
         amps[BDT_REG.index_of("001")] = c
         amps[BDT_REG.index_of("110")] = -s
@@ -227,11 +225,12 @@ class TestProjections:
         # at theta = pi the pair is |11>, so Alice's |0> projection is empty
         cfg = ProtocolConfig(theta=np.pi, alice_config="Cz")
         with pytest.raises(ZeroProbabilityError):
-            alice_and_bob_project(protocol_stage(cfg, "Psi1"), cfg)
+            omega_state(cfg, "b")
 
     def test_selection_probabilities_sum_to_one(self):
         theta = 1.3
-        for config, stage in (("Cz", "Psi1"), ("Cz", "Psi2"), ("Cx", "Psi1"), ("Cx", "Psi2")):
+        # path b is read at stage 1, marker d1 at stage 2
+        for config, target in (("Cz", "b"), ("Cz", "d1"), ("Cx", "b"), ("Cx", "d1")):
             total = 0.0
             for alice_kw in (
                 [{"alice_z_outcome": 0}, {"alice_z_outcome": 1}]
@@ -245,18 +244,11 @@ class TestProjections:
                     )
                     for bob in ("plus", "minus"):
                         try:
-                            _, p = alice_and_bob_project(
-                                protocol_stage(cfg, stage), cfg, bob_sign=bob, **alice_kw
-                            )
+                            _, p = omega_state(cfg, target, bob_sign=bob, **alice_kw)
                         except ZeroProbabilityError:
                             p = 0.0
                         total += p
             assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_stage0_rejected(self):
-        cfg = ProtocolConfig(theta=0.5, alice_config="Cz")
-        with pytest.raises(ConfigurationError):
-            alice_and_bob_project(protocol_stage(cfg, "Psi0"), cfg)
 
 
 class TestIrrealityCurve:

@@ -7,6 +7,7 @@ an uncached build through the reference path, be read-only, and the tables
 must stay within their size bound however many keys pass through them.
 """
 
+import dataclasses
 import functools
 import itertools
 
@@ -15,9 +16,11 @@ import pytest
 
 from qreality import ObservableSpec, mzi_state, partial_trace
 from qreality.core import _pauli_z
-from qreality.eraser import ProtocolConfig, _basis_kets, irreality_curve, protocol_stage
+from qreality.eraser import ProtocolConfig, _basis_kets, irreality_curve
 from qreality.mzi import MziConfig, _probe_marginal, _s1_state, detector_probabilities
 from qreality.tomography import _eigenvector_matrix, all_settings
+
+from oracles import stage_state
 
 # (gamma1, delta1, gamma2, delta2): the default and two rotated displacer pairs
 BD_SETTINGS = [
@@ -45,17 +48,19 @@ def assert_bits_equal(got, want):
 
 class TestBasisKets:
     @pytest.mark.parametrize("bd_settings", BD_SETTINGS)
-    @pytest.mark.parametrize("stage", ["Psi1", "Psi2"])
-    def test_matches_protocol_stage(self, bd_settings, stage):
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_matches_stage_states(self, bd_settings, stage):
         cfg = ProtocolConfig(theta=0.0, alice_config="Cx", bd_settings=bd_settings)
-        irreality_curve(cfg, "b" if stage == "Psi1" else "d1", [0.2, 1.3])
+        irreality_curve(cfg, "b" if stage == 1 else "d1", [0.2, 1.3])
         cached = _basis_kets(bd_settings, stage)
         assert _basis_kets(bd_settings, stage) is cached
 
-        half = ProtocolConfig(theta=np.pi / 2, alice_config="Cz", bd_settings=bd_settings)
-        amps = protocol_stage(half, stage).state.amplitudes
-        want = amps.reshape(2, 2, 2, 8) / np.array([half.c, half.s])[:, None, None, None]
-        assert_bits_equal(cached, want)
+        # theta = 0 prepares |000011> and theta = pi |110011> in the A block it fills
+        want = [
+            stage_state(dataclasses.replace(cfg, theta=theta), stage).amplitudes.reshape(2, 32)[a]
+            for a, theta in enumerate((0.0, np.pi))
+        ]
+        assert_bits_equal(cached, np.stack(want).reshape(2, 2, 2, 8))
         assert_read_only(cached)
 
     def test_bounded_over_many_displacer_settings(self):

@@ -126,10 +126,6 @@ class TestVisibility:
         cfg = MziConfig(phi=0.0, decohere_after_first_bs=True)
         assert visibility(cfg) == pytest.approx(0.0, abs=1e-9)
 
-    def test_grid_floor_enforced(self):
-        with pytest.raises(ConfigurationError):
-            visibility(MziConfig(phi=0.0), n_grid=16)
-
 
 class TestExtendedOutput:
     def test_coherent_markers_entangled(self):
