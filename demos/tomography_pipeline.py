@@ -34,16 +34,16 @@ def reconstruction_quality():
 def error_bars():
     print("\n--- Monte Carlo error bars on the reconstructed irreality ---")
     observable = ObservableSpec.pauli("d1", "Z")
-    print(f"  {'theta':>8}  {'analytic':>9}  {'mean':>9}  {'std':>8}")
+    print(f"  {'theta':>8}  {'analytic':>9}  {'estimate':>9}  {'std':>8}")
     for k, theta in enumerate(np.linspace(0.2, np.pi / 2, 5)):
         cfg = ProtocolConfig(theta=float(theta), alice_config="Cx")
         omega, _ = omega_state(cfg, "d1")
         data = simulate_counts(omega, 10_000, seed=40 + k)
-        mean, std = monte_carlo_irreality(
+        estimate, std = monte_carlo_irreality(
             data, observable, 100, seed=60 + k, register=omega.register
         )
         analytic = binary_entropy(np.cos(theta / 2) ** 2)
-        print(f"  {theta:8.4f}  {analytic:9.5f}  {mean:9.5f}  {std:8.5f}")
+        print(f"  {theta:8.4f}  {analytic:9.5f}  {estimate:9.5f}  {std:8.5f}")
 
 
 def reconstructed_matrix():

@@ -62,9 +62,10 @@ RHO_SCHEMA = "qreality.rho-real.v1"
 
 # Measured peaks: a sweep row takes about 5.5 KB (two rows per grid point
 # with --config both), an mzi phase about 0.44 KB and a Monte Carlo
-# resample of the 3-qubit omega state about 8.3 KB.  So --grid at its
-# limit needs about 1.1 GB for a sweep and 44 MB for mzi, and --resamples
-# at its limit about 0.8 GB.
+# resample of the 3-qubit omega state about 8.2 KB (the tracemalloc peaks
+# of monte_carlo_irreality at 2 000 and 10 000 resamples differ by 65 MB).
+# So --grid at its limit needs about 1.1 GB for a sweep and 44 MB for mzi,
+# and --resamples at its limit about 0.8 GB.
 MAX_GRID = 100_000
 MAX_RESAMPLES = 100_000
 INT64_LIMIT = "the largest int64 count"
@@ -120,9 +121,9 @@ def _theta_grid(parser, args) -> np.ndarray:
     return np.linspace(lo, hi, args.grid)
 
 
-def _check_range(parser, flag: str, value: int, low, high: int, why: str) -> None:
-    """Usage error naming ``flag`` unless low <= value <= high; ``low`` None is no floor."""
-    if low is not None and value < low:
+def _check_range(parser, flag: str, value: int, low: int, high: int, why: str) -> None:
+    """Usage error naming ``flag`` unless low <= value <= high."""
+    if value < low:
         parser.error(f"{flag} must be at least {low}")
     if value > high:
         parser.error(f"{flag} must be at most {high}, {why}")
@@ -226,7 +227,7 @@ def cmd_tomo(parser, args) -> int:
     if (args.dataset is None) == (not args.simulate):
         parser.error("provide exactly one of: a dataset file, or --simulate")
     if args.simulate:
-        _check_range(parser, "--shots", args.shots, None, MAX_COUNT, INT64_LIMIT)
+        _check_range(parser, "--shots", args.shots, 1, MAX_COUNT, INT64_LIMIT)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -190,6 +190,23 @@ class ObservableSpec:
                 if np.abs(p @ q - expect).max() > HERMITICITY_ATOL:
                     raise InvalidStateError("projectors are not mutually orthogonal")
         object.__setattr__(self, "projectors", tuple(projs))
+
+    @functools.cached_property
+    def _block_basis(self) -> Optional[np.ndarray]:
+        """2x2 unitary whose columns span the projectors' ranges (read-only).
+
+        The identity when every projector is diagonal.  None when one
+        projector has rank 2: the dephasing channel is then the identity.
+        """
+        ranks = [round(float(np.trace(p).real)) for p in self.projectors]
+        if 2 in ranks:
+            return None
+        if all(p[0, 1] == 0 == p[1, 0] for p in self.projectors):
+            basis = np.eye(2, dtype=complex)
+        else:
+            basis = np.linalg.eigh(self.projectors[ranks.index(1)])[1]
+        basis.flags.writeable = False
+        return basis
 
     @classmethod
     def from_basis(cls, subsystem: str, basis: np.ndarray) -> "ObservableSpec":

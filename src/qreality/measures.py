@@ -10,7 +10,7 @@ correlation (discord) part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .core import (
     QubitRegister,
     State,
     _as_density,
-    _dephase,
     partial_trace,
     purity,
 )
@@ -33,9 +32,8 @@ ENTROPY_EIGENVALUE_FLOOR = 1e-12
 MIXEDNESS_TOLERANCE = 1e-8
 
 
-def _entropies(mats: np.ndarray) -> np.ndarray:
-    """Von Neumann entropies in bits of a (..., d, d) stack of Hermitian matrices."""
-    eigs = np.linalg.eigvalsh(mats)
+def _eigenvalue_entropies(eigs: np.ndarray) -> np.ndarray:
+    """Von Neumann entropies in bits from a (..., d) stack of state eigenvalues."""
     if eigs.min() < -PSD_TOLERANCE:
         raise InvalidStateError(
             f"eigenvalue {eigs.min():.3e} below the PSD tolerance; not a valid state"
@@ -51,7 +49,7 @@ def von_neumann_entropy(state: Union[State, np.ndarray]) -> float:
         mat = _as_density(state).entries
     else:
         mat = np.asarray(state, dtype=complex)
-    return float(_entropies(mat))
+    return float(_eigenvalue_entropies(np.linalg.eigvalsh(mat)))
 
 
 def binary_entropy(p: float) -> float:
@@ -90,16 +88,48 @@ def irreality(state: State, observable: ObservableSpec) -> IrrealityReport:
 
 
 def _irreality_values(
-    mats: np.ndarray, register: QubitRegister, observable: ObservableSpec
+    mats: np.ndarray,
+    register: QubitRegister,
+    observable: ObservableSpec,
+    eigenvalues: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Irreality of ``observable`` for every state in a (..., d, d) stack on ``register``."""
+    """Irreality of ``observable`` for every state in a (..., d, d) stack on ``register``.
+
+    ``eigenvalues``, when given, are those of ``mats`` (a caller that has
+    just diagonalised the stack passes them), so S(rho) costs no second
+    decomposition.  S(Phi(rho)) comes from the two diagonal blocks of the
+    stack in the observable's eigenbasis, where Phi(rho) is block diagonal.
+    """
     if mats.shape[-1] != register.dimension:
         raise InvalidStateError(
             f"matrix dimension {mats.shape[-1]} does not match register {register.labels}"
         )
-    axis = register.axis(observable.subsystem)
-    dephased = _dephase(mats, axis, register.n_qubits, observable.projectors)
-    return _entropies(dephased) - _entropies(mats)
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvalsh(mats)
+    blocks = _dephased_blocks(mats, register.axis(observable.subsystem), observable)
+    dephased = np.linalg.eigvalsh(blocks).reshape(eigenvalues.shape)
+    return _eigenvalue_entropies(dephased) - _eigenvalue_entropies(eigenvalues)
+
+
+def _dephased_blocks(mats: np.ndarray, axis: int, observable: ObservableSpec) -> np.ndarray:
+    """Diagonal blocks of Phi(rho) for a stack of (..., d, d) states; their
+    eigenvalues together are those of Phi(rho).
+
+    Block k, of the (..., 2, d/2, d/2) result, is u_k^dagger rho u_k on
+    qubit ``axis`` for the k-th eigenvector u_k of the observable.  With a
+    rank-2 projector Phi is the identity, and the one block is rho itself.
+    """
+    basis = observable._block_basis
+    if basis is None:
+        return mats[..., None, :, :]
+    dim = mats.shape[-1]
+    before, after = 2**axis, dim // 2 ** (axis + 1)
+    t = mats.reshape(*mats.shape[:-2], before, 2, after, before, 2, after)
+    if basis[0, 1] == 0 == basis[1, 0]:  # a diagonal basis needs no rotation
+        blocks = np.moveaxis(np.diagonal(t, axis1=-5, axis2=-2), -1, -5)
+    else:
+        blocks = np.einsum("ik,...biacje,jk->...kbace", basis.conj(), t, basis)
+    return blocks.reshape(*mats.shape[:-2], 2, dim // 2, dim // 2)
 
 
 def _split_partition(state: State, partition) -> tuple[tuple[str, ...], tuple[str, ...]]:

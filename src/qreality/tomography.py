@@ -7,8 +7,8 @@ is one fixed linear map from the 3^n x 2^n frequencies to the 4^n matrix
 entries, built once per n <= MAX_QUBITS, so a stack of estimates takes one
 matrix product; physicality is restored by clipping negative eigenvalues and
 redistributing the deficit.  Every stochastic step takes an explicit seed and
-is bit-reproducible; Monte Carlo resamples use independent child seeds split
-from the caller's seed.
+is bit-reproducible: one generator seeded by the caller draws all counts of
+a call, the whole stack of Monte Carlo resamples included.
 """
 
 from __future__ import annotations
@@ -132,31 +132,47 @@ class TomographyDataset:
         object.__setattr__(self, "settings", tuple(self.settings))
 
 
+@functools.lru_cache(maxsize=MAX_QUBITS)
+def _setting_matrices(n_qubits: int) -> np.ndarray:
+    """The (3^n, 2^n, 2^n) eigenvector matrices of :func:`all_settings` (read-only)."""
+    stack = np.stack([s.eigenvector_matrix() for s in all_settings(n_qubits)])
+    stack.flags.writeable = False
+    return stack
+
+
+def _born(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Outcome probabilities for each eigenvector matrix in ``v`` (..., d, d),
+    clipped and normalized."""
+    p = np.einsum("...io,ij,...jo->...o", v.conj(), rho, v).real
+    p = np.clip(p, 0.0, None)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
 def born_probabilities(rho: DensityMatrix, setting: MeasurementSetting) -> np.ndarray:
     """Outcome probabilities Tr(rho P_k) for one setting, clipped and normalized."""
-    v = setting.eigenvector_matrix()
-    p = np.einsum("io,ij,jo->o", v.conj(), rho.entries, v).real
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
+    return _born(rho.entries, setting.eigenvector_matrix())
 
 
 def simulate_counts(
     rho: DensityMatrix, shots_per_setting: int, seed: int
 ) -> TomographyDataset:
-    """Multinomial counts for all 3^n settings; identical seeds give identical counts."""
+    """Multinomial counts for all 3^n settings; identical seeds give identical counts.
+
+    Registers above MAX_QUBITS are rejected: no larger dataset can be
+    loaded or reconstructed.
+    """
     if shots_per_setting < 1:
         raise ValueError("shots_per_setting must be at least 1")
     n = rho.register.n_qubits
-    settings = all_settings(n)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = np.stack(
-        [rng.multinomial(shots_per_setting, born_probabilities(rho, s)) for s in settings]
-    )
+    if n > MAX_QUBITS:
+        raise ValueError(f"register has {n} qubits, maximum supported is {MAX_QUBITS}")
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(shots_per_setting, _born(rho.entries, _setting_matrices(n)))
     return TomographyDataset(
         n_qubits=n,
         shots_per_setting=int(shots_per_setting),
         seed=int(seed),
-        settings=settings,
+        settings=all_settings(n),
         counts=counts,
     )
 
@@ -233,13 +249,14 @@ def reconstruct_linear(data: TomographyDataset) -> np.ndarray:
     return reconstruct_from_frequencies(_frequencies(data, data.counts), data.n_qubits)
 
 
-def _project(mats: np.ndarray) -> np.ndarray:
+def _project(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue clipping of every matrix in a (..., d, d) stack.
 
     Each matrix is Hermitized and trace-normalized, then negative eigenvalues
     are zeroed from the most negative up while the deficit is spread evenly
     over the remaining ones, keeping the eigenvectors fixed (Smolin,
-    Gambetta and Smith, PRL 108, 070502, 2012).
+    Gambetta and Smith, PRL 108, 070502, 2012).  Returns the (..., d, d)
+    states and their (..., d) eigenvalues.
     """
     mat = np.asarray(mats, dtype=complex)
     mat = (mat + mat.conj().swapaxes(-1, -2)) / 2
@@ -260,14 +277,14 @@ def _project(mats: np.ndarray) -> np.ndarray:
     w_fixed = np.where(kept, w + np.take_along_axis(share, k, axis=-1), 0.0)
     w_fixed = w_fixed / w_fixed.sum(axis=-1, keepdims=True)  # absorb float drift
     out = (v * w_fixed[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (out + out.conj().swapaxes(-1, -2)) / 2
+    return (out + out.conj().swapaxes(-1, -2)) / 2, w_fixed
 
 
 def project_to_physical(
     rho_hat: np.ndarray, register: Optional[QubitRegister] = None
 ) -> DensityMatrix:
     """Nearest density matrix by eigenvalue clipping and redistribution."""
-    out = _project(rho_hat)
+    out, _ = _project(rho_hat)
     register = register or _default_register(int(np.log2(out.shape[-1])))
     return DensityMatrix(register, out)
 
@@ -283,25 +300,30 @@ def monte_carlo_irreality(
     seed: int,
     register: Optional[QubitRegister] = None,
 ) -> tuple[float, float]:
-    """Mean and standard deviation of the reconstructed irreality.
+    """Estimate and bootstrap standard deviation of the reconstructed irreality.
 
-    Counts are resampled as Poisson variables around the observed values
-    (parametric bootstrap), one child seed per resample split
-    deterministically from ``seed``.  The whole stack of resamples is then
+    The estimate is the irreality of the state reconstructed from the
+    observed counts (plug-in).  The standard deviation is over
+    ``n_resamples`` Poisson resamples of those counts (parametric
+    bootstrap), all drawn from one generator seeded with ``seed``.  The
+    observed counts and the resamples form one stack, which is
     reconstructed, projected to physical states and measured at once.
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be at least 2")
-    resampled = np.empty((n_resamples, *data.counts.shape), dtype=np.int64)
-    for r, child in enumerate(np.random.SeedSequence(seed).spawn(n_resamples)):
-        resampled[r] = np.random.default_rng(child).poisson(data.counts)
+    stack = np.empty((1 + n_resamples, *data.counts.shape), dtype=np.int64)
+    stack[0] = data.counts
+    stack[1:] = np.random.default_rng(seed).poisson(data.counts, size=stack[1:].shape)
     # A degenerate resample row (only possible at tiny counts) keeps the
     # observed row rather than dividing by zero.
-    empty = np.nonzero(resampled.sum(axis=-1) == 0)
-    resampled[empty] = data.counts[empty[1]]
-    rho = _project(reconstruct_from_frequencies(_frequencies(data, resampled), data.n_qubits))
-    values = _irreality_values(rho, register or _default_register(data.n_qubits), observable)
-    return float(values.mean()), float(values.std(ddof=1))
+    empty = np.nonzero(stack.sum(axis=-1) == 0)
+    stack[empty] = data.counts[empty[1]]
+    rho, eigenvalues = _project(
+        reconstruct_from_frequencies(_frequencies(data, stack), data.n_qubits)
+    )
+    register = register or _default_register(data.n_qubits)
+    values = _irreality_values(rho, register, observable, eigenvalues)
+    return float(values[0]), float(values[1:].std(ddof=1))
 
 
 @dataclass(frozen=True)
@@ -333,7 +355,7 @@ def reconstruct(
         fidelity_to_truth=None,
         diagnostics={
             "min_eigenvalue_linear": float(eigs.min()),
-            "clipped_negative_mass": float(-eigs[eigs < 0].sum()),
+            "clipped_negative_mass": float(abs(eigs[eigs < 0].sum())),  # 0.0, not -0.0
             "n_settings": len(data.settings),
             "shots_per_setting": data.shots_per_setting,
             "seed": data.seed,
@@ -343,9 +365,6 @@ def reconstruct(
 
 def tomography_end_to_end(rho_true: DensityMatrix, shots: int, seed: int) -> ReconstructionResult:
     """Simulate counts, reconstruct, restore physicality, report fidelity."""
-    n = rho_true.register.n_qubits
-    if n > MAX_QUBITS:
-        raise ValueError(f"register has {n} qubits, maximum supported is {MAX_QUBITS}")
     result = reconstruct(simulate_counts(rho_true, shots, seed), rho_true.register)
     return dataclasses.replace(
         result, fidelity_to_truth=fidelity(result.rho_physical, rho_true)

@@ -124,6 +124,30 @@ PAULI = {
 }
 
 
+EIGENBASIS = {
+    "Z": np.eye(2, dtype=complex),
+    "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
+}
+
+
+def simulate_counts_per_setting(rho, shots, seed):
+    """Multinomial counts drawn one setting at a time from a single generator.
+
+    Settings follow the product order of "ZXY" per qubit; each setting's
+    Born probabilities come from its own eigenvector matrix, clipped at 0
+    and normalized.
+    """
+    n = int(np.log2(len(rho)))
+    rng = np.random.default_rng(seed)
+    rows = []
+    for bases in itertools.product("ZXY", repeat=n):
+        v = kron_all([EIGENBASIS[b] for b in bases])
+        p = np.clip(np.einsum("io,ij,jo->o", v.conj(), rho, v).real, 0.0, None)
+        rows.append(rng.multinomial(shots, p / p.sum()))
+    return np.stack(rows)
+
+
 def pauli_inversion(freqs, n):
     """Linear inversion with one loop per Pauli string.
 
@@ -181,26 +205,33 @@ def simplex_projection(values):
 
 
 def monte_carlo_irreality_reference(counts, n, axis, basis, n_resamples, seed):
-    """Per-resample Monte Carlo irreality; returns (mean, std, substituted rows).
+    """Per-resample Monte Carlo irreality; returns (estimate, std, substituted rows).
 
     ``counts`` rows follow the product order of "ZXY" per qubit; ``basis``
-    columns are the measured qubit's eigenvectors.
+    columns are the measured qubit's eigenvectors.  The estimate is the
+    irreality of the observed counts; the std is over the resamples, drawn
+    one after another from a single generator seeded with ``seed``.
     """
     counts = np.asarray(counts)
     projectors = [embed(np.outer(basis[:, k], basis[:, k].conj()), axis, n) for k in range(2)]
+
+    def irreality_of(rows):
+        freqs = rows / rows.sum(axis=1, keepdims=True)
+        rho = sgs_clip(pauli_inversion(freqs, n))
+        dephased = sum(p @ rho @ p for p in projectors)
+        return entropy_bits(dephased) - entropy_bits(rho)
+
+    rng = np.random.default_rng(seed)
     values = []
     substituted = 0
-    for child in np.random.SeedSequence(seed).spawn(n_resamples):
-        resampled = np.random.default_rng(child).poisson(counts)
+    for _ in range(n_resamples):
+        resampled = rng.poisson(counts)
         for s in range(len(resampled)):
             if resampled[s].sum() == 0:
                 resampled[s] = counts[s]
                 substituted += 1
-        freqs = resampled / resampled.sum(axis=1, keepdims=True)
-        rho = sgs_clip(pauli_inversion(freqs, n))
-        dephased = sum(p @ rho @ p for p in projectors)
-        values.append(entropy_bits(dephased) - entropy_bits(rho))
-    return float(np.mean(values)), float(np.std(values, ddof=1)), substituted
+        values.append(irreality_of(resampled))
+    return irreality_of(counts), float(np.std(values, ddof=1)), substituted
 
 
 def stage_state(cfg, stage):

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 
@@ -335,6 +336,34 @@ class TestTomo:
         assert run(["tomo", str(dataset_path), "--out-dir", str(out)]) == 0
         matrix = json.loads((out / "density_matrix.json").read_text())
         assert matrix["labels"] == ["q0", "q1", "q2"]
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_psd_estimate_reports_positive_zero_clipped_mass(self, tmp_path, n_qubits):
+        # uniform counts invert to the maximally mixed state: no negative eigenvalue
+        payload = {
+            "n_qubits": n_qubits,
+            "shots_per_setting": 100 * 2**n_qubits,
+            "seed": 3,
+            "settings": [
+                {"bases": list(bases), "counts": [100] * 2**n_qubits}
+                for bases in itertools.product("ZXY", repeat=n_qubits)
+            ],
+        }
+        dataset_path = tmp_path / "counts.json"
+        dataset_path.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        assert run(["tomo", str(dataset_path), "--out-dir", str(out)]) == 0
+        text = (out / "report.json").read_text()
+        assert '"clipped_negative_mass": 0.0,' in text
+        assert "-0.0" not in text
+
+    def test_zero_shots_is_usage_error_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["tomo", "--simulate", "--shots", "0", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "qreality: error: --shots must be at least 1"
+        )
+        assert not out.exists()
 
     def test_malformed_dataset_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

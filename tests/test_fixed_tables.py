@@ -1,7 +1,8 @@
 """Per-process tables of the protocol's fixed pieces.
 
-The evolved basis kets, the Z observables, the Pauli eigenvector matrices
-and the MZI s1 state and probe marginal are each built once and served from
+The evolved basis kets, the Z observables and their block bases, the Pauli
+eigenvector matrices (per setting, and stacked per register size) and the
+MZI s1 state and probe marginal are each built once and served from
 a bounded ``functools`` cache.  Every table entry must equal, bit for bit,
 an uncached build through the reference path, be read-only, and the tables
 must stay within their size bound however many keys pass through them.
@@ -18,7 +19,7 @@ from qreality import ObservableSpec, mzi_state, partial_trace
 from qreality.core import _pauli_z
 from qreality.eraser import ProtocolConfig, _basis_kets, irreality_curve
 from qreality.mzi import MziConfig, _probe_marginal, _s1_state, detector_probabilities
-from qreality.tomography import _eigenvector_matrix, all_settings
+from qreality.tomography import _eigenvector_matrix, _setting_matrices, all_settings
 
 from oracles import stage_state
 
@@ -81,6 +82,9 @@ class TestZObservable:
         for got, ref in zip(cached.projectors, want.projectors, strict=True):
             assert_bits_equal(got, ref)
             assert_read_only(got)
+        assert cached._block_basis is cached._block_basis
+        assert_bits_equal(cached._block_basis, np.eye(2, dtype=complex))
+        assert_read_only(cached._block_basis)
 
     def test_bounded_over_many_labels(self):
         for k in range(1000):
@@ -95,11 +99,17 @@ class TestEigenvectorMatrices:
         settings = all_settings(n)
         assert all_settings(n) is settings
         assert len(settings) == 3**n
+        wants = []
         for setting in settings:
             got = setting.eigenvector_matrix()
             want = functools.reduce(np.kron, (EIGENBASES[b] for b in setting.bases))
             assert_bits_equal(got, want)
             assert_read_only(got)
+            wants.append(want)
+        stack = _setting_matrices(n)
+        assert _setting_matrices(n) is stack
+        assert_bits_equal(stack, np.stack(wants))
+        assert_read_only(stack)
 
     def test_table_holds_every_setting_up_to_four_qubits(self):
         info = _eigenvector_matrix.cache_info()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qreality import (
     DensityMatrix,
@@ -24,6 +26,7 @@ from qreality.measures import _irreality_values
 from oracles import (
     binary_entropy_exact,
     dephase_block_zero,
+    embed,
     entropy_bits,
     random_density,
     random_pure,
@@ -287,3 +290,39 @@ class TestComplementarity:
             complementarity_check(
                 rho, ObservableSpec.pauli("p", "Z"), ObservableSpec.pauli("q", "X")
             )
+
+
+EDGE_SPECS = {
+    "I": (np.eye(2),),
+    "I0": (np.eye(2), np.zeros((2, 2))),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 4),
+    kind=st.sampled_from(["Z", "X", "Y", "random", "I", "I0"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_entropies_match_projector_dephasing(data, n, kind, seed):
+    axis = data.draw(st.integers(0, n - 1), label="axis")
+    rng = np.random.default_rng(seed)
+    labels = tuple(f"q{i}" for i in range(n))
+    reg = QubitRegister(labels)
+    if kind in EDGE_SPECS:
+        obs = ObservableSpec(labels[axis], EDGE_SPECS[kind])
+    elif kind == "random":
+        obs = ObservableSpec.from_basis(labels[axis], random_unitary(rng, 2))
+    else:
+        obs = ObservableSpec.pauli(labels[axis], kind)
+    pure = [np.eye(2**n)[rng.integers(2**n)], random_pure(rng, n)]
+    stack = np.stack(
+        [np.outer(psi, psi.conj()) for psi in pure]
+        + [random_density(rng, n, rank=1 + k % 2**n) for k in range(4)]
+    )
+    projectors = [embed(p, axis, n) for p in obs.projectors]
+    values = _irreality_values(stack, reg, obs)
+    for rho, value in zip(stack, values):
+        dephased = sum(p @ rho @ p for p in projectors)
+        assert abs(value - (entropy_bits(dephased) - entropy_bits(rho))) <= 1e-12

@@ -23,14 +23,18 @@ from qreality import (
     tomography_end_to_end,
 )
 from qreality.eraser import ProtocolConfig, omega_state
+from qreality.measures import _eigenvalue_entropies
 from qreality.tomography import MAX_QUBITS, DatasetFormatError, MeasurementSetting, _project
 
 from oracles import (
+    entropy_bits,
     monte_carlo_irreality_reference,
     pauli_inversion,
     random_density,
+    random_pure,
     sgs_clip,
     simplex_projection,
+    simulate_counts_per_setting,
 )
 
 BDT_REG = QubitRegister(("b", "d1", "d2"))
@@ -96,6 +100,27 @@ class TestSimulateCounts:
     def test_counts_sum_to_shots(self):
         data = simulate_counts(omega2x(), 500, seed=4)
         np.testing.assert_array_equal(data.counts.sum(axis=1), 500)
+
+    def test_stack_matches_per_setting_oracle_bit_for_bit(self, rng):
+        for k in range(60):
+            n = 1 + k % 4
+            reg = QubitRegister(tuple(f"q{i}" for i in range(n)))
+            if k % 3 == 0:  # pure; a basis ket has zero Born probabilities
+                psi = random_pure(rng, n) if k % 2 else np.eye(2**n)[rng.integers(2**n)]
+                mat = np.outer(psi, psi.conj())
+            else:
+                mat = random_density(rng, n, rank=1 + k % 2**n)
+            rho = DensityMatrix(reg, mat)
+            shots, seed = int(rng.integers(1, 100_000)), int(rng.integers(2**32))
+            counts = simulate_counts(rho, shots, seed).counts
+            expected = simulate_counts_per_setting(rho.entries, shots, seed)
+            assert counts.dtype == expected.dtype
+            np.testing.assert_array_equal(counts, expected)
+
+    def test_register_above_cap_rejected(self):
+        reg = QubitRegister(tuple(f"q{i}" for i in range(MAX_QUBITS + 1)))
+        with pytest.raises(ValueError, match="maximum supported is 4"):
+            simulate_counts(DensityMatrix.maximally_mixed(reg), 10, seed=1)
 
     def test_identical_seeds_identical_counts(self):
         a = simulate_counts(omega2x(), 2000, seed=11)
@@ -218,7 +243,7 @@ class TestProjectToPhysical:
             herm = (g + g.conj().swapaxes(-1, -2)) / 2
             trace = np.trace(herm, axis1=-2, axis2=-1).real
             herm = herm + ((1 - trace) / dim)[:, None, None] * np.eye(dim)
-            out = _project(herm)
+            out, _ = _project(herm)
             for mat, got in zip(herm, out):
                 w, v = np.linalg.eigh(mat)
                 expected = (v * simplex_projection(w)) @ v.conj().T
@@ -230,7 +255,19 @@ class TestProjectToPhysical:
         herm = (g + g.conj().T) / 2
         herm = herm / np.trace(herm).real
         out = project_to_physical(herm, QubitRegister(("p", "q")))
-        np.testing.assert_array_equal(out.entries, _project(herm[None])[0])
+        np.testing.assert_array_equal(out.entries, _project(herm[None])[0][0])
+
+
+    def test_eigenvalue_entropy_matches_clipped_state(self, rng):
+        for n in (1, 2, 3, 4):
+            dim = 2**n
+            g = rng.normal(size=(50, dim, dim)) + 1j * rng.normal(size=(50, dim, dim))
+            herm = (g + g.conj().swapaxes(-1, -2)) / 2
+            trace = np.trace(herm, axis1=-2, axis2=-1).real
+            herm = herm + ((1 - trace) / dim)[:, None, None] * np.eye(dim)
+            _, eigenvalues = _project(herm)
+            for mat, value in zip(herm, _eigenvalue_entropies(eigenvalues)):
+                assert value == pytest.approx(entropy_bits(sgs_clip(mat)), abs=1e-12)
 
 
 class TestMonteCarlo:
