@@ -9,7 +9,6 @@ with a schema comment line so downstream parsers can pin the layout.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -87,18 +86,21 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed) -> None:
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
+    """The schema line, then the header and rows, in one write.
+
+    Fields are joined with commas and lines end in CRLF, as the csv
+    module's default dialect writes them.  No field the CLI writes holds a
+    comma, a quote or a line break, so none needs quoting.
+    """
+    lines = [f"# schema: {schema}\n", ",".join(header), "\r\n"]
+    for row in rows:
+        lines += (",".join(row), "\r\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# schema: {schema}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        fh.write("".join(lines))
 
 
 def _fmt(value) -> str:
@@ -107,8 +109,7 @@ def _fmt(value) -> str:
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _theta_grid(parser, args) -> np.ndarray:
@@ -228,13 +229,10 @@ def cmd_tomo(parser, args) -> int:
         parser.error("provide exactly one of: a dataset file, or --simulate")
     if args.simulate:
         _check_range(parser, "--shots", args.shots, 1, MAX_COUNT, INT64_LIMIT)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.simulate:
-        target, config = OMEGA_STATES[args.state]
         theta = np.radians(args.theta) if args.degrees else args.theta
+        if not 0.0 <= theta <= np.pi + 1e-12:
+            parser.error("--theta must satisfy 0 <= theta <= pi")
+        target, config = OMEGA_STATES[args.state]
         cfg = ProtocolConfig(theta=float(theta), alice_config=config, alice_branch=args.branch)
         truth, _ = omega_state(cfg, target)
         data = simulate_counts(truth, args.shots, args.seed)
@@ -260,6 +258,8 @@ def cmd_tomo(parser, args) -> int:
     report["purity"] = float(np.real(np.vdot(rho.entries, rho.entries)))
     report["diagnostics"] = result.diagnostics
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(
         out_dir / "density_matrix.json",
         {
@@ -294,6 +294,8 @@ def cmd_tomo(parser, args) -> int:
 
 def cmd_mzi(parser, args) -> int:
     _check_range(parser, "--grid", args.grid, 1, MAX_GRID, "to bound memory")
+    if not np.isfinite(args.phi):
+        parser.error("--phi must be a finite number")
     cfg = MziConfig(
         phi=0.0,
         closed=not args.open,
@@ -303,10 +305,6 @@ def cmd_mzi(parser, args) -> int:
     phis = np.linspace(0.0, 2 * np.pi, args.grid, endpoint=False)
     probs = detector_probabilities(cfg, phis)
     rows = [[repr(phi), repr(p0), repr(p1)] for phi, (p0, p1) in zip(phis.tolist(), probs)]
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "mzi.csv", MZI_SCHEMA, ["phi", "p0", "p1"], rows)
 
     # on visibility's own grid the p0 column already holds its samples
     vis = _visibility([p for p, _ in probs]) if args.grid == VISIBILITY_GRID else visibility(cfg)
@@ -327,6 +325,10 @@ def cmd_mzi(parser, args) -> int:
             "ppt_separable": analysis.ppt_separable,
             "irreality_sigma_z_at_s1": analysis.irreality_sigma_z_at_s1,
         }
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "mzi.csv", MZI_SCHEMA, ["phi", "p0", "p1"], rows)
     _write_json(out_dir / "summary.json", summary)
     config_dict = {
         "closed": cfg.closed,

@@ -34,10 +34,9 @@ from .core import (
     PureState,
     QubitRegister,
     ZeroProbabilityError,
-    _pauli_z,
     apply_unitary,
 )
-from .measures import _irreality_values
+from .measures import _eigenvalue_entropies
 
 ERASER_LABELS = ("A", "B", "a", "b", "d1", "d2")
 OMEGA_REGISTER = QubitRegister(("b", "d1", "d2"))
@@ -276,10 +275,13 @@ def irreality_curve(
 ) -> list[SweepRecord]:
     """Analytic irreality of the chosen degree of freedom over a theta grid.
 
-    The grid is one stack of omega states, measured by one stacked
-    irreality call.  For Cz the curve is identically zero; for Cx it equals
-    the binary entropy of cos^2(theta/2), with the d1 and d2 curves
-    coinciding.  Undefined rows are described on :class:`SweepRecord`.
+    The grid is one stack of omega states.  Each is pure, so S(omega) = 0,
+    and the Z measurement of the target leaves two nonzero eigenvalues,
+    p_k = the total of diag(omega) over the basis states whose target bit
+    is k; the irreality is the Shannon entropy of (p_0, p_1).  For Cz the
+    curve is identically zero; for Cx it equals the binary entropy of
+    cos^2(theta/2), with the d1 and d2 curves coinciding.  Undefined rows
+    are described on :class:`SweepRecord`.
     """
     thetas = np.array([float(t) for t in theta_grid])
     if not thetas.size:
@@ -289,7 +291,10 @@ def irreality_curve(
 
     omegas, probs = _omega_stack(cfg_template, target, thetas)  # checks the target
     label = TARGETS[target]
-    values = _irreality_values(omegas, OMEGA_REGISTER, _pauli_z(label))
+    axis = OMEGA_REGISTER.axis(label)
+    diag = np.diagonal(omegas, axis1=-2, axis2=-1).real
+    outcome_probs = diag.reshape(len(thetas), 2**axis, 2, -1).sum(axis=(1, 3))
+    values = _eigenvalue_entropies(outcome_probs)
     return [
         SweepRecord(
             theta=float(theta),

@@ -40,7 +40,7 @@ def _eigenvalue_entropies(eigs: np.ndarray) -> np.ndarray:
         )
     # Eigenvalues in [-1e-10, 1e-12) count as exact zeros: 1 in their place adds 1 log 1 = 0.
     p = np.where(eigs >= ENTROPY_EIGENVALUE_FLOOR, eigs, 1.0)
-    return -(p * np.log2(p)).sum(axis=-1)
+    return 0.0 - (p * np.log2(p)).sum(axis=-1)  # +0.0, not -0.0, for a pure state
 
 
 def von_neumann_entropy(state: Union[State, np.ndarray]) -> float:

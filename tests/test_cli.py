@@ -1,4 +1,5 @@
 import csv
+import io
 import itertools
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 import qreality.cli
 import qreality.mzi
 from qreality import MziConfig, save_dataset, simulate_counts, visibility
-from qreality.cli import MAX_GRID, MAX_RESAMPLES, OMEGA_STATES, build_parser, main
+from qreality.cli import MAX_GRID, MAX_RESAMPLES, OMEGA_STATES, _write_csv, build_parser, main
 from qreality.eraser import ProtocolConfig, omega_state
 from qreality.tomography import MAX_POISSON_COUNT
 
@@ -86,6 +87,19 @@ class TestSweep:
         assert rows and all(r["config"] == "Cz" for r in rows)
         for row in rows:
             assert abs(float(row["irreality_analytic"])) < 1e-9
+
+    @pytest.mark.parametrize("target", ["b", "d1", "d2"])
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_real_rows_read_exactly_zero(self, tmp_path, target, branch):
+        args = ["sweep", "--target", target, "--branch", branch,
+                "--theta-max", repr(np.pi), "--out-dir", str(tmp_path)]
+        assert run(args) == 0
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        cz = [r["irreality_analytic"] for r in rows if r["config"] == "Cz"]
+        assert cz[-1] == ""  # theta = pi: undefined
+        assert cz[:-1] == ["0.0"] * 40
+        cx_at_zero = [r for r in rows if r["config"] == "Cx" and r["theta"] == "0.0"]
+        assert [r["irreality_analytic"] for r in cx_at_zero] == ["0.0"]
 
     def test_zero_grid_is_usage_error(self, tmp_path):
         code = run(["sweep", "--grid", "0", "--out-dir", str(tmp_path)])
@@ -365,6 +379,29 @@ class TestTomo:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "theta", [["4"], ["nan"], ["inf"], ["-0.1"], ["181", "--degrees"]]
+    )
+    def test_bad_theta_is_usage_error_before_any_output(self, tmp_path, capsys, theta):
+        out = tmp_path / "run"
+        assert run(["tomo", "--simulate", "--theta", *theta, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "qreality: error: --theta must satisfy 0 <= theta <= pi"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theta", [["0"], ["180", "--degrees"], [repr(np.pi)]])
+    def test_theta_range_ends_run(self, tmp_path, theta):
+        argv = ["tomo", "--simulate", "--shots", "100", "--theta", *theta]
+        assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+
+    def test_zero_probability_state_fails_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["tomo", "--simulate", "--state", "omega1z", "--theta", repr(np.pi)]
+        assert run(argv + ["--out-dir", str(out)]) == 1
+        assert "zero probability" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_dataset_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n_qubits": 1}')
@@ -504,6 +541,23 @@ class TestMzi:
     def test_zero_grid_usage_error(self, tmp_path):
         assert run(["mzi", "--grid", "0", "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("flags", [[], ["--extended"], ["--open", "--extended"]])
+    @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+    def test_non_finite_phi_is_usage_error_before_any_output(self, tmp_path, capsys, flags, phi):
+        out = tmp_path / "run"
+        assert run(["mzi", *flags, f"--phi={phi}", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "qreality: error: --phi must be a finite number"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("decohere", [[], ["--decohere"]])
+    def test_open_extended_entropy_is_positive_zero(self, tmp_path, decohere):
+        assert run(["mzi", "--open", "--extended", *decohere, "--out-dir", str(tmp_path)]) == 0
+        text = (tmp_path / "summary.json").read_text()
+        assert '"entanglement_entropy": 0.0,' in text
+        assert "-0.0" not in text
+
     @pytest.mark.parametrize("flags", [[], ["--extended", "--decohere"]])
     def test_default_grid_is_evaluated_once(self, tmp_path, monkeypatch, flags):
         calls = []
@@ -531,6 +585,58 @@ class TestMzi:
         )
         assert summary["visibility"] == visibility(cfg)  # exact, so the JSON bytes match
         assert summary["grid"] == int(grid)
+
+
+class TestCsvWriter:
+    def test_bytes_match_the_csv_module(self, tmp_path):
+        header = ["theta", "config", "target", "row_ket", "value"]
+        rows = [
+            [repr(0.0), "Cz", "b", "000", repr(1e-05)],
+            [repr(-2.5e-17), "Cx", "d1", "101", ""],
+            [repr(1e16), "", "d2", "", repr(-0.0)],
+            [repr(float("inf")), repr(float("nan")), "", "0110", ""],
+            ["", "", "", "", ""],
+        ]
+        path = tmp_path / "out.csv"
+        _write_csv(path, "qreality.test.v1", header, rows)
+
+        want = io.StringIO(newline="")
+        want.write("# schema: qreality.test.v1\n")
+        writer = csv.writer(want)
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+    def test_no_field_the_cli_writes_needs_quoting(self, tmp_path, monkeypatch):
+        # A plain comma join equals the csv module's output only under this condition.
+        written = {}
+        original = qreality.cli._write_csv
+
+        def recording(path, schema, header, rows):
+            rows = list(rows)
+            written.setdefault(path.name, []).extend([header, *rows])
+            original(path, schema, header, rows)
+
+        monkeypatch.setattr(qreality.cli, "_write_csv", recording)
+        omega, _ = omega_state(ProtocolConfig(theta=1.0, alice_config="Cx"), "d1")
+        dataset_path = tmp_path / "counts.json"
+        save_dataset(simulate_counts(omega, 1000, seed=7), dataset_path)
+        pi = repr(np.pi)
+        for k, argv in enumerate([
+            ["sweep", "--grid", "5", "--theta-max", pi],
+            ["sweep", "--tomo", "--grid", "3", "--resamples", "5", "--theta-max", pi],
+            ["mzi", "--grid", "16"],
+            ["mzi", "--open", "--extended", "--decohere"],
+            ["tomo", "--simulate", "--shots", "1000"],
+            ["tomo", str(dataset_path)],
+        ]):
+            assert run(argv + ["--out-dir", str(tmp_path / str(k))]) == 0
+        assert set(written) == {"sweep.csv", "mzi.csv", "density_matrix_real.csv"}
+        for name, rows in written.items():
+            for row in rows:
+                for field in row:
+                    assert isinstance(field, str)
+                    assert not set(field) & set(',"\r\n'), (name, row)
 
 
 class TestEnvironmentOverrides:

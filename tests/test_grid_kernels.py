@@ -80,6 +80,21 @@ class TestIrrealityCurve:
                 assert rec.irreality_analytic == pytest.approx(0.0, abs=1e-9)
                 assert rec.selection_probability == pytest.approx(0.25, abs=1e-12)
 
+    def test_needs_no_eigendecomposition(self, monkeypatch):
+        # every omega row is pure, so the curve is an outcome entropy of diag(omega)
+        def refuse(*args, **kwargs):
+            raise AssertionError("irreality_curve diagonalised a matrix")
+
+        thetas = np.linspace(0.0, np.pi, 5)
+        cfgs = [ProtocolConfig(theta=0.0, alice_config=c) for c in ("Cz", "Cx")]
+        with monkeypatch.context() as patch:
+            for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+                patch.setattr(np.linalg, name, refuse)
+            curves = [irreality_curve(cfg, "d2", thetas) for cfg in cfgs]
+        for cfg, records in zip(cfgs, curves):
+            assert records == irreality_curve(cfg, "d2", thetas)
+            assert_curve_matches(cfg, "d2", thetas)
+
     def test_out_of_range_and_nan_theta_rejected(self):
         cfg = ProtocolConfig(theta=0.0, alice_config="Cx")
         for grid in ([0.1, 4.0], [-0.5, 0.1], [0.1, float("nan")]):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,12 @@ class TestEntropy:
     def test_pure_state_zero(self, rng):
         psi = PureState(QubitRegister(("p", "q")), random_pure(rng, 2))
         assert von_neumann_entropy(psi.to_density()) == pytest.approx(0.0, abs=1e-9)
+
+    def test_pure_state_entropy_is_positive_zero(self):
+        for amplitudes in ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]):
+            psi = PureState(QubitRegister(("p", "q")), amplitudes)
+            value = von_neumann_entropy(psi.to_density())
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_maximally_mixed_one_bit(self):
         reg = QubitRegister(("q",))
