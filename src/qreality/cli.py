@@ -20,9 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import (
-    ConfigurationError, DensityMatrix, ObservableSpec, QubitRegister, _pauli_z, fidelity
-)
+from .core import DensityMatrix, ObservableSpec, QubitRegister, _pauli_z, purity
 from .eraser import (
     OMEGA_REGISTER,
     ProtocolConfig,
@@ -43,13 +41,12 @@ from .mzi import (
 from .tomography import (
     MAX_COUNT,
     MAX_POISSON_COUNT,
-    DatasetFormatError,
-    IncompleteDataError,
     load_dataset,
     monte_carlo_irreality,
     project_to_physical,
     reconstruct,
     simulate_counts,
+    tomography_end_to_end,
 )
 
 OUT_DIR_ENV = "QREALITY_OUT_DIR"
@@ -75,6 +72,17 @@ OMEGA_STATES = {
     "omega1x": ("b", "Cx"),
     "omega2z": ("d1", "Cz"),
     "omega2x": ("d1", "Cx"),
+}
+
+# The tomo flags that only --simulate reads, with their defaults.  They
+# default to None in the parser so that one given with a file is caught.
+TOMO_SIMULATE_DEFAULTS = {
+    "state": "omega2x",
+    "theta": float(np.pi / 2),
+    "degrees": False,
+    "branch": "plus",
+    "shots": 100_000,
+    "seed": DEFAULT_SEED,
 }
 
 
@@ -130,13 +138,6 @@ def _check_range(parser, flag: str, value: int, low: int, high: int, why: str) -
         parser.error(f"{flag} must be at most {high}, {why}")
 
 
-def _tomo_for_record(record: SweepRecord, shots, resamples, seeds):
-    data = simulate_counts(DensityMatrix(OMEGA_REGISTER, record.omega), shots, seeds[0])
-    return monte_carlo_irreality(
-        data, _pauli_z(record.target), resamples, seeds[1], register=OMEGA_REGISTER
-    )
-
-
 def cmd_sweep(parser, args) -> int:
     grid = _theta_grid(parser, args)
     target = TARGETS[args.target]
@@ -158,12 +159,16 @@ def cmd_sweep(parser, args) -> int:
 
     if args.tomo:
         child_seeds = np.random.SeedSequence(args.seed).generate_state(2 * len(records))
-        for i, rec in enumerate(records):
+        for rec, (counts_seed, resample_seed) in zip(records, child_seeds.reshape(-1, 2).tolist()):
             if rec.omega is None:
                 continue  # undefined row: no state to measure
-            seeds = (int(child_seeds[2 * i]), int(child_seeds[2 * i + 1]))
-            rec.irreality_tomo_mean, rec.irreality_tomo_std = _tomo_for_record(
-                rec, args.shots, args.resamples, seeds
+            omega = DensityMatrix(OMEGA_REGISTER, rec.omega)
+            rec.irreality_tomo_mean, rec.irreality_tomo_std = monte_carlo_irreality(
+                simulate_counts(omega, args.shots, counts_seed),
+                _pauli_z(rec.target),
+                args.resamples,
+                resample_seed,
+                OMEGA_REGISTER,
             )
 
     out_dir = Path(args.out_dir)
@@ -219,14 +224,14 @@ def cmd_sweep(parser, args) -> int:
     return 0
 
 
-def _ket_labels(register: QubitRegister) -> list[str]:
-    n = register.n_qubits
-    return [format(i, f"0{n}b") for i in range(register.dimension)]
-
-
 def cmd_tomo(parser, args) -> int:
     if (args.dataset is None) == (not args.simulate):
         parser.error("provide exactly one of: a dataset file, or --simulate")
+    for name, default in TOMO_SIMULATE_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif not args.simulate:
+            parser.error(f"--{name} applies only with --simulate")
     if args.simulate:
         _check_range(parser, "--shots", args.shots, 1, MAX_COUNT, INT64_LIMIT)
         theta = np.radians(args.theta) if args.degrees else args.theta
@@ -235,27 +240,18 @@ def cmd_tomo(parser, args) -> int:
         target, config = OMEGA_STATES[args.state]
         cfg = ProtocolConfig(theta=float(theta), alice_config=config, alice_branch=args.branch)
         truth, _ = omega_state(cfg, target)
-        data = simulate_counts(truth, args.shots, args.seed)
-        register = truth.register
+        result = tomography_end_to_end(truth, args.shots, args.seed)
         report = {"state": args.state, "theta": float(theta)}
-        config_dict = {
-            "simulate": True,
-            "state": args.state,
-            "theta": float(theta),
-            "branch": args.branch,
-            "shots": args.shots,
-        }
+        config_dict = {"simulate": True, **report, "branch": args.branch, "shots": args.shots}
     else:
-        truth = register = None  # a file's qubits are labelled q0 ... q{n-1}
-        data = load_dataset(args.dataset)
+        result = reconstruct(load_dataset(args.dataset))  # qubits labelled q0 ... q{n-1}
         report = {"dataset": str(args.dataset)}
-        config_dict = {"simulate": False, "dataset": str(args.dataset)}
+        config_dict = {"simulate": False, **report}
 
-    result = reconstruct(data, register)
     rho = result.rho_physical
     register = rho.register
-    report["fidelity_to_truth"] = None if truth is None else fidelity(rho, truth)
-    report["purity"] = float(np.real(np.vdot(rho.entries, rho.entries)))
+    report["fidelity_to_truth"] = result.fidelity_to_truth
+    report["purity"] = purity(rho)
     report["diagnostics"] = result.diagnostics
 
     out_dir = Path(args.out_dir)
@@ -270,7 +266,7 @@ def cmd_tomo(parser, args) -> int:
     )
     _write_json(out_dir / "report.json", report)
 
-    kets = _ket_labels(register)
+    kets = [format(i, f"0{register.n_qubits}b") for i in range(register.dimension)]
     rows = [
         [str(i), str(j), kets[i], kets[j], _fmt(rho.entries[i, j].real)]
         for i in range(register.dimension)
@@ -344,7 +340,7 @@ def cmd_mzi(parser, args) -> int:
 
 
 def _selftest_checks():
-    from .core import DensityMatrix, PureState, fidelity
+    from .core import PureState, fidelity
     from .measures import binary_entropy, irreality as irr, von_neumann_entropy
 
     def closed_forms():
@@ -448,12 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
     tomo = sub.add_parser("tomo", help="reconstruct a state from counts")
     tomo.add_argument("dataset", nargs="?", default=None, help="counts JSON file")
     tomo.add_argument("--simulate", action="store_true")
-    tomo.add_argument("--state", choices=sorted(OMEGA_STATES), default="omega2x")
-    tomo.add_argument("--theta", type=float, default=float(np.pi / 2))
-    tomo.add_argument("--degrees", action="store_true")
-    tomo.add_argument("--branch", choices=("plus", "minus"), default="plus")
-    tomo.add_argument("--shots", type=int, default=100_000)
-    tomo.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for --simulate")
+    tomo.add_argument("--state", choices=sorted(OMEGA_STATES))
+    tomo.add_argument("--theta", type=float)
+    tomo.add_argument("--degrees", action="store_true", default=None)
+    tomo.add_argument("--branch", choices=("plus", "minus"))
+    tomo.add_argument("--shots", type=int)
+    tomo.add_argument("--seed", type=int, help="seed for --simulate")
     tomo.add_argument("--out-dir")
 
     mzi = sub.add_parser("mzi", help="interferometer phase sweep and marker analysis")
@@ -483,13 +479,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](parser, args)
-    except (
-        OSError,
-        ConfigurationError,
-        DatasetFormatError,
-        IncompleteDataError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:  # every library error class subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

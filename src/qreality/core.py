@@ -27,6 +27,15 @@ ZERO_PROBABILITY_THRESHOLD = 1e-12
 
 _EYE2 = np.eye(2, dtype=complex)
 
+# Columns are the +1 and -1 eigenvectors of each Pauli operator (read-only).
+_EIGENBASES = {
+    "Z": np.eye(2, dtype=complex),
+    "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
+}
+for _basis in _EIGENBASES.values():
+    _basis.flags.writeable = False
+
 
 class LabelError(ValueError):
     """A subsystem label is unknown, duplicated, or collides."""
@@ -220,15 +229,9 @@ class ObservableSpec:
     @classmethod
     def pauli(cls, subsystem: str, kind: str) -> "ObservableSpec":
         kind = kind.upper()
-        if kind == "Z":
-            basis = np.eye(2, dtype=complex)
-        elif kind == "X":
-            basis = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        elif kind == "Y":
-            basis = np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2)
-        else:
+        if kind not in _EIGENBASES:
             raise ValueError(f"unknown Pauli kind {kind!r}")
-        return cls.from_basis(subsystem, basis)
+        return cls.from_basis(subsystem, _EIGENBASES[kind])
 
 
 @functools.lru_cache(maxsize=32)
@@ -313,19 +316,14 @@ def _outcome_vector(outcome, m: int) -> np.ndarray:
     return vec
 
 
-def post_select(
-    state: State,
-    outcome,
-    on: Iterable[str],
-    *,
-    threshold: float = ZERO_PROBABILITY_THRESHOLD,
-) -> tuple[State, float]:
+def post_select(state: State, outcome, on: Iterable[str]) -> tuple[State, float]:
     """Condition on a rank-1 outcome over the ``on`` labels and renormalize.
 
     ``outcome`` is a unit vector of amplitudes over the ``on`` labels in the
     order they are listed.  Returns the normalized conditional state on the
     remaining labels together with the selection probability.  Probabilities
-    below ``threshold`` raise :class:`ZeroProbabilityError`.
+    below the fixed ``ZERO_PROBABILITY_THRESHOLD`` (1e-12) raise
+    :class:`ZeroProbabilityError`.
     """
     on = tuple(on)
     reg = state.register
@@ -344,37 +342,32 @@ def post_select(
         psi_t = state.amplitudes.reshape((2,) * n)
         res = np.tensordot(out_t.conj(), psi_t, axes=(list(range(m)), list(axes)))
         prob = float(np.real(np.vdot(res, res)))
-        if prob < threshold:
-            raise ZeroProbabilityError(
-                f"outcome on {on} has probability {prob:.3e} below threshold {threshold:.0e}"
-            )
-        return PureState(rest, res.ravel() / np.sqrt(prob)), prob
-
-    rho_t = state.entries.reshape((2,) * (2 * n))
-    row_sub = list(range(n))
-    col_sub = [n + i for i in range(n)]
-    out_rows = [row_sub[a] for a in axes]
-    out_cols = [col_sub[a] for a in axes]
-    keep_rows = [row_sub[i] for i in range(n) if i not in axes]
-    keep_cols = [col_sub[i] for i in range(n) if i not in axes]
-    res = np.einsum(
-        rho_t,
-        row_sub + col_sub,
-        out_t.conj(),
-        out_rows,
-        out_t,
-        out_cols,
-        keep_rows + keep_cols,
-    )
-    dim = rest.dimension
-    mat = res.reshape(dim, dim)
-    prob = float(np.real(np.trace(mat)))
-    if prob < threshold:
+    else:
+        rho_t = state.entries.reshape((2,) * (2 * n))
+        row_sub = list(range(n))
+        col_sub = [n + i for i in range(n)]
+        out_rows = [row_sub[a] for a in axes]
+        out_cols = [col_sub[a] for a in axes]
+        keep_rows = [row_sub[i] for i in range(n) if i not in axes]
+        keep_cols = [col_sub[i] for i in range(n) if i not in axes]
+        res = np.einsum(
+            rho_t,
+            row_sub + col_sub,
+            out_t.conj(),
+            out_rows,
+            out_t,
+            out_cols,
+            keep_rows + keep_cols,
+        ).reshape(rest.dimension, rest.dimension)
+        prob = float(np.real(np.trace(res)))
+    if prob < ZERO_PROBABILITY_THRESHOLD:
         raise ZeroProbabilityError(
-            f"outcome on {on} has probability {prob:.3e} below threshold {threshold:.0e}"
+            f"outcome on {on} has probability {prob:.3e} "
+            f"below threshold {ZERO_PROBABILITY_THRESHOLD:.0e}"
         )
-    mat = (mat + mat.conj().T) / 2 / prob
-    return DensityMatrix(rest, mat), prob
+    if isinstance(state, PureState):
+        return PureState(rest, res.ravel() / np.sqrt(prob)), prob
+    return DensityMatrix(rest, (res + res.conj().T) / 2 / prob), prob
 
 
 def apply_unitary(state: State, u: np.ndarray, on: Iterable[str]) -> State:

@@ -30,6 +30,7 @@ from .core import (
 PSD_TOLERANCE = 1e-10
 ENTROPY_EIGENVALUE_FLOOR = 1e-12
 MIXEDNESS_TOLERANCE = 1e-8
+COMPLEMENTARITY_SLACK = 1e-9
 
 
 def _eigenvalue_entropies(eigs: np.ndarray) -> np.ndarray:
@@ -172,14 +173,10 @@ class ComplementarityResult:
 
 
 def complementarity_check(
-    state: State,
-    observable: ObservableSpec,
-    other: ObservableSpec,
-    *,
-    slack: float = 1e-9,
+    state: State, observable: ObservableSpec, other: ObservableSpec
 ) -> ComplementarityResult:
     """Check irreality(X) + irreality(X') >= correlation bound for two
-    observables on the same subsystem."""
+    observables on the same subsystem, up to ``COMPLEMENTARITY_SLACK``."""
     if observable.subsystem != other.subsystem:
         raise LabelError(
             f"observables act on different subsystems: "
@@ -190,4 +187,4 @@ def complementarity_check(
         lb for lb in state.register.labels if lb != observable.subsystem
     )
     rhs = mutual_information(state, ((observable.subsystem,), rest))
-    return ComplementarityResult(lhs=lhs, rhs=rhs, holds=lhs >= rhs - slack)
+    return ComplementarityResult(lhs=lhs, rhs=rhs, holds=lhs >= rhs - COMPLEMENTARITY_SLACK)

@@ -9,6 +9,12 @@ matrix product; physicality is restored by clipping negative eigenvalues and
 redistributing the deficit.  Every stochastic step takes an explicit seed and
 is bit-reproducible: one generator seeded by the caller draws all counts of
 a call, the whole stack of Monte Carlo resamples included.
+
+The single-qubit eigenbases are the Pauli table of :mod:`qreality.core`.
+:func:`reconstruct` is the one pipeline for simulated and file data alike, and
+the only step that labels an unnamed register q0 ... q{n-1};
+:func:`project_to_physical` and :func:`monte_carlo_irreality` take the
+register from their caller.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DensityMatrix, ObservableSpec, QubitRegister, fidelity
+from .core import _EIGENBASES, DensityMatrix, ObservableSpec, QubitRegister, fidelity
 from .measures import _irreality_values
 
 SETTING_BASES = ("Z", "X", "Y")
@@ -40,13 +46,6 @@ _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-# Columns are the +1 and -1 eigenvectors of each basis operator.
-_EIGENBASIS = {
-    "Z": np.eye(2, dtype=complex),
-    "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
 }
 
 
@@ -77,19 +76,13 @@ class MeasurementSetting:
 
     def eigenvector_matrix(self) -> np.ndarray:
         """2^n x 2^n matrix whose columns are the joint-outcome eigenvectors (read-only)."""
-        return _eigenvector_matrix(self.bases)
+        v = functools.reduce(np.kron, (_EIGENBASES[b] for b in self.bases))
+        v.flags.writeable = False
+        return v
 
     def projectors(self) -> list[np.ndarray]:
         v = self.eigenvector_matrix()
         return [np.outer(v[:, k], v[:, k].conj()) for k in range(v.shape[1])]
-
-
-# Room for every setting of up to MAX_QUBITS qubits: 3 + 9 + 27 + 81.
-@functools.lru_cache(maxsize=sum(3**n for n in range(1, MAX_QUBITS + 1)))
-def _eigenvector_matrix(bases: tuple[str, ...]) -> np.ndarray:
-    v = functools.reduce(np.kron, (_EIGENBASIS[b] for b in bases))
-    v.flags.writeable = False
-    return v
 
 
 @functools.lru_cache(maxsize=MAX_QUBITS, typed=True)  # typed: 3.0 still raises TypeError
@@ -280,13 +273,9 @@ def _project(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (out + out.conj().swapaxes(-1, -2)) / 2, w_fixed
 
 
-def project_to_physical(
-    rho_hat: np.ndarray, register: Optional[QubitRegister] = None
-) -> DensityMatrix:
+def project_to_physical(rho_hat: np.ndarray, register: QubitRegister) -> DensityMatrix:
     """Nearest density matrix by eigenvalue clipping and redistribution."""
-    out, _ = _project(rho_hat)
-    register = register or _default_register(int(np.log2(out.shape[-1])))
-    return DensityMatrix(register, out)
+    return DensityMatrix(register, _project(rho_hat)[0])
 
 
 def _default_register(n_qubits: int) -> QubitRegister:
@@ -298,7 +287,7 @@ def monte_carlo_irreality(
     observable: ObservableSpec,
     n_resamples: int,
     seed: int,
-    register: Optional[QubitRegister] = None,
+    register: QubitRegister,
 ) -> tuple[float, float]:
     """Estimate and bootstrap standard deviation of the reconstructed irreality.
 
@@ -321,7 +310,6 @@ def monte_carlo_irreality(
     rho, eigenvalues = _project(
         reconstruct_from_frequencies(_frequencies(data, stack), data.n_qubits)
     )
-    register = register or _default_register(data.n_qubits)
     values = _irreality_values(rho, register, observable, eigenvalues)
     return float(values[0]), float(values[1:].std(ddof=1))
 
@@ -349,6 +337,7 @@ def reconstruct(
     """
     rho_linear = reconstruct_linear(data)
     eigs = np.linalg.eigvalsh((rho_linear + rho_linear.conj().T) / 2)
+    register = register or _default_register(data.n_qubits)
     return ReconstructionResult(
         rho_linear=rho_linear,
         rho_physical=project_to_physical(rho_linear, register),
@@ -461,4 +450,6 @@ def load_dataset(path) -> TomographyDataset:
             raise DatasetFormatError(
                 f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from None
+        except RecursionError:
+            raise DatasetFormatError("invalid JSON: nested too deeply") from None
     return dataset_from_dict(payload)

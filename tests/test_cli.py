@@ -9,7 +9,9 @@ import pytest
 
 import qreality.cli
 import qreality.mzi
-from qreality import MziConfig, save_dataset, simulate_counts, visibility
+from qreality import (
+    MziConfig, purity, save_dataset, simulate_counts, tomography_end_to_end, visibility
+)
 from qreality.cli import MAX_GRID, MAX_RESAMPLES, OMEGA_STATES, _write_csv, build_parser, main
 from qreality.eraser import ProtocolConfig, omega_state
 from qreality.tomography import MAX_POISSON_COUNT
@@ -487,6 +489,71 @@ class TestTomo:
 
     def test_needs_exactly_one_source(self, tmp_path):
         assert run(["tomo", "--out-dir", str(tmp_path)]) == 2
+
+    def test_deeply_nested_dataset_is_one_error_line(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        out = tmp_path / "out"
+        assert run(["tomo", str(deep), "--out-dir", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["error: invalid JSON: nested too deeply"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--state", "omega1z"],
+            ["--theta", "nan"],
+            ["--degrees"],
+            ["--branch", "minus"],
+            ["--shots", "0"],
+            ["--seed", "5"],
+        ],
+    )
+    def test_simulate_flag_with_dataset_is_usage_error(self, tmp_path, capsys, flag):
+        omega, _ = omega_state(ProtocolConfig(theta=1.0, alice_config="Cx"), "d1")
+        dataset_path = tmp_path / "counts.json"
+        save_dataset(simulate_counts(omega, 100, seed=7), dataset_path)
+        out = tmp_path / "out"
+        assert run(["tomo", str(dataset_path), *flag, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"qreality: error: {flag[0]} applies only with --simulate"
+        )
+        assert not out.exists()
+
+    def test_simulate_defaults_match_explicit_flags(self, tmp_path):
+        implicit, explicit = tmp_path / "implicit", tmp_path / "explicit"
+        assert run(["tomo", "--simulate", "--out-dir", str(implicit)]) == 0
+        argv = [
+            "tomo", "--simulate", "--state", "omega2x", "--theta", repr(np.pi / 2),
+            "--branch", "plus", "--shots", "100000", "--seed", "42",
+        ]
+        assert run(argv + ["--out-dir", str(explicit)]) == 0
+        for name in ("density_matrix.json", "density_matrix_real.csv", "report.json"):
+            assert (implicit / name).read_bytes() == (explicit / name).read_bytes()
+        manifests = [json.loads((d / "manifest.json").read_text()) for d in (implicit, explicit)]
+        assert manifests[0]["config"] == manifests[1]["config"]
+        assert manifests[0]["seed"] == manifests[1]["seed"] == 42
+
+    @pytest.mark.parametrize(
+        "state, theta, shots, seed", [("omega2x", 1.2, 5000, 3), ("omega1z", 0.6, 800, 11)]
+    )
+    def test_simulated_report_is_the_library_result(self, tmp_path, state, theta, shots, seed):
+        out = tmp_path / "run"
+        argv = ["--state", state, "--theta", repr(theta), "--shots", str(shots)]
+        argv += ["--seed", str(seed)]
+        assert run(["tomo", "--simulate", *argv, "--out-dir", str(out)]) == 0
+        target, config = OMEGA_STATES[state]
+        omega, _ = omega_state(ProtocolConfig(theta=theta, alice_config=config), target)
+        result = tomography_end_to_end(omega, shots, seed)
+        report = json.loads((out / "report.json").read_text())
+        assert report["fidelity_to_truth"] == result.fidelity_to_truth
+        assert report["purity"] == purity(result.rho_physical)
+        assert report["diagnostics"] == result.diagnostics
+        matrix = json.loads((out / "density_matrix.json").read_text())
+        assert matrix["labels"] == list(omega.register.labels)
+        assert matrix["real"] == result.rho_physical.entries.real.tolist()
+        assert matrix["imag"] == result.rho_physical.entries.imag.tolist()
 
 
 MZI_FLAG_SETS = [

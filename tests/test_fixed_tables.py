@@ -1,9 +1,9 @@
 """Per-process tables of the protocol's fixed pieces.
 
 The evolved basis kets, the Z observables and their block bases, the Pauli
-eigenvector matrices (per setting, and stacked per register size) and the
-MZI s1 state and probe marginal are each built once and served from
-a bounded ``functools`` cache.  Every table entry must equal, bit for bit,
+measurement settings and their eigenvector matrices stacked per register
+size, and the MZI s1 state and probe marginal are each built once and
+served from a bounded ``functools`` cache.  Every table entry must equal, bit for bit,
 an uncached build through the reference path, be read-only, and the tables
 must stay within their size bound however many keys pass through them.
 """
@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from qreality import ObservableSpec, mzi_state, partial_trace
-from qreality.core import _pauli_z
+from qreality.core import _EIGENBASES, _pauli_z
 from qreality.eraser import ProtocolConfig, _basis_kets, irreality_curve
 from qreality.mzi import MziConfig, _probe_marginal, _s1_state, detector_probabilities
-from qreality.tomography import _eigenvector_matrix, _setting_matrices, all_settings
+from qreality.tomography import MAX_QUBITS, _setting_matrices, all_settings
 
 from oracles import stage_state
 
@@ -111,14 +111,26 @@ class TestEigenvectorMatrices:
         assert_bits_equal(stack, np.stack(wants))
         assert_read_only(stack)
 
-    def test_table_holds_every_setting_up_to_four_qubits(self):
-        info = _eigenvector_matrix.cache_info()
-        assert info.maxsize == 3 + 9 + 27 + 81
-        for n in range(1, 6):  # five qubits overflow the table and evict
-            for setting in all_settings(n):
-                setting.eigenvector_matrix()
-        assert _eigenvector_matrix.cache_info().currsize <= info.maxsize
-        assert all_settings.cache_info().currsize <= all_settings.cache_info().maxsize
+    def test_settings_table_stays_within_its_bound(self):
+        for n in range(1, 6):  # five register sizes overflow the table and evict
+            all_settings(n)
+            info = all_settings.cache_info()
+            assert info.currsize <= info.maxsize == MAX_QUBITS
+
+    @pytest.mark.parametrize("kind", ["Z", "X", "Y"])
+    def test_one_pauli_table_serves_observables_and_settings(self, kind):
+        assert_bits_equal(_EIGENBASES[kind], EIGENBASES[kind])
+        assert_read_only(_EIGENBASES[kind])
+        (setting,) = [s for s in all_settings(1) if s.bases == (kind,)]
+        assert_bits_equal(setting.eigenvector_matrix(), EIGENBASES[kind])
+        projectors = ObservableSpec.pauli("q", kind.lower()).projectors
+        for k in range(2):
+            column = EIGENBASES[kind][:, k]
+            assert_bits_equal(projectors[k], np.outer(column, column.conj()))
+
+    def test_unknown_pauli_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown Pauli kind 'W'"):
+            ObservableSpec.pauli("q", "w")
 
     def test_float_register_size_still_rejected(self):
         all_settings(3)
