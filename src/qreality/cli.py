@@ -141,9 +141,6 @@ def _check_range(parser, flag: str, value: int, low: int, high: int, why: str) -
 def cmd_sweep(parser, args) -> int:
     grid = _theta_grid(parser, args)
     target = TARGETS[args.target]
-    stage = stage_for_target(args.target)
-    if args.stage is not None and args.stage != stage:
-        parser.error(f"--target {args.target} belongs to stage {stage}, not {args.stage}")
     if args.tomo:
         _check_range(parser, "--resamples", args.resamples, 2, MAX_RESAMPLES, "to bound memory")
         _check_range(parser, "--shots", args.shots, 1, MAX_COUNT, INT64_LIMIT)
@@ -198,7 +195,7 @@ def cmd_sweep(parser, args) -> int:
 
     config_dict = {
         "target": target,
-        "stage": stage,
+        "stage": stage_for_target(args.target),
         "configs": list(configs),
         "branch": args.branch,
         "grid": args.grid,
@@ -428,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="irreality versus theta, CSV + JSON")
     sweep.add_argument("--target", choices=sorted(TARGETS), default="b")
-    sweep.add_argument("--stage", type=int, choices=(1, 2), default=None)
     sweep.add_argument("--config", choices=("Cz", "Cx", "both"), default="both")
     sweep.add_argument("--branch", choices=("plus", "minus"), default="plus")
     sweep.add_argument("--grid", type=int, default=41)

@@ -7,11 +7,15 @@ cos(theta/2)|00> + sin(theta/2)|11> feeds the device.  Stage Psi1 is the
 state after the Sagnac's polarizing beam splitter has written B onto b;
 stage Psi2 is the state after the beam displacers have written onto d1, d2.
 
-Alice either projects her polarization onto |0> (configuration Cz) or onto
-|+> / |-> (configuration Cx), always with her path on |0>; Bob projects his
-polarization onto |+>.  The conditional state on (b, d1, d2) is an omega
-state whose irreality in the path or marker basis is zero for Cz and equals
-the binary entropy H(cos^2(theta/2)) for Cx.
+Alice measures her polarization in the Z basis (configuration Cz) or the X
+basis (configuration Cx), always with her path on |0>; ``alice_branch`` is
+the sign of the eigenvalue she records: "plus" is |0> under Cz and |+>
+under Cx, "minus" is |1> under Cz and |-> under Cx.  Bob projects his
+polarization onto |+> (or |->).  The conditional state on (b, d1, d2) is an
+omega state whose irreality in the path or marker basis is zero for Cz and
+equals the binary entropy H(cos^2(theta/2)) for Cx.  Path b is read at stage
+Psi1, markers d1 and d2 at stage Psi2.  No message passes from Alice to Bob,
+so his state averaged over her outcomes is the same under Cz and Cx.
 
 Reflection phases inside the loop are dropped (assumed compensated by the
 displacer alignment), so all protocol amplitudes are real.
@@ -28,6 +32,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .core import (
+    _EIGENBASES,
     ZERO_PROBABILITY_THRESHOLD,
     ConfigurationError,
     DensityMatrix,
@@ -88,21 +93,13 @@ class ProtocolConfig:
                     "are not normalized"
                 )
 
-    @property
-    def c(self) -> float:
-        return float(np.cos(self.theta / 2))
-
-    @property
-    def s(self) -> float:
-        return float(np.sin(self.theta / 2))
-
 
 def build_psi0(cfg: ProtocolConfig) -> PureState:
     """Initial state: entangled polarizations, paths at |0>, markers at |11>."""
     reg = eraser_register()
     amps = np.zeros(reg.dimension, dtype=complex)
-    amps[reg.index_of("000011")] = cfg.c
-    amps[reg.index_of("110011")] = cfg.s
+    amps[reg.index_of("000011")] = np.cos(cfg.theta / 2)
+    amps[reg.index_of("110011")] = np.sin(cfg.theta / 2)
     return PureState(reg, amps)
 
 
@@ -153,30 +150,23 @@ def apply_beam_displacers(psi1: PureState, cfg: ProtocolConfig) -> PureState:
     return apply_unitary(state, controlled_2, ("b", "B", "d2"))
 
 
-_PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
-_MINUS = np.array([1.0, -1.0]) / np.sqrt(2)
-
-
-def _outcomes(cfg: ProtocolConfig, alice_z_outcome: int, bob_sign: str):
-    """Alice's outcome vector on (A, a) and Bob's on B."""
-    if alice_z_outcome not in (0, 1):
-        raise ConfigurationError("alice_z_outcome must be 0 or 1")
+def _outcomes(cfg: ProtocolConfig, bob_sign: str):
+    """Alice's outcome vector on (A, a) and Bob's on B, from the Pauli eigenbases."""
     if bob_sign not in BRANCH_SIGNS:
         raise ConfigurationError(f"bob_sign must be one of {BRANCH_SIGNS}")
-    if cfg.alice_config == "Cz":
-        alice_pol = np.eye(2)[alice_z_outcome]
-    else:
-        alice_pol = _PLUS if cfg.alice_branch == "plus" else _MINUS
+    alice_basis = _EIGENBASES["Z" if cfg.alice_config == "Cz" else "X"]
+    alice_pol = alice_basis[:, BRANCH_SIGNS.index(cfg.alice_branch)]
     alice_outcome = np.kron(alice_pol, [1.0, 0.0])  # path a projected on |0>
-    return alice_outcome, _PLUS if bob_sign == "plus" else _MINUS
+    return alice_outcome, _EIGENBASES["X"][:, BRANCH_SIGNS.index(bob_sign)]
 
 
 @dataclass
 class SweepRecord:
     """One row of an irreality-versus-theta sweep; ``omega`` is on ``OMEGA_REGISTER``.
 
-    A row with a zero-probability projection (Cz at theta = pi) has no
-    state: its irreality and ``omega`` are None, its probability 0.
+    A row with a zero-probability projection (under Cz, the plus branch at
+    theta = pi and the minus branch at theta = 0) has no state: its
+    irreality and ``omega`` are None, its probability 0.
     """
 
     theta: float
@@ -226,7 +216,7 @@ def _basis_kets(bd_settings: tuple, stage: int) -> np.ndarray:
     return kets
 
 
-def _omega_stack(cfg, target: str, thetas: np.ndarray, *, alice_z_outcome=0, bob_sign="plus"):
+def _omega_stack(cfg, target: str, thetas: np.ndarray, *, bob_sign="plus"):
     """Omega states (T, 8, 8) and selection probabilities (T,) over a theta grid.
 
     The evolved basis kets (:func:`_basis_kets`), projected on Alice's
@@ -236,7 +226,7 @@ def _omega_stack(cfg, target: str, thetas: np.ndarray, *, alice_z_outcome=0, bob
     the default displacer settings).  Undefined rows are zero matrices with
     probability 0.
     """
-    alice_outcome, bob_outcome = _outcomes(cfg, alice_z_outcome, bob_sign)
+    alice_outcome, bob_outcome = _outcomes(cfg, bob_sign)
     kets = _basis_kets(tuple(cfg.bd_settings), stage_for_target(target))
     r = np.einsum("Aa,ABaj->ABj", alice_outcome.reshape(2, 2).conj(), kets)
     amps = np.stack([np.cos(thetas / 2), np.sin(thetas / 2)], axis=-1) @ r.reshape(2, 16)
@@ -248,16 +238,18 @@ def _omega_stack(cfg, target: str, thetas: np.ndarray, *, alice_z_outcome=0, bob
     return omegas, p_alice * p_bob
 
 
-def omega_state(cfg: ProtocolConfig, target: str, **variants) -> tuple[DensityMatrix, float]:
+def omega_state(
+    cfg: ProtocolConfig, target: str, *, bob_sign: str = "plus"
+) -> tuple[DensityMatrix, float]:
     """Omega state and selection probability for the stage probing ``target``.
 
-    The one-point case of :func:`irreality_curve`'s kernel.  ``variants``
-    are ``alice_z_outcome`` (0 or 1, the |1>_A branch of Cz) and
-    ``bob_sign`` ("plus" or "minus"); both default to the standard protocol
-    choices.  A projection with zero probability (Cz at theta = pi) raises
-    :class:`ZeroProbabilityError`.
+    The one-point case of :func:`irreality_curve`'s kernel.  Alice's outcome
+    is ``cfg.alice_branch``; Bob's is ``bob_sign`` ("plus" for |+>, "minus"
+    for |->).  A projection with zero probability raises
+    :class:`ZeroProbabilityError`: under Cz the plus branch is undefined at
+    theta = pi and the minus branch at theta = 0.
     """
-    omegas, probs = _omega_stack(cfg, target, np.array([cfg.theta]), **variants)
+    omegas, probs = _omega_stack(cfg, target, np.array([cfg.theta]), bob_sign=bob_sign)
     if probs[0] == 0.0:
         raise ZeroProbabilityError(f"a projection at theta {cfg.theta} has zero probability")
     return DensityMatrix(OMEGA_REGISTER, omegas[0]), float(probs[0])

@@ -49,6 +49,12 @@ _PAULI = {
 }
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, cut to 80 characters around "..."."""
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:38]}...{text[-39:]}"
+
+
 class IncompleteDataError(ValueError):
     """The dataset does not contain every required measurement setting."""
 
@@ -68,7 +74,7 @@ class MeasurementSetting:
         object.__setattr__(self, "bases", bases)
         for b in bases:
             if b not in SETTING_BASES:
-                raise DatasetFormatError(f"unknown measurement basis {b!r}")
+                raise DatasetFormatError(f"unknown measurement basis {_shown(b)}")
 
     @property
     def n_qubits(self) -> int:
@@ -172,7 +178,9 @@ def simulate_counts(
 
 def _check_qubit_count(n_qubits: int) -> None:
     if n_qubits > MAX_QUBITS:
-        raise DatasetFormatError(f"n_qubits: {n_qubits} exceeds the maximum of {MAX_QUBITS}")
+        raise DatasetFormatError(
+            f"n_qubits: {_shown(n_qubits)} exceeds the maximum of {MAX_QUBITS}"
+        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -387,20 +395,20 @@ def dataset_from_dict(payload: dict) -> TomographyDataset:
             raise DatasetFormatError(f"missing required field {field!r}")
     n = payload["n_qubits"]
     if type(n) is not int or n < 1:
-        raise DatasetFormatError(f"n_qubits: expected positive integer, got {n!r}")
+        raise DatasetFormatError(f"n_qubits: expected positive integer, got {_shown(n)}")
     _check_qubit_count(n)
     shots = payload["shots_per_setting"]
     if type(shots) is not int or shots < 1:
         raise DatasetFormatError(
-            f"shots_per_setting: expected positive integer, got {shots!r}"
+            f"shots_per_setting: expected positive integer, got {_shown(shots)}"
         )
     if shots > MAX_COUNT:  # bounds every count too, since a row sums to at most shots
         raise DatasetFormatError(
-            f"shots_per_setting: {shots} exceeds the maximum of {MAX_COUNT}"
+            f"shots_per_setting: {_shown(shots)} exceeds the maximum of {MAX_COUNT}"
         )
     seed = payload["seed"]
     if type(seed) is not int:
-        raise DatasetFormatError(f"seed: expected integer, got {seed!r}")
+        raise DatasetFormatError(f"seed: expected integer, got {_shown(seed)}")
     raw_settings = payload["settings"]
     if not isinstance(raw_settings, list) or not raw_settings:
         raise DatasetFormatError("settings: expected a nonempty list")
@@ -424,11 +432,11 @@ def dataset_from_dict(payload: dict) -> TomographyDataset:
         for j, c in enumerate(row):
             if type(c) is not int or c < 0:
                 raise DatasetFormatError(
-                    f"{where}.counts[{j}]: expected nonnegative integer, got {c!r}"
+                    f"{where}.counts[{j}]: expected nonnegative integer, got {_shown(c)}"
                 )
         if sum(row) > shots:
             raise DatasetFormatError(
-                f"{where}.counts: total {sum(row)} exceeds shots_per_setting {shots}"
+                f"{where}.counts: total {_shown(sum(row))} exceeds shots_per_setting {shots}"
             )
         settings.append(setting)
         counts.append(row)

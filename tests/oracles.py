@@ -240,18 +240,20 @@ def stage_state(cfg, stage):
     return apply_beam_displacers(psi, cfg) if stage == 2 else psi
 
 
-def omega_per_theta(cfg, target, *, alice_z_outcome=0, bob_sign="plus"):
+def omega_per_theta(cfg, target, *, bob_sign="plus"):
     """Omega state and selection probability of one theta, by two post-selections.
 
-    Alice projects (A, a) on her polarization outcome times |0>_a, then Bob
+    Alice projects (A, a) on her polarization outcome times |0>_a: |0> or |1>
+    under Cz, |+> or |-> under Cx, for the plus or minus branch.  Then Bob
     projects B on |+> (or |->); path targets are read at stage 1, marker
     targets at stage 2.
     """
+    z_basis = {"plus": np.array([1.0, 0.0]), "minus": np.array([0.0, 1.0])}
     x_basis = {
         "plus": np.array([1.0, 1.0]) / np.sqrt(2),
         "minus": np.array([1.0, -1.0]) / np.sqrt(2),
     }
-    alice = np.eye(2)[alice_z_outcome] if cfg.alice_config == "Cz" else x_basis[cfg.alice_branch]
+    alice = (z_basis if cfg.alice_config == "Cz" else x_basis)[cfg.alice_branch]
     state = stage_state(cfg, 1 if TARGETS[target] == "b" else 2)
     state, p_alice = post_select(state, np.kron(alice, [1.0, 0.0]), ("A", "a"))
     state, p_bob = post_select(state, x_basis[bob_sign], ("B",))

@@ -10,7 +10,8 @@ import pytest
 import qreality.cli
 import qreality.mzi
 from qreality import (
-    MziConfig, purity, save_dataset, simulate_counts, tomography_end_to_end, visibility
+    DensityMatrix, MziConfig, fidelity, purity, save_dataset, simulate_counts,
+    tomography_end_to_end, visibility,
 )
 from qreality.cli import MAX_GRID, MAX_RESAMPLES, OMEGA_STATES, _write_csv, build_parser, main
 from qreality.eraser import ProtocolConfig, omega_state
@@ -59,7 +60,7 @@ class TestSweep:
 
     def test_cx_rows_match_binary_entropy(self, tmp_path):
         out = tmp_path / "run"
-        run(["sweep", "--stage", "1", "--target", "b", "--grid", "41", "--out-dir", str(out)])
+        run(["sweep", "--target", "b", "--grid", "41", "--out-dir", str(out)])
         _, rows = read_csv(out / "sweep.csv")
         cx = [r for r in rows if r["config"] == "Cx"]
         assert len(cx) == 41
@@ -73,8 +74,6 @@ class TestSweep:
         run(
             [
                 "sweep",
-                "--stage",
-                "2",
                 "--target",
                 "d1",
                 "--config",
@@ -98,8 +97,9 @@ class TestSweep:
         assert run(args) == 0
         _, rows = read_csv(tmp_path / "sweep.csv")
         cz = [r["irreality_analytic"] for r in rows if r["config"] == "Cz"]
-        assert cz[-1] == ""  # theta = pi: undefined
-        assert cz[:-1] == ["0.0"] * 40
+        # Alice's |0> never occurs at theta = pi, her |1> never at theta = 0
+        assert cz.pop(-1 if branch == "plus" else 0) == ""
+        assert cz == ["0.0"] * 40
         cx_at_zero = [r for r in rows if r["config"] == "Cx" and r["theta"] == "0.0"]
         assert [r["irreality_analytic"] for r in cx_at_zero] == ["0.0"]
 
@@ -107,11 +107,34 @@ class TestSweep:
         code = run(["sweep", "--grid", "0", "--out-dir", str(tmp_path)])
         assert code == 2
 
-    def test_stage_target_mismatch_is_usage_error(self, tmp_path):
-        code = run(
-            ["sweep", "--stage", "2", "--target", "b", "--out-dir", str(tmp_path)]
-        )
-        assert code == 2
+    def test_stage_target_mismatch_is_usage_error(self, tmp_path, capsys):
+        # the stage follows from --target (b at Psi1, d1 and d2 at Psi2), so
+        # there is no --stage flag, matching the target or not
+        for stage in ("1", "2"):
+            code = run(
+                ["sweep", "--stage", stage, "--target", "b", "--out-dir", str(tmp_path)]
+            )
+            assert code == 2
+            assert f"unrecognized arguments: --stage {stage}" in capsys.readouterr().err
+        assert not tmp_path.joinpath("sweep.csv").exists()
+
+    def test_cz_minus_branch_is_alice_one_outcome(self, tmp_path):
+        runs = {}
+        for branch in ("plus", "minus"):
+            out = tmp_path / branch
+            args = ["sweep", "--config", "Cz", "--branch", branch,
+                    "--theta-max", repr(np.pi), "--out-dir", str(out)]
+            assert run(args) == 0
+            runs[branch] = (out / "sweep.csv").read_bytes()
+        assert runs["plus"] != runs["minus"]
+        _, rows = read_csv(tmp_path / "minus" / "sweep.csv")
+        assert rows[0]["irreality_analytic"] == ""  # theta = 0: Alice's |1> never occurs
+        assert rows[0]["selection_probability"] == "0.0"
+        assert rows[-1]["irreality_analytic"] == "0.0"  # theta = pi is defined
+        for row in rows[1:]:
+            assert row["irreality_analytic"] == "0.0"
+            expected = np.sin(float(row["theta"]) / 2) ** 2 / 2
+            assert float(row["selection_probability"]) == pytest.approx(expected, abs=1e-12)
 
     def test_bad_theta_range_is_usage_error(self, tmp_path):
         code = run(
@@ -273,6 +296,18 @@ class TestTomo:
         matrix = json.loads((out / "density_matrix.json").read_text())
         assert matrix["labels"] == ["b", "d1", "d2"]
         assert len(matrix["real"]) == 8
+
+    def test_omega1z_minus_branch_is_alice_one_outcome(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["tomo", "--simulate", "--state", "omega1z", "--branch", "minus",
+                "--theta", "2.0", "--shots", "100000", "--out-dir", str(out)]
+        assert run(argv) == 0
+        matrix = json.loads((out / "density_matrix.json").read_text())
+        rho = np.array(matrix["real"]) + 1j * np.array(matrix["imag"])
+        truth, _ = omega_state(ProtocolConfig(2.0, "Cz", "minus"), "b")
+        plus, _ = omega_state(ProtocolConfig(2.0, "Cz", "plus"), "b")
+        assert fidelity(DensityMatrix(truth.register, rho), truth) >= 0.99
+        assert fidelity(truth, plus) < 0.5  # the two branches are told apart
 
     def test_omega2z_purity(self, tmp_path):
         out = tmp_path / "run"
@@ -437,6 +472,35 @@ class TestTomo:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and message in lines[0]
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seed", "a" * 10**6, "error: seed: expected integer, got 'aaa"),
+            ("n_qubits", [1] * 300_000, "error: n_qubits: expected positive integer, got [1, "),
+            ("bases", "Q" * 500_000, "error: settings[0].bases: unknown measurement basis 'QQQ"),
+            ("seed", json.loads("[" * 950 + "]" * 950), "error: seed: expected integer, got [[["),
+        ],
+        ids=["long-seed", "long-n_qubits", "long-basis", "deep-seed"],
+    )
+    def test_oversized_value_is_one_short_error_line(self, tmp_path, capsys, field, value, message):
+        # a rejected value is echoed cut to 80 characters; the line still names the field
+        payload = {
+            "n_qubits": 1,
+            "shots_per_setting": 10,
+            "seed": 0,
+            "settings": [{"bases": [b], "counts": [5, 5]} for b in ("Z", "X", "Y")],
+        }
+        if field == "bases":
+            payload["settings"][0]["bases"] = [value]
+        else:
+            payload[field] = value
+        bad = tmp_path / "oversized.json"
+        bad.write_text(json.dumps(payload))
+        assert run(["tomo", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.encode()) <= 300
+        assert err.count("\n") == 1 and err.startswith(message), err
 
     def test_duplicate_setting_is_one_error_line(self, tmp_path, capsys):
         payload = {

@@ -4,8 +4,8 @@ A valid payload is built for 1 or 2 qubits and then damaged in one way:
 a field dropped or retyped, a wrong length, an unknown basis letter, a bad
 count, a setting listed twice or left out, huge shot budgets, or a top
 level that is not an object.  Every damaged file must exit 1 with exactly
-one `error:` line on stderr; valid variants, such as reordered settings,
-must exit 0.
+one `error:` line of at most 300 bytes on stderr; valid variants, such as
+reordered settings, must exit 0.
 """
 
 import contextlib
@@ -21,6 +21,7 @@ from qreality.cli import main
 from qreality.tomography import MAX_COUNT
 
 FIELDS = ("n_qubits", "shots_per_setting", "seed", "settings")
+MAX_ERROR_BYTES = 300  # a rejected value is echoed cut to 80 characters
 
 # Every JSON type; each damage below filters out what would stay valid.
 json_values = st.one_of(
@@ -170,6 +171,7 @@ def test_damaged_payload_is_one_error_line(workdir, damage, payload, data):
     lines = err.splitlines()
     assert code == 1, (damage.__name__, payload)
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert len(err.encode()) <= MAX_ERROR_BYTES, err
 
 
 @settings(max_examples=25, deadline=None)

@@ -232,23 +232,43 @@ class TestProjections:
         # path b is read at stage 1, marker d1 at stage 2
         for config, target in (("Cz", "b"), ("Cz", "d1"), ("Cx", "b"), ("Cx", "d1")):
             total = 0.0
-            for alice_kw in (
-                [{"alice_z_outcome": 0}, {"alice_z_outcome": 1}]
-                if config == "Cz"
-                else [{}]
-            ):
-                branches = ("plus", "minus") if config == "Cx" else ("plus",)
-                for branch in branches:
-                    cfg = ProtocolConfig(
-                        theta=theta, alice_config=config, alice_branch=branch
-                    )
-                    for bob in ("plus", "minus"):
-                        try:
-                            _, p = omega_state(cfg, target, bob_sign=bob, **alice_kw)
-                        except ZeroProbabilityError:
-                            p = 0.0
-                        total += p
+            for branch in ("plus", "minus"):
+                cfg = ProtocolConfig(
+                    theta=theta, alice_config=config, alice_branch=branch
+                )
+                for bob in ("plus", "minus"):
+                    try:
+                        _, p = omega_state(cfg, target, bob_sign=bob)
+                    except ZeroProbabilityError:
+                        p = 0.0
+                    total += p
             assert total == pytest.approx(1.0, abs=1e-9)
+
+
+class TestNoSignalling:
+    """Bob's state averaged over Alice's outcomes cannot depend on her choice."""
+
+    @pytest.mark.parametrize("target", ["b", "d1", "d2"])
+    @pytest.mark.parametrize("bob", ["plus", "minus"])
+    @pytest.mark.parametrize(
+        "bd_settings", [(0.0, 1.0, 1.0, 0.0), (0.6, 0.8, 0.28, 0.96)]
+    )
+    def test_average_over_alice_outcomes_is_the_same_for_cz_and_cx(
+        self, target, bob, bd_settings
+    ):
+        for theta in np.linspace(0.0, np.pi, 9):
+            averaged = {}
+            for config in ("Cz", "Cx"):
+                total = np.zeros((8, 8), dtype=complex)
+                for branch in ("plus", "minus"):
+                    cfg = ProtocolConfig(theta, config, branch, bd_settings)
+                    try:
+                        omega, p = omega_state(cfg, target, bob_sign=bob)
+                    except ZeroProbabilityError:
+                        continue  # this outcome never occurs: weight 0
+                    total += p * omega.entries
+                averaged[config] = total
+            np.testing.assert_allclose(averaged["Cz"], averaged["Cx"], atol=1e-12, rtol=0)
 
 
 class TestIrrealityCurve:

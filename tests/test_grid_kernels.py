@@ -109,9 +109,7 @@ class TestOmegaState:
         "config, variants",
         [
             ("Cz", {}),
-            ("Cz", {"alice_z_outcome": 1}),
             ("Cz", {"bob_sign": "minus"}),
-            ("Cz", {"alice_z_outcome": 1, "bob_sign": "minus"}),
             ("Cx", {}),
             ("Cx", {"bob_sign": "minus"}),
         ],
@@ -141,9 +139,9 @@ class TestOmegaState:
                 omega_state(cfg, target)
 
     def test_bad_variants_rejected(self):
-        cfg = ProtocolConfig(theta=0.5, alice_config="Cz")
         with pytest.raises(ConfigurationError):
-            omega_state(cfg, "d1", alice_z_outcome=2)
+            ProtocolConfig(theta=0.5, alice_config="Cz", alice_branch="sideways")
+        cfg = ProtocolConfig(theta=0.5, alice_config="Cz")
         with pytest.raises(ConfigurationError):
             omega_state(cfg, "d1", bob_sign="sideways")
 
