@@ -53,12 +53,9 @@ def sweep_table():
     cx = irreality_curve(ProtocolConfig(theta=0.0, alice_config="Cx"), "d1", grid)
     cz = irreality_curve(ProtocolConfig(theta=0.0, alice_config="Cz"), "d1", grid)
     print(f"  {'theta':>8}  {'Cx':>10}  {'Cz':>10}  {'H(cos^2)':>10}")
-    for rx, rz in zip(cx, cz):
-        closed_form = binary_entropy(np.cos(rx.theta / 2) ** 2)
-        print(
-            f"  {rx.theta:8.4f}  {rx.irreality_analytic:10.6f}  "
-            f"{rz.irreality_analytic:10.6f}  {closed_form:10.6f}"
-        )
+    for theta, rx, rz in zip(cx.theta, cx.irreality, cz.irreality):
+        closed_form = binary_entropy(np.cos(theta / 2) ** 2)
+        print(f"  {theta:8.4f}  {rx:10.6f}  {rz:10.6f}  {closed_form:10.6f}")
     print("  the Cx column follows the binary entropy; the Cz column is zero")
 
 

@@ -24,7 +24,6 @@ from .core import DensityMatrix, ObservableSpec, QubitRegister, _pauli_z, purity
 from .eraser import (
     OMEGA_REGISTER,
     ProtocolConfig,
-    SweepRecord,
     TARGETS,
     irreality_curve,
     omega_state,
@@ -56,12 +55,13 @@ SWEEP_SCHEMA = "qreality.sweep.v1"
 MZI_SCHEMA = "qreality.mzi.v1"
 RHO_SCHEMA = "qreality.rho-real.v1"
 
-# Measured peaks: a sweep row takes about 5.5 KB (two rows per grid point
-# with --config both), an mzi phase about 0.44 KB and a Monte Carlo
-# resample of the 3-qubit omega state about 8.2 KB (the tracemalloc peaks
+# Measured peaks: a sweep row takes about 1.5 KB, 2.2 KB with --tomo (two
+# rows per grid point with --config both; the tracemalloc peaks of sweep at
+# --grid 2 000 and 10 000 differ by 24 MB), an mzi phase about 0.44 KB and
+# a Monte Carlo resample of the 3-qubit omega state about 8.2 KB (the peaks
 # of monte_carlo_irreality at 2 000 and 10 000 resamples differ by 65 MB).
-# So --grid at its limit needs about 1.1 GB for a sweep and 44 MB for mzi,
-# and --resamples at its limit about 0.8 GB.
+# So --grid at its limit needs about 0.3 GB for a sweep (0.45 GB with
+# --tomo) and 44 MB for mzi, and --resamples at its limit about 0.8 GB.
 MAX_GRID = 100_000
 MAX_RESAMPLES = 100_000
 INT64_LIMIT = "the largest int64 count"
@@ -111,8 +111,9 @@ def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
         fh.write("".join(lines))
 
 
-def _fmt(value) -> str:
-    return "" if value is None else repr(float(value))
+def _reprs(column: np.ndarray) -> list[str]:
+    """``repr`` of each float in ``column``, with an empty field for NaN."""
+    return ["" if text == "nan" else text for text in map(repr, column.tolist())]
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -147,22 +148,24 @@ def cmd_sweep(parser, args) -> int:
         _check_range(parser, "--shots", args.shots, 1, MAX_POISSON_COUNT, POISSON_LIMIT)
     configs = ("Cz", "Cx") if args.config == "both" else (args.config,)
 
-    records: list[SweepRecord] = []
-    for config in configs:
-        template = ProtocolConfig(
-            theta=0.0, alice_config=config, alice_branch=args.branch
-        )
-        records.extend(irreality_curve(template, args.target, grid))
-
+    curves = [
+        irreality_curve(ProtocolConfig(0.0, config, args.branch), args.target, grid)
+        for config in configs
+    ]
+    # all columns but omega, which only --tomo reads and is joined there
+    thetas, irrealities, probs = (np.concatenate(column) for column in list(zip(*curves))[:3])
+    tomo_mean, tomo_std = np.full((2, len(thetas)), np.nan)
     if args.tomo:
-        child_seeds = np.random.SeedSequence(args.seed).generate_state(2 * len(records))
-        for rec, (counts_seed, resample_seed) in zip(records, child_seeds.reshape(-1, 2).tolist()):
-            if rec.omega is None:
+        omegas = np.concatenate([curve.omega for curve in curves])
+        z_target = _pauli_z(target)
+        child_seeds = np.random.SeedSequence(args.seed).generate_state(2 * len(thetas))
+        for i, (counts_seed, resample_seed) in enumerate(child_seeds.reshape(-1, 2).tolist()):
+            if probs[i] == 0.0:
                 continue  # undefined row: no state to measure
-            omega = DensityMatrix(OMEGA_REGISTER, rec.omega)
-            rec.irreality_tomo_mean, rec.irreality_tomo_std = monte_carlo_irreality(
+            omega = DensityMatrix(OMEGA_REGISTER, omegas[i])
+            tomo_mean[i], tomo_std[i] = monte_carlo_irreality(
                 simulate_counts(omega, args.shots, counts_seed),
-                _pauli_z(rec.target),
+                z_target,
                 args.resamples,
                 resample_seed,
                 OMEGA_REGISTER,
@@ -179,18 +182,15 @@ def cmd_sweep(parser, args) -> int:
         "irreality_tomo_std",
         "selection_probability",
     ]
-    rows = [
-        [
-            _fmt(r.theta),
-            r.config,
-            r.target,
-            _fmt(r.irreality_analytic),
-            _fmt(r.irreality_tomo_mean),
-            _fmt(r.irreality_tomo_std),
-            _fmt(r.selection_probability),
-        ]
-        for r in records
-    ]
+    rows = zip(
+        _reprs(thetas),
+        [config for config in configs for _ in grid],
+        [target] * len(thetas),
+        _reprs(irrealities),
+        _reprs(tomo_mean),
+        _reprs(tomo_std),
+        _reprs(probs),
+    )
     _write_csv(out_dir / "sweep.csv", SWEEP_SCHEMA, header, rows)
 
     config_dict = {
@@ -208,7 +208,7 @@ def cmd_sweep(parser, args) -> int:
     _write_json(
         out_dir / "summary.json",
         {
-            "rows": len(records),
+            "rows": len(thetas),
             "config": config_dict,
             "seed": args.seed,
             "version": __version__,
@@ -217,7 +217,7 @@ def cmd_sweep(parser, args) -> int:
     )
     _write_manifest(out_dir, "sweep", config_dict, args.seed)
     print(f"seed: {args.seed}")
-    print(f"wrote {out_dir / 'sweep.csv'} ({len(records)} rows)")
+    print(f"wrote {out_dir / 'sweep.csv'} ({len(thetas)} rows)")
     return 0
 
 
@@ -265,9 +265,9 @@ def cmd_tomo(parser, args) -> int:
 
     kets = [format(i, f"0{register.n_qubits}b") for i in range(register.dimension)]
     rows = [
-        [str(i), str(j), kets[i], kets[j], _fmt(rho.entries[i, j].real)]
-        for i in range(register.dimension)
-        for j in range(register.dimension)
+        [str(i), str(j), kets[i], kets[j], repr(value)]
+        for i, values in enumerate(rho.entries.real.tolist())
+        for j, value in enumerate(values)
     ]
     _write_csv(
         out_dir / "density_matrix_real.csv",

@@ -12,10 +12,14 @@ basis (configuration Cx), always with her path on |0>; ``alice_branch`` is
 the sign of the eigenvalue she records: "plus" is |0> under Cz and |+>
 under Cx, "minus" is |1> under Cz and |-> under Cx.  Bob projects his
 polarization onto |+> (or |->).  The conditional state on (b, d1, d2) is an
-omega state whose irreality in the path or marker basis is zero for Cz and
-equals the binary entropy H(cos^2(theta/2)) for Cx.  Path b is read at stage
-Psi1, markers d1 and d2 at stage Psi2.  No message passes from Alice to Bob,
-so his state averaged over her outcomes is the same under Cz and Cx.
+omega state.  Under Cx its irreality in the path basis, and at the default
+displacer settings in either marker basis, equals the binary entropy
+H(cos^2(theta/2)).  Under Cz it is zero when gamma1 delta1 = 0 and gamma2
+delta2 = 0, as at the default settings; otherwise, at theta = pi/2, marker
+d1 reads H(gamma1^2) on Alice's plus outcome and d2 reads H(gamma2^2) on her
+minus outcome.  Path b is read at stage Psi1, markers d1 and d2 at stage
+Psi2.  No message passes from Alice to Bob, so his state averaged over her
+outcomes is the same under Cz and Cx.
 
 Reflection phases inside the loop are dropped (assumed compensated by the
 displacer alignment), so all protocol amplitudes are real.
@@ -26,8 +30,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import numbers
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -160,23 +164,20 @@ def _outcomes(cfg: ProtocolConfig, bob_sign: str):
     return alice_outcome, _EIGENBASES["X"][:, BRANCH_SIGNS.index(bob_sign)]
 
 
-@dataclass
-class SweepRecord:
-    """One row of an irreality-versus-theta sweep; ``omega`` is on ``OMEGA_REGISTER``.
+class IrrealityCurve(NamedTuple):
+    """An irreality-versus-theta sweep as columns, one row per grid point.
 
-    A row with a zero-probability projection (under Cz, the plus branch at
-    theta = pi and the minus branch at theta = 0) has no state: its
-    irreality and ``omega`` are None, its probability 0.
+    ``omega`` is the (T, 8, 8) stack of states on ``OMEGA_REGISTER``.  A row
+    with a zero-probability projection (under Cz, the plus branch at theta =
+    pi and the minus branch at theta = 0) has no state: its probability is
+    0.0, its irreality NaN and its omega the zero matrix, so
+    ``probability > 0`` marks the defined rows.
     """
 
-    theta: float
-    config: str
-    target: str
-    irreality_analytic: Optional[float]
-    selection_probability: float
-    irreality_tomo_mean: Optional[float] = None
-    irreality_tomo_std: Optional[float] = None
-    omega: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    theta: np.ndarray
+    irreality: np.ndarray
+    probability: np.ndarray
+    omega: np.ndarray
 
 
 def stage_for_target(target: str) -> int:
@@ -264,16 +265,17 @@ def irreality_curve(
     cfg_template: ProtocolConfig,
     target: str,
     theta_grid: Iterable[float],
-) -> list[SweepRecord]:
+) -> IrrealityCurve:
     """Analytic irreality of the chosen degree of freedom over a theta grid.
 
     The grid is one stack of omega states.  Each is pure, so S(omega) = 0,
     and the Z measurement of the target leaves two nonzero eigenvalues,
     p_k = the total of diag(omega) over the basis states whose target bit
-    is k; the irreality is the Shannon entropy of (p_0, p_1).  For Cz the
-    curve is identically zero; for Cx it equals the binary entropy of
-    cos^2(theta/2), with the d1 and d2 curves coinciding.  Undefined rows
-    are described on :class:`SweepRecord`.
+    is k; the irreality is the Shannon entropy of (p_0, p_1).  At the default
+    displacer settings the Cx curve is the binary entropy of cos^2(theta/2)
+    for every target and the Cz curve is zero (see the module docstring for
+    other settings).  Returns one column per quantity; undefined rows are
+    described on :class:`IrrealityCurve`.
     """
     thetas = np.array([float(t) for t in theta_grid])
     if not thetas.size:
@@ -282,19 +284,8 @@ def irreality_curve(
         dataclasses.replace(cfg_template, theta=float(theta))
 
     omegas, probs = _omega_stack(cfg_template, target, thetas)  # checks the target
-    label = TARGETS[target]
-    axis = OMEGA_REGISTER.axis(label)
+    axis = OMEGA_REGISTER.axis(TARGETS[target])
     diag = np.diagonal(omegas, axis1=-2, axis2=-1).real
     outcome_probs = diag.reshape(len(thetas), 2**axis, 2, -1).sum(axis=(1, 3))
-    values = _eigenvalue_entropies(outcome_probs)
-    return [
-        SweepRecord(
-            theta=float(theta),
-            config=cfg_template.alice_config,
-            target=label,
-            irreality_analytic=float(value) if prob > 0.0 else None,
-            selection_probability=float(prob),
-            omega=omega if prob > 0.0 else None,
-        )
-        for theta, omega, prob, value in zip(thetas, omegas, probs, values)
-    ]
+    values = np.where(probs > 0.0, _eigenvalue_entropies(outcome_probs), np.nan)
+    return IrrealityCurve(thetas, values, probs, omegas)

@@ -450,10 +450,22 @@ def dataset_from_dict(payload: dict) -> TomographyDataset:
     )
 
 
+def _parse_int(digits: str):
+    """``int(digits)``, or the digits unconverted past Python's digit limit.
+
+    The field checks of :func:`dataset_from_dict` then reject the string and
+    name its field.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        return digits
+
+
 def load_dataset(path) -> TomographyDataset:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_int=_parse_int)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(
                 f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

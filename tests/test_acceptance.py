@@ -50,11 +50,12 @@ def test_criterion_01_closed_form_curves():
     cx = ProtocolConfig(theta=0.0, alice_config="Cx")
     cz = ProtocolConfig(theta=0.0, alice_config="Cz")
     for target in ("path_b", "d1", "d2"):
-        for rec in irreality_curve(cx, target, GRID):
-            expected = binary_entropy_exact(np.cos(rec.theta / 2) ** 2)
-            worst = max(worst, abs(rec.irreality_analytic - expected))
-        for rec in irreality_curve(cz, target, GRID):
-            worst = max(worst, abs(rec.irreality_analytic))
+        curve = irreality_curve(cx, target, GRID)
+        for theta, value in zip(curve.theta, curve.irreality):
+            expected = binary_entropy_exact(np.cos(theta / 2) ** 2)
+            worst = max(worst, abs(value - expected))
+        for value in irreality_curve(cz, target, GRID).irreality:
+            worst = max(worst, abs(value))
     elapsed = time.perf_counter() - started
     report(
         1,
@@ -68,9 +69,9 @@ def test_criterion_02_endpoint_values():
     cx = ProtocolConfig(theta=0.0, alice_config="Cx")
     devs = []
     for target in ("path_b", "d1"):
-        lo, hi = irreality_curve(cx, target, [0.0, np.pi / 2])
-        devs.append(abs(lo.irreality_analytic - 0.0))
-        devs.append(abs(hi.irreality_analytic - 1.0))
+        lo, hi = irreality_curve(cx, target, [0.0, np.pi / 2]).irreality
+        devs.append(abs(lo - 0.0))
+        devs.append(abs(hi - 1.0))
     report(
         2,
         "Cx irreality is 0 at theta=0 and 1 at theta=pi/2",

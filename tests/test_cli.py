@@ -10,11 +10,11 @@ import pytest
 import qreality.cli
 import qreality.mzi
 from qreality import (
-    DensityMatrix, MziConfig, fidelity, purity, save_dataset, simulate_counts,
-    tomography_end_to_end, visibility,
+    DensityMatrix, MziConfig, ObservableSpec, fidelity, monte_carlo_irreality, purity,
+    save_dataset, simulate_counts, tomography_end_to_end, visibility,
 )
 from qreality.cli import MAX_GRID, MAX_RESAMPLES, OMEGA_STATES, _write_csv, build_parser, main
-from qreality.eraser import ProtocolConfig, omega_state
+from qreality.eraser import OMEGA_REGISTER, TARGETS, ProtocolConfig, irreality_curve, omega_state
 from qreality.tomography import MAX_POISSON_COUNT
 
 from oracles import binary_entropy_exact
@@ -26,6 +26,44 @@ def run(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def expected_sweep_csv(target, branch, grid, tomo=None):
+    """The bytes `sweep --config both` should write, one row at a time.
+
+    ``tomo`` is (shots, resamples, seed) for the tomography columns, drawn
+    with the CLI's two child seeds per row.
+    """
+    label = TARGETS[target]
+    rows = []
+    for config in ("Cz", "Cx"):
+        curve = irreality_curve(ProtocolConfig(0.0, config, branch), target, grid)
+        for theta, value, prob, omega in zip(*curve):
+            rows.append([theta, config, label, value, None, None, prob, omega])
+    if tomo is not None:
+        shots, resamples, seed = tomo
+        child_seeds = np.random.SeedSequence(seed).generate_state(2 * len(rows))
+        for row, (counts_seed, resample_seed) in zip(rows, child_seeds.reshape(-1, 2)):
+            if row[6] > 0:
+                counts = simulate_counts(DensityMatrix(OMEGA_REGISTER, row[7]), shots, counts_seed)
+                row[4:6] = monte_carlo_irreality(
+                    counts, ObservableSpec.pauli(label, "Z"), resamples, resample_seed,
+                    OMEGA_REGISTER,
+                )
+    out = io.StringIO(newline="")
+    out.write("# schema: qreality.sweep.v1\n")
+    writer = csv.writer(out)
+    writer.writerow(["theta", "config", "target", "irreality_analytic",
+                     "irreality_tomo_mean", "irreality_tomo_std", "selection_probability"])
+    for theta, config, label, value, mean, std, prob, _ in rows:
+        writer.writerow([
+            repr(float(theta)), config, label,
+            repr(float(value)) if prob > 0 else "",
+            "" if mean is None else repr(float(mean)),
+            "" if std is None else repr(float(std)),
+            repr(float(prob)),
+        ])
+    return out.getvalue().encode("utf-8")
 
 
 def read_csv(path):
@@ -102,6 +140,22 @@ class TestSweep:
         assert cz == ["0.0"] * 40
         cx_at_zero = [r for r in rows if r["config"] == "Cx" and r["theta"] == "0.0"]
         assert [r["irreality_analytic"] for r in cx_at_zero] == ["0.0"]
+
+    @pytest.mark.parametrize("target", sorted(TARGETS))
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    @pytest.mark.parametrize("tomo", [False, True])
+    def test_file_is_the_curve_columns_row_by_row(self, tmp_path, target, branch, tomo):
+        # row order, label columns, empty fields and undefined rows of the
+        # assembled file; both theta ends are included, so each branch has
+        # one undefined Cz row
+        args = ["sweep", "--target", target, "--branch", branch,
+                "--theta-max", repr(np.pi), "--out-dir", str(tmp_path)]
+        grid = np.linspace(0.0, np.pi, 3 if tomo else 41)
+        if tomo:
+            args += ["--tomo", "--grid", "3", "--resamples", "20"]
+        assert run(args) == 0
+        want = expected_sweep_csv(target, branch, grid, (10_000, 20, 42) if tomo else None)
+        assert (tmp_path / "sweep.csv").read_bytes() == want
 
     def test_zero_grid_is_usage_error(self, tmp_path):
         code = run(["sweep", "--grid", "0", "--out-dir", str(tmp_path)])

@@ -152,10 +152,11 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("schema")
 
 
-def run_tomo(directory, payload):
-    """Exit code and stderr of `qreality tomo` on `payload` written as JSON."""
+def run_tomo(directory, payload, text=None):
+    """Exit code and stderr of `qreality tomo` on `payload` written as JSON,
+    or on the file contents `text` when given."""
     path = directory / "counts.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload) if text is None else text)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["tomo", str(path), "--out-dir", str(directory / "out")])
@@ -194,3 +195,34 @@ def test_reordered_valid_payload_is_accepted(workdir, payload, order):
     code, err = run_tomo(workdir, payload)
     assert code == 0, err
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "path, where",
+    [
+        (("seed",), "seed"),
+        (("shots_per_setting",), "shots_per_setting"),
+        (("settings", 1, "counts", 0), "settings[1].counts[0]"),
+    ],
+    ids=["seed", "shots", "count"],
+)
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+def test_overlong_integer_names_its_field(workdir, path, where, sign):
+    # 5 001 digits is past the 4 300 that int() converts by default; json.dumps
+    # cannot write such an integer, so it replaces a placeholder in the text
+    payload = {
+        "n_qubits": 1,
+        "shots_per_setting": 10,
+        "seed": 7,
+        "settings": [{"bases": [b], "counts": [5, 5]} for b in "ZXY"],
+    }
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "PLACEHOLDER"
+    text = json.dumps(payload).replace('"PLACEHOLDER"', sign + "9" * 5001)
+    code, err = run_tomo(workdir, None, text)
+    lines = err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith(f"error: {where}: expected "), err
+    assert len(err.encode()) <= MAX_ERROR_BYTES, err

@@ -7,6 +7,7 @@ from qreality import (
     PureState,
     QubitRegister,
     ZeroProbabilityError,
+    binary_entropy,
     entanglement_entropy,
     fidelity,
     irreality,
@@ -274,14 +275,14 @@ class TestNoSignalling:
 class TestIrrealityCurve:
     def test_endpoints(self):
         cfg = ProtocolConfig(theta=0.0, alice_config="Cx")
-        recs = irreality_curve(cfg, "path_b", [0.0, np.pi / 2])
-        assert recs[0].irreality_analytic == pytest.approx(0.0, abs=1e-10)
-        assert recs[1].irreality_analytic == pytest.approx(1.0, abs=1e-10)
+        lo, hi = irreality_curve(cfg, "path_b", [0.0, np.pi / 2]).irreality
+        assert lo == pytest.approx(0.0, abs=1e-10)
+        assert hi == pytest.approx(1.0, abs=1e-10)
 
     def test_third_pi_value(self):
         cfg = ProtocolConfig(theta=0.0, alice_config="Cx")
-        (rec,) = irreality_curve(cfg, "d1", [np.pi / 3])
-        assert rec.irreality_analytic == pytest.approx(
+        (value,) = irreality_curve(cfg, "d1", [np.pi / 3]).irreality
+        assert value == pytest.approx(
             binary_entropy_exact(0.75), abs=1e-9
         )
 
@@ -289,33 +290,30 @@ class TestIrrealityCurve:
         cfg = ProtocolConfig(theta=0.0, alice_config="Cz")
         grid = default_theta_grid(21)
         for target in ("path_b", "d1", "d2"):
-            for rec in irreality_curve(cfg, target, grid):
-                assert abs(rec.irreality_analytic) < 1e-9
+            for value in irreality_curve(cfg, target, grid).irreality:
+                assert abs(value) < 1e-9
 
     def test_cx_matches_binary_entropy(self):
         cfg = ProtocolConfig(theta=0.0, alice_config="Cx")
         grid = default_theta_grid(21)
-        for rec in irreality_curve(cfg, "path_b", grid):
-            expected = binary_entropy_exact(np.cos(rec.theta / 2) ** 2)
-            assert rec.irreality_analytic == pytest.approx(expected, abs=1e-9)
+        curve = irreality_curve(cfg, "path_b", grid)
+        for theta, value in zip(curve.theta, curve.irreality):
+            expected = binary_entropy_exact(np.cos(theta / 2) ** 2)
+            assert value == pytest.approx(expected, abs=1e-9)
 
     def test_equality_chain_with_entanglement(self):
         grid = np.linspace(0.0, np.pi / 2, 50)
         cfg = ProtocolConfig(theta=0.0, alice_config="Cx")
-        b_curve = irreality_curve(cfg, "path_b", grid)
-        d1_curve = irreality_curve(cfg, "d1", grid)
-        d2_curve = irreality_curve(cfg, "d2", grid)
-        for rb, r1, r2 in zip(b_curve, d1_curve, d2_curve):
-            assert rb.irreality_analytic == pytest.approx(
-                r1.irreality_analytic, abs=1e-9
-            )
-            assert r1.irreality_analytic == pytest.approx(
-                r2.irreality_analytic, abs=1e-10
-            )
-            cfg_t = ProtocolConfig(theta=r1.theta, alice_config="Cx")
+        b_curve = irreality_curve(cfg, "path_b", grid).irreality
+        d1_curve = irreality_curve(cfg, "d1", grid).irreality
+        d2_curve = irreality_curve(cfg, "d2", grid).irreality
+        for theta, rb, r1, r2 in zip(grid, b_curve, d1_curve, d2_curve):
+            assert rb == pytest.approx(r1, abs=1e-9)
+            assert r1 == pytest.approx(r2, abs=1e-10)
+            cfg_t = ProtocolConfig(theta=float(theta), alice_config="Cx")
             omega, _ = omega_state(cfg_t, "d1")
             ee = entanglement_entropy(omega, (("b",), ("d1", "d2")))
-            assert r1.irreality_analytic == pytest.approx(ee, abs=1e-9)
+            assert r1 == pytest.approx(ee, abs=1e-9)
 
     def test_plus_minus_branches_agree(self):
         grid = default_theta_grid(11)
@@ -329,10 +327,8 @@ class TestIrrealityCurve:
             "d1",
             grid,
         )
-        for rp, rm in zip(plus, minus):
-            assert rp.irreality_analytic == pytest.approx(
-                rm.irreality_analytic, abs=1e-10
-            )
+        for rp, rm in zip(plus.irreality, minus.irreality):
+            assert rp == pytest.approx(rm, abs=1e-10)
 
     def test_mechanism_attribution(self):
         # path irreality is all coherence at stage 1, marker irreality is
@@ -347,6 +343,37 @@ class TestIrrealityCurve:
         rep_d = irreality(omega_d, ObservableSpec.pauli("d1", "Z"))
         assert rep_d.coherence == pytest.approx(0.0, abs=1e-9)
         assert rep_d.discord == pytest.approx(rep_d.irreality, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "displacer, gamma, measured",
+        [
+            (1, 0.0, 0.0),
+            (1, 0.259, 0.354935),
+            (1, 0.5, 0.811278),
+            (1, 2**-0.5, 1.0),
+            (1, 1.0, 0.0),
+            (2, 0.0, 0.0),
+            (2, 0.259, 0.354935),
+            (2, 0.5, 0.811278),
+            (2, 2**-0.5, 1.0),
+            (2, 1.0, 0.0),
+        ],
+    )
+    def test_cz_is_zero_only_when_gamma_delta_vanishes(self, displacer, gamma, measured):
+        # Cz at theta = pi/2 with displacer k = (gamma, delta): marker d1 on
+        # Alice's plus outcome (k = 1) or d2 on her minus outcome (k = 2)
+        # reads H(gamma^2); every other target and branch stays real
+        delta = float(np.sqrt(1.0 - gamma**2))
+        bd = (gamma, delta, 1.0, 0.0) if displacer == 1 else (0.0, 1.0, gamma, delta)
+        erased = ("d1", "plus") if displacer == 1 else ("d2", "minus")
+        expected = binary_entropy(gamma**2)
+        assert expected == pytest.approx(measured, abs=1e-6)
+        for target in ("b", "d1", "d2"):
+            for branch in ("plus", "minus"):
+                cfg = ProtocolConfig(0.0, "Cz", branch, bd)
+                (value,) = irreality_curve(cfg, target, [np.pi / 2]).irreality
+                want = expected if (target, branch) == erased else 0.0
+                assert value == pytest.approx(want, abs=1e-9), (target, branch)
 
     def test_empty_grid_rejected(self):
         cfg = ProtocolConfig(theta=0.0, alice_config="Cx")

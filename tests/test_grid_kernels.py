@@ -42,20 +42,20 @@ MZI_VARIANTS = [
 
 
 def assert_curve_matches(cfg, target, thetas):
-    records = irreality_curve(cfg, target, thetas)
-    assert [r.theta for r in records] == [float(t) for t in thetas]
-    for rec in records:
-        point = dataclasses.replace(cfg, theta=rec.theta)
+    curve = irreality_curve(cfg, target, thetas)
+    assert curve.theta.tolist() == [float(t) for t in thetas]
+    for theta, irreality, prob, omega in zip(*curve):
+        point = dataclasses.replace(cfg, theta=float(theta))
         try:
             ref_irreality, ref_prob = irreality_per_theta(point, target)
         except ZeroProbabilityError:
-            assert rec.irreality_analytic is None and rec.omega is None
-            assert rec.selection_probability == 0.0
+            assert np.isnan(irreality) and not omega.any()
+            assert prob == 0.0
             continue
-        assert rec.irreality_analytic == pytest.approx(ref_irreality, abs=ATOL)
-        assert rec.selection_probability == pytest.approx(ref_prob, abs=ATOL)
+        assert irreality == pytest.approx(ref_irreality, abs=ATOL)
+        assert prob == pytest.approx(ref_prob, abs=ATOL)
         ref_omega, _ = omega_per_theta(point, target)
-        np.testing.assert_allclose(rec.omega, ref_omega.entries, atol=ATOL, rtol=0)
+        np.testing.assert_allclose(omega, ref_omega.entries, atol=ATOL, rtol=0)
 
 
 class TestIrrealityCurve:
@@ -72,13 +72,13 @@ class TestIrrealityCurve:
     def test_theta_pi_rows_are_undefined_only_for_cz(self):
         for config in ("Cz", "Cx"):
             cfg = ProtocolConfig(theta=0.0, alice_config=config)
-            (rec,) = irreality_curve(cfg, "d1", [np.pi])
+            (_, (irreality,), (prob,), (omega,)) = irreality_curve(cfg, "d1", [np.pi])
             if config == "Cz":
-                assert rec.irreality_analytic is None and rec.omega is None
-                assert rec.selection_probability == 0.0
+                assert np.isnan(irreality) and not omega.any()
+                assert prob == 0.0
             else:
-                assert rec.irreality_analytic == pytest.approx(0.0, abs=1e-9)
-                assert rec.selection_probability == pytest.approx(0.25, abs=1e-12)
+                assert irreality == pytest.approx(0.0, abs=1e-9)
+                assert prob == pytest.approx(0.25, abs=1e-12)
 
     def test_needs_no_eigendecomposition(self, monkeypatch):
         # every omega row is pure, so the curve is an outcome entropy of diag(omega)
@@ -91,8 +91,9 @@ class TestIrrealityCurve:
             for name in ("eigvalsh", "eigh", "eigvals", "eig"):
                 patch.setattr(np.linalg, name, refuse)
             curves = [irreality_curve(cfg, "d2", thetas) for cfg in cfgs]
-        for cfg, records in zip(cfgs, curves):
-            assert records == irreality_curve(cfg, "d2", thetas)
+        for cfg, curve in zip(cfgs, curves):
+            for got, want in zip(curve, irreality_curve(cfg, "d2", thetas)):
+                np.testing.assert_array_equal(got, want)
             assert_curve_matches(cfg, "d2", thetas)
 
     def test_out_of_range_and_nan_theta_rejected(self):
@@ -148,9 +149,9 @@ class TestOmegaState:
     def test_is_the_one_point_curve(self):
         cfg = ProtocolConfig(theta=1.2, alice_config="Cx")
         omega, prob = omega_state(cfg, "d2")
-        (rec,) = irreality_curve(cfg, "d2", [1.2])
-        assert np.array_equal(omega.entries, rec.omega)
-        assert prob == rec.selection_probability
+        curve = irreality_curve(cfg, "d2", [1.2])
+        assert np.array_equal(omega.entries, curve.omega[0])
+        assert prob == curve.probability[0]
 
 
 class TestDetectorProbabilities:
