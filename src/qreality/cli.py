@@ -111,9 +111,10 @@ def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
         fh.write("".join(lines))
 
 
-def _reprs(column: np.ndarray) -> list[str]:
-    """``repr`` of each float in ``column``, with an empty field for NaN."""
-    return ["" if text == "nan" else text for text in map(repr, column.tolist())]
+def _reprs(column: np.ndarray, defined: np.ndarray) -> list[str]:
+    """``repr`` of each float in ``column``, with an empty field where
+    ``defined`` is False; a NaN in a defined row is written as ``nan``."""
+    return [repr(v) if ok else "" for v, ok in zip(column.tolist(), defined.tolist())]
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -154,13 +155,14 @@ def cmd_sweep(parser, args) -> int:
     ]
     # all columns but omega, which only --tomo reads and is joined there
     thetas, irrealities, probs = (np.concatenate(column) for column in list(zip(*curves))[:3])
+    defined = probs > 0.0
     tomo_mean, tomo_std = np.full((2, len(thetas)), np.nan)
     if args.tomo:
         omegas = np.concatenate([curve.omega for curve in curves])
         z_target = _pauli_z(target)
         child_seeds = np.random.SeedSequence(args.seed).generate_state(2 * len(thetas))
         for i, (counts_seed, resample_seed) in enumerate(child_seeds.reshape(-1, 2).tolist()):
-            if probs[i] == 0.0:
+            if not defined[i]:
                 continue  # undefined row: no state to measure
             omega = DensityMatrix(OMEGA_REGISTER, omegas[i])
             tomo_mean[i], tomo_std[i] = monte_carlo_irreality(
@@ -182,14 +184,15 @@ def cmd_sweep(parser, args) -> int:
         "irreality_tomo_std",
         "selection_probability",
     ]
+    tomo_done = defined & args.tomo
     rows = zip(
-        _reprs(thetas),
+        map(repr, thetas.tolist()),
         [config for config in configs for _ in grid],
         [target] * len(thetas),
-        _reprs(irrealities),
-        _reprs(tomo_mean),
-        _reprs(tomo_std),
-        _reprs(probs),
+        _reprs(irrealities, defined),
+        _reprs(tomo_mean, tomo_done),
+        _reprs(tomo_std, tomo_done),
+        map(repr, probs.tolist()),
     )
     _write_csv(out_dir / "sweep.csv", SWEEP_SCHEMA, header, rows)
 

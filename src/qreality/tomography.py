@@ -386,6 +386,18 @@ def save_dataset(data: TomographyDataset, path) -> None:
         fh.write("\n")
 
 
+class _LongInt(str):
+    """The digits of a JSON integer past Python's int-string conversion limit."""
+
+
+def _is_int(where: str, value) -> bool:
+    """Whether ``value`` is an ``int``; a :class:`_LongInt` raises, naming ``where``."""
+    if isinstance(value, _LongInt):
+        digits = len(value.lstrip("-"))
+        raise DatasetFormatError(f"{where}: integer of {digits} digits is too long to convert")
+    return type(value) is int
+
+
 def dataset_from_dict(payload: dict) -> TomographyDataset:
     """Build a dataset from the JSON schema, with field-level diagnostics."""
     if not isinstance(payload, dict):
@@ -394,11 +406,11 @@ def dataset_from_dict(payload: dict) -> TomographyDataset:
         if field not in payload:
             raise DatasetFormatError(f"missing required field {field!r}")
     n = payload["n_qubits"]
-    if type(n) is not int or n < 1:
+    if not _is_int("n_qubits", n) or n < 1:
         raise DatasetFormatError(f"n_qubits: expected positive integer, got {_shown(n)}")
     _check_qubit_count(n)
     shots = payload["shots_per_setting"]
-    if type(shots) is not int or shots < 1:
+    if not _is_int("shots_per_setting", shots) or shots < 1:
         raise DatasetFormatError(
             f"shots_per_setting: expected positive integer, got {_shown(shots)}"
         )
@@ -407,7 +419,7 @@ def dataset_from_dict(payload: dict) -> TomographyDataset:
             f"shots_per_setting: {_shown(shots)} exceeds the maximum of {MAX_COUNT}"
         )
     seed = payload["seed"]
-    if type(seed) is not int:
+    if not _is_int("seed", seed):
         raise DatasetFormatError(f"seed: expected integer, got {_shown(seed)}")
     raw_settings = payload["settings"]
     if not isinstance(raw_settings, list) or not raw_settings:
@@ -430,7 +442,7 @@ def dataset_from_dict(payload: dict) -> TomographyDataset:
         if not isinstance(row, list) or len(row) != 2**n:
             raise DatasetFormatError(f"{where}.counts: expected {2**n} integers")
         for j, c in enumerate(row):
-            if type(c) is not int or c < 0:
+            if not _is_int(f"{where}.counts[{j}]", c) or c < 0:
                 raise DatasetFormatError(
                     f"{where}.counts[{j}]: expected nonnegative integer, got {_shown(c)}"
                 )
@@ -450,26 +462,28 @@ def dataset_from_dict(payload: dict) -> TomographyDataset:
     )
 
 
-def _parse_int(digits: str):
-    """``int(digits)``, or the digits unconverted past Python's digit limit.
-
-    The field checks of :func:`dataset_from_dict` then reject the string and
-    name its field.
-    """
-    try:
-        return int(digits)
-    except ValueError:
-        return digits
-
-
 def load_dataset(path) -> TomographyDataset:
+    too_long = []
+
+    def parse_int(digits: str):
+        # past Python's digit limit, keep the digits, so that the field
+        # checks of dataset_from_dict name the field the integer is in
+        try:
+            return int(digits)
+        except ValueError:
+            too_long.append(_LongInt(digits))
+            return too_long[-1]
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh, parse_int=_parse_int)
+            payload = json.load(fh, parse_int=parse_int)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(
                 f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from None
         except RecursionError:
             raise DatasetFormatError("invalid JSON: nested too deeply") from None
-    return dataset_from_dict(payload)
+    data = dataset_from_dict(payload)
+    if too_long:  # only in fields that dataset_from_dict does not read
+        _is_int("a field the dataset does not use", too_long[0])
+    return data

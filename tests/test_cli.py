@@ -157,6 +157,18 @@ class TestSweep:
         want = expected_sweep_csv(target, branch, grid, (10_000, 20, 42) if tomo else None)
         assert (tmp_path / "sweep.csv").read_bytes() == want
 
+    def test_nan_in_defined_row_is_written_as_nan(self, tmp_path, monkeypatch):
+        # a field is empty only for an undefined row or without --tomo; a
+        # value that comes out NaN on a defined row stays visible
+        monkeypatch.setattr(qreality.cli, "monte_carlo_irreality", lambda *a: (np.nan, np.nan))
+        args = ["sweep", "--config", "Cz", "--tomo", "--grid", "2", "--resamples", "2",
+                "--theta-max", repr(np.pi), "--out-dir", str(tmp_path)]
+        assert run(args) == 0
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert [float(r["selection_probability"]) > 0 for r in rows] == [True, False]
+        assert [r["irreality_tomo_mean"] for r in rows] == ["nan", ""]
+        assert [r["irreality_tomo_std"] for r in rows] == ["nan", ""]
+
     def test_zero_grid_is_usage_error(self, tmp_path):
         code = run(["sweep", "--grid", "0", "--out-dir", str(tmp_path)])
         assert code == 2

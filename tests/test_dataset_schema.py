@@ -197,6 +197,23 @@ def test_reordered_valid_payload_is_accepted(workdir, payload, order):
     assert err == ""
 
 
+def with_long_integer(path, digits):
+    """A valid one-qubit dataset file with ``digits`` in place of the value
+    at ``path``.  json.dumps cannot write an integer past the 4 300 digits
+    that int() converts by default, so the digits replace a placeholder."""
+    payload = {
+        "n_qubits": 1,
+        "shots_per_setting": 10,
+        "seed": 7,
+        "settings": [{"bases": [b], "counts": [5, 5]} for b in "ZXY"],
+    }
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "PLACEHOLDER"
+    return json.dumps(payload).replace('"PLACEHOLDER"', digits)
+
+
 @pytest.mark.parametrize(
     "path, where",
     [
@@ -208,21 +225,20 @@ def test_reordered_valid_payload_is_accepted(workdir, payload, order):
 )
 @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
 def test_overlong_integer_names_its_field(workdir, path, where, sign):
-    # 5 001 digits is past the 4 300 that int() converts by default; json.dumps
-    # cannot write such an integer, so it replaces a placeholder in the text
-    payload = {
-        "n_qubits": 1,
-        "shots_per_setting": 10,
-        "seed": 7,
-        "settings": [{"bases": [b], "counts": [5, 5]} for b in "ZXY"],
-    }
-    parent = payload
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = "PLACEHOLDER"
-    text = json.dumps(payload).replace('"PLACEHOLDER"', sign + "9" * 5001)
-    code, err = run_tomo(workdir, None, text)
-    lines = err.splitlines()
+    code, err = run_tomo(workdir, None, with_long_integer(path, sign + "9" * 5001))
     assert code == 1
-    assert len(lines) == 1 and lines[0].startswith(f"error: {where}: expected "), err
+    assert err == f"error: {where}: integer of 5001 digits is too long to convert\n"
     assert len(err.encode()) <= MAX_ERROR_BYTES, err
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("comment",), ("settings", 1, "comment")],
+    ids=["top-level", "in-setting"],
+)
+def test_overlong_integer_in_unread_field_is_rejected(workdir, path):
+    code, err = run_tomo(workdir, None, with_long_integer(path, "9" * 5001))
+    assert code == 1
+    assert err == (
+        "error: a field the dataset does not use: integer of 5001 digits is too long to convert\n"
+    )
