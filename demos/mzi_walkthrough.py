@@ -19,10 +19,10 @@ from qreality.mzi import (
 def fringe_table():
     print("--- detector probabilities over the phase ---")
     grid = np.linspace(0, 2 * np.pi, 9)
-    closed = detector_probabilities(MziConfig(phi=0.0), grid)
-    opened = detector_probabilities(MziConfig(phi=0.0, closed=False), grid)
+    closed = detector_probabilities(MziConfig(phi=0.0), grid)[:, 0]
+    opened = detector_probabilities(MziConfig(phi=0.0, closed=False), grid)[:, 0]
     print(f"  {'phi':>8}  {'closed p0':>10}  {'open p0':>8}")
-    for phi, (pc, _), (po, _) in zip(grid, closed, opened):
+    for phi, pc, po in zip(grid, closed, opened):
         print(f"  {phi:8.4f}  {pc:10.6f}  {po:8.4f}")
     print(f"  visibility closed: {visibility(MziConfig(phi=0.0)):.6f}")
     print(f"  visibility open:   {visibility(MziConfig(phi=0.0, closed=False)):.6f}")

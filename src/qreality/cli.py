@@ -57,11 +57,11 @@ RHO_SCHEMA = "qreality.rho-real.v1"
 
 # Measured peaks: a sweep row takes about 1.5 KB, 2.2 KB with --tomo (two
 # rows per grid point with --config both; the tracemalloc peaks of sweep at
-# --grid 2 000 and 10 000 differ by 24 MB), an mzi phase about 0.44 KB and
+# --grid 2 000 and 10 000 differ by 24 MB), an mzi phase about 0.28 KB and
 # a Monte Carlo resample of the 3-qubit omega state about 8.2 KB (the peaks
 # of monte_carlo_irreality at 2 000 and 10 000 resamples differ by 65 MB).
 # So --grid at its limit needs about 0.3 GB for a sweep (0.45 GB with
-# --tomo) and 44 MB for mzi, and --resamples at its limit about 0.8 GB.
+# --tomo) and 28 MB for mzi, and --resamples at its limit about 0.8 GB.
 MAX_GRID = 100_000
 MAX_RESAMPLES = 100_000
 INT64_LIMIT = "the largest int64 count"
@@ -97,15 +97,17 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed) -> None:
     _write_json(out_dir / "manifest.json", manifest)
 
 
-def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
-    """The schema line, then the header and rows, in one write.
+def _write_csv(path: Path, schema: str, columns: dict) -> None:
+    """The schema line, the header and the rows, in one write.
 
-    Fields are joined with commas and lines end in CRLF, as the csv
-    module's default dialect writes them.  No field the CLI writes holds a
-    comma, a quote or a line break, so none needs quoting.
+    ``columns`` maps each header name to its column of string fields; the
+    columns must be of one length, and a short one raises ValueError before
+    the file is opened.  Fields are joined with commas and lines end in
+    CRLF, as the csv module's default dialect writes them.  No field the CLI
+    writes holds a comma, a quote or a line break, so none needs quoting.
     """
-    lines = [f"# schema: {schema}\n", ",".join(header), "\r\n"]
-    for row in rows:
+    lines = [f"# schema: {schema}\n", ",".join(columns), "\r\n"]
+    for row in zip(*columns.values(), strict=True):
         lines += (",".join(row), "\r\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("".join(lines))
@@ -175,26 +177,17 @@ def cmd_sweep(parser, args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = [
-        "theta",
-        "config",
-        "target",
-        "irreality_analytic",
-        "irreality_tomo_mean",
-        "irreality_tomo_std",
-        "selection_probability",
-    ]
     tomo_done = defined & args.tomo
-    rows = zip(
-        map(repr, thetas.tolist()),
-        [config for config in configs for _ in grid],
-        [target] * len(thetas),
-        _reprs(irrealities, defined),
-        _reprs(tomo_mean, tomo_done),
-        _reprs(tomo_std, tomo_done),
-        map(repr, probs.tolist()),
-    )
-    _write_csv(out_dir / "sweep.csv", SWEEP_SCHEMA, header, rows)
+    columns = {
+        "theta": map(repr, thetas.tolist()),
+        "config": [config for config in configs for _ in grid],
+        "target": [target] * len(thetas),
+        "irreality_analytic": _reprs(irrealities, defined),
+        "irreality_tomo_mean": _reprs(tomo_mean, tomo_done),
+        "irreality_tomo_std": _reprs(tomo_std, tomo_done),
+        "selection_probability": map(repr, probs.tolist()),
+    }
+    _write_csv(out_dir / "sweep.csv", SWEEP_SCHEMA, columns)
 
     config_dict = {
         "target": target,
@@ -266,18 +259,18 @@ def cmd_tomo(parser, args) -> int:
     )
     _write_json(out_dir / "report.json", report)
 
-    kets = [format(i, f"0{register.n_qubits}b") for i in range(register.dimension)]
-    rows = [
-        [str(i), str(j), kets[i], kets[j], repr(value)]
-        for i, values in enumerate(rho.entries.real.tolist())
-        for j, value in enumerate(values)
-    ]
-    _write_csv(
-        out_dir / "density_matrix_real.csv",
-        RHO_SCHEMA,
-        ["row", "col", "row_ket", "col_ket", "real"],
-        rows,
-    )
+    # one row per entry in row-major order: row labels repeat, column labels tile
+    dim = register.dimension
+    index = [str(i) for i in range(dim)]
+    kets = [format(i, f"0{register.n_qubits}b") for i in range(dim)]
+    columns = {
+        "row": np.repeat(index, dim).tolist(),
+        "col": index * dim,
+        "row_ket": np.repeat(kets, dim).tolist(),
+        "col_ket": kets * dim,
+        "real": map(repr, rho.entries.real.ravel().tolist()),
+    }
+    _write_csv(out_dir / "density_matrix_real.csv", RHO_SCHEMA, columns)
     seed = report["diagnostics"]["seed"]  # the dataset's own seed for a file
     _write_manifest(out_dir, "tomo", config_dict, seed)
     print(f"seed: {seed}")
@@ -300,10 +293,9 @@ def cmd_mzi(parser, args) -> int:
     )
     phis = np.linspace(0.0, 2 * np.pi, args.grid, endpoint=False)
     probs = detector_probabilities(cfg, phis)
-    rows = [[repr(phi), repr(p0), repr(p1)] for phi, (p0, p1) in zip(phis.tolist(), probs)]
 
     # on visibility's own grid the p0 column already holds its samples
-    vis = _visibility([p for p, _ in probs]) if args.grid == VISIBILITY_GRID else visibility(cfg)
+    vis = _visibility(probs[:, 0]) if args.grid == VISIBILITY_GRID else visibility(cfg)
     summary = {
         "closed": cfg.closed,
         "extended": cfg.extended,
@@ -324,7 +316,12 @@ def cmd_mzi(parser, args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "mzi.csv", MZI_SCHEMA, ["phi", "p0", "p1"], rows)
+    columns = {
+        "phi": map(repr, phis.tolist()),
+        "p0": map(repr, probs[:, 0].tolist()),
+        "p1": map(repr, probs[:, 1].tolist()),
+    }
+    _write_csv(out_dir / "mzi.csv", MZI_SCHEMA, columns)
     _write_json(out_dir / "summary.json", summary)
     config_dict = {
         "closed": cfg.closed,

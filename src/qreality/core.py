@@ -53,6 +53,18 @@ class ConfigurationError(ValueError):
     """A configuration value is inconsistent with the requested operation."""
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, or InvalidStateError if an entry is NaN or infinite.
+
+    Run before the tolerance checks: an infinity would make the Hermiticity
+    subtraction warn rather than fail.  The checks are still written
+    ``not x <= tol``, so that a NaN they compute fails them too.
+    """
+    if not np.isfinite(arr).all():
+        raise InvalidStateError("an entry is NaN or infinite")
+    return arr
+
+
 @dataclass(frozen=True)
 class QubitRegister:
     """Ordered collection of named qubits.
@@ -123,7 +135,7 @@ class PureState:
                 f"{self.register.dimension}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise InvalidStateError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -146,16 +158,16 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.entries, dtype=complex)
+        mat = _finite(np.array(self.entries, dtype=complex))
         dim = self.register.dimension
         if mat.shape != (dim, dim):
             raise InvalidStateError(f"matrix shape {mat.shape} does not match dimension {dim}")
-        if np.abs(mat - mat.conj().T).max() > HERMITICITY_ATOL:
+        if not np.abs(mat - mat.conj().T).max() <= HERMITICITY_ATOL:
             raise InvalidStateError("matrix is not Hermitian within tolerance")
         tr = np.trace(mat)
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if not abs(tr - 1.0) <= TRACE_ATOL:
             raise InvalidStateError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
-        if np.linalg.eigvalsh(mat).min() < -PSD_ATOL:
+        if not np.linalg.eigvalsh(mat).min() >= -PSD_ATOL:
             raise InvalidStateError("matrix has an eigenvalue below the PSD tolerance")
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
@@ -183,20 +195,20 @@ class ObservableSpec:
     def __post_init__(self):
         projs = []
         for p in self.projectors:
-            p = np.array(p, dtype=complex)
+            p = _finite(np.array(p, dtype=complex))
             if p.shape != (2, 2):
                 raise InvalidStateError("qubit projectors must be 2x2")
-            if np.abs(p - p.conj().T).max() > HERMITICITY_ATOL:
+            if not np.abs(p - p.conj().T).max() <= HERMITICITY_ATOL:
                 raise InvalidStateError("projector is not Hermitian")
             p.flags.writeable = False
             projs.append(p)
         total = sum(projs)
-        if np.abs(total - _EYE2).max() > HERMITICITY_ATOL:
+        if not np.abs(total - _EYE2).max() <= HERMITICITY_ATOL:
             raise InvalidStateError("projectors do not sum to the identity")
         for i, p in enumerate(projs):
             for j, q in enumerate(projs):
                 expect = p if i == j else np.zeros((2, 2))
-                if np.abs(p @ q - expect).max() > HERMITICITY_ATOL:
+                if not np.abs(p @ q - expect).max() <= HERMITICITY_ATOL:
                     raise InvalidStateError("projectors are not mutually orthogonal")
         object.__setattr__(self, "projectors", tuple(projs))
 
@@ -311,7 +323,7 @@ def _outcome_vector(outcome, m: int) -> np.ndarray:
     if vec.shape != (2**m,):
         raise ValueError(f"outcome vector has length {vec.size}, expected {2**m}")
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > NORM_ATOL:
+    if not abs(norm - 1.0) <= NORM_ATOL:
         raise InvalidStateError("post-selection outcome must be a unit vector")
     return vec
 
@@ -375,12 +387,14 @@ def apply_unitary(state: State, u: np.ndarray, on: Iterable[str]) -> State:
     on = tuple(on)
     reg = state.register
     axes = reg.axes(on)
+    if len(set(on)) != len(on):
+        raise LabelError("unitary labels must be distinct")
     m = len(on)
-    u = np.asarray(u, dtype=complex)
+    u = _finite(np.asarray(u, dtype=complex))
     dim = 2**m
     if u.shape != (dim, dim):
         raise ValueError(f"unitary shape {u.shape} does not match {m} qubits")
-    if np.abs(u @ u.conj().T - np.eye(dim)).max() > 1e-10:
+    if not np.abs(u @ u.conj().T - np.eye(dim)).max() <= 1e-10:
         raise ValueError("matrix is not unitary within tolerance")
     u_t = u.reshape((2,) * (2 * m))
     contract = list(range(m, 2 * m))

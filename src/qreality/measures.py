@@ -23,6 +23,7 @@ from .core import (
     QubitRegister,
     State,
     _as_density,
+    _finite,
     partial_trace,
     purity,
 )
@@ -35,6 +36,8 @@ COMPLEMENTARITY_SLACK = 1e-9
 
 def _eigenvalue_entropies(eigs: np.ndarray) -> np.ndarray:
     """Von Neumann entropies in bits from a (..., d) stack of state eigenvalues."""
+    if not np.isfinite(eigs).all():
+        raise InvalidStateError("an eigenvalue is not finite; not a valid state")
     if eigs.min() < -PSD_TOLERANCE:
         raise InvalidStateError(
             f"eigenvalue {eigs.min():.3e} below the PSD tolerance; not a valid state"
@@ -49,17 +52,17 @@ def von_neumann_entropy(state: Union[State, np.ndarray]) -> float:
     if isinstance(state, (PureState, DensityMatrix)):
         mat = _as_density(state).entries
     else:
-        mat = np.asarray(state, dtype=complex)
+        mat = _finite(np.asarray(state, dtype=complex))
     return float(_eigenvalue_entropies(np.linalg.eigvalsh(mat)))
 
 
 def binary_entropy(p: float) -> float:
-    """H(p) = -p log2 p - (1-p) log2 (1-p), with the 0 log 0 = 0 convention."""
-    terms = 0.0
-    for q in (p, 1.0 - p):
-        if q > 0.0:
-            terms -= q * np.log2(q)
-    return float(terms)
+    """H(p) = -p log2 p - (1-p) log2 (1-p) for 0 <= p <= 1, with the 0 log 0 = 0
+    convention; ValueError for any other p, NaN included."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"binary entropy needs 0 <= p <= 1, got {p}")
+    # 0.0 minus the sum, so that H(0) = H(1) = +0.0 rather than -0.0
+    return float(0.0 - sum(q * np.log2(q) for q in (p, 1.0 - p) if q > 0.0))
 
 
 @dataclass(frozen=True)

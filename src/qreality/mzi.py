@@ -133,8 +133,9 @@ def mzi_state(cfg: MziConfig, stage: str) -> State:
     return apply_unitary(state, _BS, ("Q",))
 
 
-def detector_probabilities(cfg: MziConfig, phi_grid) -> list[tuple[float, float]]:
-    """Click probabilities (p0, p1) over a phase grid.
+def detector_probabilities(cfg: MziConfig, phi_grid) -> np.ndarray:
+    """Click probabilities over a phase grid, as a (G, 2) array whose columns
+    are p0 and p1.
 
     Closed device: p0 = cos^2(phi/2).  Open device: the detectors see the
     arms directly and p0 = 1/2 for every phase.
@@ -151,19 +152,17 @@ def detector_probabilities(cfg: MziConfig, phi_grid) -> list[tuple[float, float]
     rho_q = _probe_marginal(bool(cfg.extended), bool(cfg.decohere_after_first_bs))
     shift = np.stack([np.ones_like(phis), np.exp(1j * phis)], axis=-1)  # diag of P(phi)
     bs2 = _BS if cfg.closed else np.eye(2)  # the second beam splitter, if present
-    p = np.einsum("ki,gi,ij,gj,kj->gk", bs2, shift, rho_q.entries, shift.conj(), bs2.conj()).real
-    return list(zip(p[:, 0].tolist(), p[:, 1].tolist()))
+    return np.einsum("ki,gi,ij,gj,kj->gk", bs2, shift, rho_q.entries, shift.conj(), bs2.conj()).real
 
 
 def visibility(cfg: MziConfig) -> float:
     """(max - min) / (max + min) of p0 over VISIBILITY_GRID phases on [0, 2*pi)."""
     grid = np.linspace(0.0, 2 * np.pi, VISIBILITY_GRID, endpoint=False)
-    return _visibility([p for p, _ in detector_probabilities(cfg, grid)])
+    return _visibility(detector_probabilities(cfg, grid)[:, 0])
 
 
-def _visibility(p0) -> float:
+def _visibility(p0: np.ndarray) -> float:
     """Visibility of the p0 fringe sampled at the given phases."""
-    p0 = np.asarray(p0)
     top, bottom = float(p0.max()), float(p0.min())
     if top + bottom < 1e-15:
         raise UndefinedVisibilityError("click probability vanishes on the whole grid")

@@ -10,14 +10,15 @@ import pytest
 import qreality.cli
 import qreality.mzi
 from qreality import (
-    DensityMatrix, MziConfig, ObservableSpec, fidelity, monte_carlo_irreality, purity,
-    save_dataset, simulate_counts, tomography_end_to_end, visibility,
+    DensityMatrix, MziConfig, ObservableSpec, QubitRegister, detector_probabilities, fidelity,
+    monte_carlo_irreality, purity, save_dataset, simulate_counts, tomography_end_to_end,
+    visibility,
 )
 from qreality.cli import MAX_GRID, MAX_RESAMPLES, OMEGA_STATES, _write_csv, build_parser, main
 from qreality.eraser import OMEGA_REGISTER, TARGETS, ProtocolConfig, irreality_curve, omega_state
-from qreality.tomography import MAX_POISSON_COUNT
+from qreality.tomography import MAX_POISSON_COUNT, load_dataset, reconstruct
 
-from oracles import binary_entropy_exact
+from oracles import binary_entropy_exact, random_density
 
 
 def run(argv):
@@ -26,6 +27,16 @@ def run(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def expected_csv(schema, header, rows):
+    """A CLI CSV file's bytes: the schema line, then the csv module's default dialect."""
+    out = io.StringIO(newline="")
+    out.write(f"# schema: {schema}\n")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
 
 
 def expected_sweep_csv(target, branch, grid, tomo=None):
@@ -50,20 +61,51 @@ def expected_sweep_csv(target, branch, grid, tomo=None):
                     counts, ObservableSpec.pauli(label, "Z"), resamples, resample_seed,
                     OMEGA_REGISTER,
                 )
-    out = io.StringIO(newline="")
-    out.write("# schema: qreality.sweep.v1\n")
-    writer = csv.writer(out)
-    writer.writerow(["theta", "config", "target", "irreality_analytic",
-                     "irreality_tomo_mean", "irreality_tomo_std", "selection_probability"])
-    for theta, config, label, value, mean, std, prob, _ in rows:
-        writer.writerow([
+    header = ["theta", "config", "target", "irreality_analytic",
+              "irreality_tomo_mean", "irreality_tomo_std", "selection_probability"]
+    fields = [
+        [
             repr(float(theta)), config, label,
             repr(float(value)) if prob > 0 else "",
             "" if mean is None else repr(float(mean)),
             "" if std is None else repr(float(std)),
             repr(float(prob)),
-        ])
-    return out.getvalue().encode("utf-8")
+        ]
+        for theta, config, label, value, mean, std, prob, _ in rows
+    ]
+    return expected_csv("qreality.sweep.v1", header, fields)
+
+
+def expected_mzi_csv(cfg, grid):
+    """The bytes `mzi --grid <grid>` should write, one phase at a time."""
+    phis = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+    rows = [
+        [repr(float(phi)), repr(float(p0)), repr(float(p1))]
+        for phi, (p0, p1) in zip(phis, detector_probabilities(cfg, phis))
+    ]
+    return expected_csv("qreality.mzi.v1", ["phi", "p0", "p1"], rows)
+
+
+def expected_rho_csv(rho):
+    """The bytes `tomo` should write for ``rho``: one entry per row, rows in
+    row-major order, kets read through the register's basis-index convention."""
+    kets = ["".join(bits) for bits in itertools.product("01", repeat=rho.register.n_qubits)]
+    rows = []
+    for row_ket in kets:
+        for col_ket in kets:
+            i, j = rho.register.index_of(row_ket), rho.register.index_of(col_ket)
+            rows.append([str(i), str(j), row_ket, col_ket, repr(float(rho.entries[i, j].real))])
+    return expected_csv("qreality.rho-real.v1", ["row", "col", "row_ket", "col_ket", "real"], rows)
+
+
+def mzi_config(flags):
+    """The MziConfig an `mzi` run with ``flags`` sweeps."""
+    return MziConfig(
+        phi=0.0,
+        closed="--open" not in flags,
+        extended="--extended" in flags,
+        decohere_after_first_bs="--decohere" in flags,
+    )
 
 
 def read_csv(path):
@@ -399,6 +441,27 @@ class TestTomo:
         assert schema.strip() == "# schema: qreality.rho-real.v1"
         assert len(rows) == 64
         assert set(rows[0]) == {"row", "col", "row_ket", "col_ket", "real"}
+
+    @pytest.mark.parametrize("state", sorted(OMEGA_STATES))
+    def test_simulated_csv_is_the_estimate_entry_by_entry(self, tmp_path, state):
+        assert run(["tomo", "--simulate", "--state", state, "--shots", "1000",
+                    "--out-dir", str(tmp_path)]) == 0
+        target, config = OMEGA_STATES[state]
+        truth, _ = omega_state(ProtocolConfig(np.pi / 2, config), target)
+        rho = tomography_end_to_end(truth, 1000, 42).rho_physical
+        assert (tmp_path / "density_matrix_real.csv").read_bytes() == expected_rho_csv(rho)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_file_csv_is_the_estimate_entry_by_entry(self, tmp_path, rng, n):
+        register = QubitRegister(tuple(f"x{k}" for k in range(n)))
+        dataset_path = tmp_path / "counts.json"
+        save_dataset(simulate_counts(DensityMatrix(register, random_density(rng, n)), 2000, n),
+                     dataset_path)
+        out = tmp_path / "run"
+        assert run(["tomo", str(dataset_path), "--out-dir", str(out)]) == 0
+        rho = reconstruct(load_dataset(dataset_path)).rho_physical
+        assert rho.register.labels == tuple(f"q{k}" for k in range(n))
+        assert (out / "density_matrix_real.csv").read_bytes() == expected_rho_csv(rho)
 
     def test_dataset_file_pipeline(self, tmp_path):
         omega, _ = omega_state(
@@ -769,18 +832,19 @@ class TestMzi:
         assert run(["mzi", *flags, "--out-dir", str(tmp_path)]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("grid", [256, 100])
+    @pytest.mark.parametrize("flags", MZI_FLAG_SETS)
+    def test_file_is_the_fringe_columns_row_by_row(self, tmp_path, grid, flags):
+        argv = ["mzi", *flags, "--grid", str(grid), "--phi", "0.7", "--out-dir", str(tmp_path)]
+        assert run(argv) == 0
+        assert (tmp_path / "mzi.csv").read_bytes() == expected_mzi_csv(mzi_config(flags), grid)
+
     @pytest.mark.parametrize("grid", ["256", "100"])
     @pytest.mark.parametrize("flags", MZI_FLAG_SETS)
     def test_summary_visibility_is_the_library_value(self, tmp_path, grid, flags):
         assert run(["mzi", *flags, "--grid", grid, "--out-dir", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
-        cfg = MziConfig(
-            phi=0.0,
-            closed="--open" not in flags,
-            extended="--extended" in flags,
-            decohere_after_first_bs="--decohere" in flags,
-        )
-        assert summary["visibility"] == visibility(cfg)  # exact, so the JSON bytes match
+        assert summary["visibility"] == visibility(mzi_config(flags))  # exact, so the JSON bytes match
         assert summary["grid"] == int(grid)
 
 
@@ -795,7 +859,7 @@ class TestCsvWriter:
             ["", "", "", "", ""],
         ]
         path = tmp_path / "out.csv"
-        _write_csv(path, "qreality.test.v1", header, rows)
+        _write_csv(path, "qreality.test.v1", dict(zip(header, zip(*rows))))
 
         want = io.StringIO(newline="")
         want.write("# schema: qreality.test.v1\n")
@@ -804,15 +868,21 @@ class TestCsvWriter:
         writer.writerows(rows)
         assert path.read_bytes() == want.getvalue().encode("utf-8")
 
+    def test_short_column_raises_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError):
+            _write_csv(path, "qreality.test.v1", {"a": ["1", "2"], "b": iter(["3"])})
+        assert not path.exists()
+
     def test_no_field_the_cli_writes_needs_quoting(self, tmp_path, monkeypatch):
         # A plain comma join equals the csv module's output only under this condition.
         written = {}
         original = qreality.cli._write_csv
 
-        def recording(path, schema, header, rows):
-            rows = list(rows)
-            written.setdefault(path.name, []).extend([header, *rows])
-            original(path, schema, header, rows)
+        def recording(path, schema, columns):
+            columns = {name: list(column) for name, column in columns.items()}
+            written.setdefault(path.name, []).extend([list(columns), *zip(*columns.values())])
+            original(path, schema, columns)
 
         monkeypatch.setattr(qreality.cli, "_write_csv", recording)
         omega, _ = omega_state(ProtocolConfig(theta=1.0, alice_config="Cx"), "d1")

@@ -31,6 +31,7 @@ from oracles import (
 )
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), complex(0.0, float("nan"))]
 
 
 def bell_state():
@@ -77,6 +78,23 @@ class TestStateValidation:
         reg = QubitRegister(("q",))
         with pytest.raises(InvalidStateError):
             DensityMatrix(reg, np.diag([1.1, -0.1]))
+
+    # Each NaN case below was accepted when the checks read ``x > tol``; each
+    # infinity made the Hermiticity subtraction raise a RuntimeWarning instead.
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_amplitude_rejected(self, bad):
+        with pytest.raises(InvalidStateError):
+            PureState(QubitRegister(("q",)), [bad, 0.0])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_diagonal_rejected(self, bad):
+        with pytest.raises(InvalidStateError):
+            DensityMatrix(QubitRegister(("q",)), [[bad, 0.0], [0.0, bad]])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_off_diagonal_rejected(self, bad):
+        with pytest.raises(InvalidStateError):
+            DensityMatrix(QubitRegister(("q",)), [[0.5, bad], [bad, 0.5]])
 
     def test_arrays_are_read_only(self):
         psi = PureState(QubitRegister(("q",)), [1.0, 0.0])
@@ -284,6 +302,12 @@ class TestPostSelect:
         with pytest.raises(LabelError):
             post_select(psi, [1.0, 0.0], ("p",))
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_outcome_rejected(self, bad):
+        psi = PureState.from_bits(QubitRegister(("p", "q")), "00")
+        with pytest.raises(InvalidStateError):
+            post_select(psi, [bad, 0.0], ("p",))
+
 
 class TestApplyUnitary:
     def test_matches_explicit_kron_noncontiguous(self, rng):
@@ -314,6 +338,24 @@ class TestApplyUnitary:
         psi = PureState.from_bits(QubitRegister(("p",)), "0")
         with pytest.raises(ValueError):
             apply_unitary(psi, np.array([[1, 0], [0, 2]]), ("p",))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("density", [False, True])
+    def test_rejects_non_finite_matrix(self, bad, density):
+        state = PureState.from_bits(QubitRegister(("p",)), "0")
+        if density:
+            state = state.to_density()
+        with pytest.raises(InvalidStateError):
+            apply_unitary(state, np.full((2, 2), bad), ("p",))
+
+    @pytest.mark.parametrize("density", [False, True])
+    def test_repeated_labels_rejected(self, density):
+        state = PureState.from_bits(QubitRegister(("p", "q")), "10")
+        if density:
+            state = state.to_density()
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        with pytest.raises(LabelError, match="distinct"):
+            apply_unitary(state, cnot, ("q", "q"))
 
 
 class TestPurityFidelity:
@@ -364,3 +406,11 @@ class TestObservableSpec:
     def test_rejects_non_projectors(self):
         with pytest.raises(InvalidStateError):
             ObservableSpec("q", (np.eye(2) * 0.5, np.eye(2) * 0.5))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_projector_entry(self, bad, entry):
+        p0 = np.diag([1.0, 0.0]).astype(complex)
+        p0[entry] = bad
+        with pytest.raises(InvalidStateError):
+            ObservableSpec("q", (p0, np.diag([0.0, 1.0])))

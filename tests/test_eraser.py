@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qreality import (
     ConfigurationError,
@@ -384,3 +386,68 @@ class TestIrrealityCurve:
         cfg = ProtocolConfig(theta=0.0, alice_config="Cx")
         with pytest.raises(ConfigurationError):
             irreality_curve(cfg, "d3", [0.1])
+
+
+# Protocol identities over the whole parameter space: random pair angle theta,
+# both displacer angles (displacer k has gamma_k = sin a_k, delta_k = cos a_k),
+# target, Alice's branch and Bob's sign.
+thetas = st.floats(0.0, float(np.pi))
+displacer_angles = st.floats(0.0, float(2 * np.pi))
+targets = st.sampled_from(["b", "d1", "d2"])
+signs = st.sampled_from(["plus", "minus"])
+
+
+def bd_settings_at(a1, a2):
+    return (float(np.sin(a1)), float(np.cos(a1)), float(np.sin(a2)), float(np.cos(a2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=thetas, a1=displacer_angles, a2=displacer_angles, target=targets, bob=signs)
+def test_no_signalling_property(theta, a1, a2, target, bob):
+    # Bob's state weighted over Alice's outcomes does not depend on her basis.
+    averaged = {}
+    for config in ("Cz", "Cx"):
+        total = np.zeros((8, 8), dtype=complex)
+        for branch in ("plus", "minus"):
+            cfg = ProtocolConfig(theta, config, branch, bd_settings_at(a1, a2))
+            try:
+                omega, p = omega_state(cfg, target, bob_sign=bob)
+            except ZeroProbabilityError:
+                continue  # probability below 1e-12: its weighted entries are too
+            total += p * omega.entries
+        averaged[config] = total
+    np.testing.assert_allclose(averaged["Cz"], averaged["Cx"], atol=1e-12, rtol=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    theta=thetas,
+    a1=displacer_angles,
+    a2=displacer_angles,
+    config=st.sampled_from(["Cz", "Cx"]),
+    target=targets,
+    branch=signs,
+    bob=signs,
+)
+def test_coherence_discord_split_property(theta, a1, a2, config, target, branch, bob):
+    cfg = ProtocolConfig(theta, config, branch, bd_settings_at(a1, a2))
+    try:
+        omega, _ = omega_state(cfg, target, bob_sign=bob)
+    except ZeroProbabilityError:
+        assume(False)
+    rep = irreality(omega, ObservableSpec.pauli(target, "Z"))
+    assert rep.irreality == pytest.approx(rep.coherence + rep.discord, abs=1e-12)
+    assert rep.coherence >= -1e-12
+    assert rep.discord >= -1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(a1=displacer_angles, a2=displacer_angles, bob=signs)
+def test_cz_erased_marker_property(a1, a2, bob):
+    # Cz at theta = pi/2: d1 on Alice's plus outcome reads H(gamma1^2) and d2
+    # on her minus outcome reads H(gamma2^2), whatever the other displacer is.
+    bd = bd_settings_at(a1, a2)
+    for target, branch, gamma in (("d1", "plus", bd[0]), ("d2", "minus", bd[2])):
+        omega, _ = omega_state(ProtocolConfig(np.pi / 2, "Cz", branch, bd), target, bob_sign=bob)
+        value = irreality(omega, ObservableSpec.pauli(target, "Z")).irreality
+        assert value == pytest.approx(binary_entropy_exact(gamma**2), abs=1e-12)

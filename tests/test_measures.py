@@ -23,7 +23,7 @@ from qreality import (
     von_neumann_entropy,
 )
 from qreality.eraser import ProtocolConfig, omega_state
-from qreality.measures import _irreality_values
+from qreality.measures import _eigenvalue_entropies, _irreality_values
 
 from oracles import (
     binary_entropy_exact,
@@ -71,6 +71,20 @@ class TestEntropy:
         with pytest.raises(InvalidStateError):
             von_neumann_entropy(np.diag([1.2, -0.2]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_non_finite_raw_matrix_rejected(self, bad, diagonal):
+        # eigvalsh returns [0, 0] for diag(nan, nan), so the entropy read 0.0
+        mat = [[bad, 0.0], [0.0, bad]] if diagonal else [[0.5, bad], [bad, 0.5]]
+        with pytest.raises(InvalidStateError):
+            von_neumann_entropy(np.array(mat))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_eigenvalue_rejected(self, bad):
+        eigenvalues = np.array([[0.5, 0.5], [1.0, bad]])
+        with pytest.raises(InvalidStateError, match="finite"):
+            _eigenvalue_entropies(eigenvalues)
+
     def test_concavity_spot_check(self, rng):
         reg = QubitRegister(("p", "q"))
         for _ in range(10):
@@ -88,6 +102,19 @@ class TestEntropy:
         assert binary_entropy(1.0) == 0.0
         assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-12)
         assert binary_entropy(0.75) == pytest.approx(binary_entropy_exact(0.75), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "p", [1.5, -0.2, 1.0 + 1e-15, -5e-324, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_binary_entropy_rejects_p_outside_the_unit_interval(self, p):
+        # the formula alone gives -0.877 at 1.5, -0.316 at -0.2 and 0.0 at NaN
+        with pytest.raises(ValueError):
+            binary_entropy(p)
+
+    def test_binary_entropy_endpoints_are_positive_zero(self):
+        for p in (0.0, 1.0, np.float64(0.0), np.float64(1.0)):
+            value = binary_entropy(p)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 class TestIrreality:
