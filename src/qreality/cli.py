@@ -113,10 +113,19 @@ def _write_csv(path: Path, schema: str, columns: dict) -> None:
         fh.write("".join(lines))
 
 
-def _reprs(column: np.ndarray, defined: np.ndarray) -> list[str]:
+def _reprs(column: np.ndarray, defined: np.ndarray | None = None) -> list[str]:
     """``repr`` of each float in ``column``, with an empty field where
-    ``defined`` is False; a NaN in a defined row is written as ``nan``."""
-    return [repr(v) if ok else "" for v, ok in zip(column.tolist(), defined.tolist())]
+    ``defined`` is False; a NaN in a defined row is written as ``nan``.
+
+    Each distinct bit pattern is formatted once, so a column of few values
+    costs few ``repr`` calls, and -0.0, 0.0 and every NaN keep their own text.
+    """
+    values = np.ascontiguousarray(column, dtype=np.float64)
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    fields = np.array(list(map(repr, values[first].tolist())), dtype=object)[inverse]
+    if defined is not None:
+        fields[~defined] = ""
+    return fields.tolist()
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -179,13 +188,13 @@ def cmd_sweep(parser, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     tomo_done = defined & args.tomo
     columns = {
-        "theta": map(repr, thetas.tolist()),
+        "theta": _reprs(thetas),
         "config": [config for config in configs for _ in grid],
         "target": [target] * len(thetas),
         "irreality_analytic": _reprs(irrealities, defined),
         "irreality_tomo_mean": _reprs(tomo_mean, tomo_done),
         "irreality_tomo_std": _reprs(tomo_std, tomo_done),
-        "selection_probability": map(repr, probs.tolist()),
+        "selection_probability": _reprs(probs),
     }
     _write_csv(out_dir / "sweep.csv", SWEEP_SCHEMA, columns)
 
@@ -268,7 +277,7 @@ def cmd_tomo(parser, args) -> int:
         "col": index * dim,
         "row_ket": np.repeat(kets, dim).tolist(),
         "col_ket": kets * dim,
-        "real": map(repr, rho.entries.real.ravel().tolist()),
+        "real": _reprs(rho.entries.real.ravel()),
     }
     _write_csv(out_dir / "density_matrix_real.csv", RHO_SCHEMA, columns)
     seed = report["diagnostics"]["seed"]  # the dataset's own seed for a file
@@ -317,9 +326,9 @@ def cmd_mzi(parser, args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     columns = {
-        "phi": map(repr, phis.tolist()),
-        "p0": map(repr, probs[:, 0].tolist()),
-        "p1": map(repr, probs[:, 1].tolist()),
+        "phi": _reprs(phis),
+        "p0": _reprs(probs[:, 0]),
+        "p1": _reprs(probs[:, 1]),
     }
     _write_csv(out_dir / "mzi.csv", MZI_SCHEMA, columns)
     _write_json(out_dir / "summary.json", summary)

@@ -53,6 +53,12 @@ class ConfigurationError(ValueError):
     """A configuration value is inconsistent with the requested operation."""
 
 
+def _norm(vec: np.ndarray) -> float:
+    """2-norm of ``vec``: inf, not an overflow warning, when a square exceeds the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(vec))
+
+
 def _finite(arr: np.ndarray) -> np.ndarray:
     """``arr`` itself, or InvalidStateError if an entry is NaN or infinite.
 
@@ -134,7 +140,7 @@ class PureState:
                 f"amplitude vector has length {amps.size}, register dimension is "
                 f"{self.register.dimension}"
             )
-        norm = np.linalg.norm(amps)
+        norm = _norm(amps)
         if not abs(norm - 1.0) <= NORM_ATOL:
             raise InvalidStateError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
         amps.flags.writeable = False
@@ -271,24 +277,34 @@ def tensor(a: State, b: State) -> State:
 def partial_trace(state: State, keep: Iterable[str]) -> DensityMatrix:
     """Reduced state on ``keep``, which stays in the original register order."""
     rho = _as_density(state)
+    sub, mat = _partial_trace_entries(rho.entries, rho.register, keep)
+    return rho if mat is rho.entries else DensityMatrix(sub, mat)
+
+
+def _partial_trace_entries(mat: np.ndarray, register: QubitRegister, keep: Iterable[str]):
+    """(sub-register, reduced matrix) on ``keep`` of a raw matrix on ``register``.
+
+    The kernel of :func:`partial_trace`, without its validation: the reduced
+    matrix is re-Hermitized, and ``mat`` itself comes back when ``keep``
+    covers the register.
+    """
     keep = tuple(keep)
     if not keep:
         raise LabelError("keep set must be nonempty")
-    sub = rho.register.subregister(keep)
-    n = rho.register.n_qubits
-    kept_axes = rho.register.axes(sub.labels)
+    sub = register.subregister(keep)
+    n = register.n_qubits
+    kept_axes = register.axes(sub.labels)
     if len(kept_axes) == n:
-        return rho
+        return sub, mat
 
-    t = rho.entries.reshape((2,) * (2 * n))
+    t = mat.reshape((2,) * (2 * n))
     row_sub = list(range(n))
     col_sub = [i if i not in kept_axes else n + i for i in range(n)]
     out_sub = [i for i in kept_axes] + [n + i for i in kept_axes]
     reduced = np.einsum(t, row_sub + col_sub, out_sub)
     dim = sub.dimension
-    mat = reduced.reshape(dim, dim)
-    mat = (mat + mat.conj().T) / 2
-    return DensityMatrix(sub, mat)
+    reduced = reduced.reshape(dim, dim)
+    return sub, (reduced + reduced.conj().T) / 2
 
 
 def dephasing_map(state: State, observable: ObservableSpec) -> DensityMatrix:
@@ -322,8 +338,7 @@ def _outcome_vector(outcome, m: int) -> np.ndarray:
     vec = np.asarray(outcome, dtype=complex).ravel()
     if vec.shape != (2**m,):
         raise ValueError(f"outcome vector has length {vec.size}, expected {2**m}")
-    norm = np.linalg.norm(vec)
-    if not abs(norm - 1.0) <= NORM_ATOL:
+    if not abs(_norm(vec) - 1.0) <= NORM_ATOL:
         raise InvalidStateError("post-selection outcome must be a unit vector")
     return vec
 

@@ -24,12 +24,13 @@ from .core import (
     State,
     _as_density,
     _finite,
+    _partial_trace_entries,
     partial_trace,
     purity,
 )
 
 PSD_TOLERANCE = 1e-10
-ENTROPY_EIGENVALUE_FLOOR = 1e-12
+ENTROPY_EIGENVALUE_FLOOR = 1e-14
 MIXEDNESS_TOLERANCE = 1e-8
 COMPLEMENTARITY_SLACK = 1e-9
 
@@ -42,7 +43,8 @@ def _eigenvalue_entropies(eigs: np.ndarray) -> np.ndarray:
         raise InvalidStateError(
             f"eigenvalue {eigs.min():.3e} below the PSD tolerance; not a valid state"
         )
-    # Eigenvalues in [-1e-10, 1e-12) count as exact zeros: 1 in their place adds 1 log 1 = 0.
+    # Eigenvalues in [-1e-10, 1e-14) count as exact zeros: 1 in their place adds 1 log 1 = 0.
+    # One dropped eigenvalue below the floor f carries at most f log2(1/f) < 5e-13 bits.
     p = np.where(eigs >= ENTROPY_EIGENVALUE_FLOOR, eigs, 1.0)
     return 0.0 - (p * np.log2(p)).sum(axis=-1)  # +0.0, not -0.0, for a pure state
 
@@ -53,6 +55,11 @@ def von_neumann_entropy(state: Union[State, np.ndarray]) -> float:
         mat = _as_density(state).entries
     else:
         mat = _finite(np.asarray(state, dtype=complex))
+    return _entropy(mat)
+
+
+def _entropy(mat: np.ndarray) -> float:
+    """Von Neumann entropy in bits of a raw Hermitian matrix, unvalidated."""
     return float(_eigenvalue_entropies(np.linalg.eigvalsh(mat)))
 
 
@@ -150,11 +157,17 @@ def mutual_information(state: State, partition) -> float:
     """S(A) + S(B) - S(AB) across a bipartition covering the register."""
     part_a, part_b = _split_partition(state, partition)
     rho = _as_density(state)
-    return (
-        von_neumann_entropy(partial_trace(rho, part_a))
-        + von_neumann_entropy(partial_trace(rho, part_b))
-        - von_neumann_entropy(rho)
-    )
+    s_a, s_b, s_ab = _bipartite_entropies(rho.entries, rho.register, (part_a, part_b))
+    return s_a + s_b - s_ab
+
+
+def _bipartite_entropies(mat: np.ndarray, register: QubitRegister, partition):
+    """S(A), S(B) and S(AB) of a raw matrix on ``register``, unvalidated;
+    ``partition`` is (A, B), a checked bipartition of the register."""
+    part_a, part_b = partition
+    _, rho_a = _partial_trace_entries(mat, register, part_a)
+    _, rho_b = _partial_trace_entries(mat, register, part_b)
+    return _entropy(rho_a), _entropy(rho_b), _entropy(mat)
 
 
 def entanglement_entropy(state: State, partition) -> float:
@@ -165,7 +178,21 @@ def entanglement_entropy(state: State, partition) -> float:
             f"entanglement entropy needs a pure input; purity is {purity(state):.6f}"
         )
     rho = _as_density(state)
-    return von_neumann_entropy(partial_trace(rho, part_a))
+    return _entropy(_partial_trace_entries(rho.entries, rho.register, part_a)[1])
+
+
+def _partial_transpose(mats: np.ndarray, n: int, axes) -> np.ndarray:
+    """Partial transpose on the qubits at ``axes`` of every matrix in a
+    (..., 2^n, 2^n) stack: the row and column bits of those qubits swap.
+
+    A two-qubit state is separable exactly when its partial transpose has
+    no negative eigenvalue (Peres, PRL 77, 1413, 1996).
+    """
+    lead = mats.ndim - 2
+    order = list(range(lead + 2 * n))
+    for a in axes:
+        order[lead + a], order[lead + n + a] = lead + n + a, lead + a
+    return mats.reshape(*mats.shape[:-2], *(2,) * (2 * n)).transpose(order).reshape(mats.shape)
 
 
 @dataclass(frozen=True)

@@ -28,14 +28,14 @@ from .core import (
     PureState,
     QubitRegister,
     State,
+    _as_density,
     _pauli_z,
     apply_unitary,
     partial_trace,
-    post_select,
     purity,
     tensor,
 )
-from .measures import entanglement_entropy, irreality, mutual_information
+from .measures import _bipartite_entropies, _partial_transpose, irreality
 
 STAGES = ("s0", "s1", "s2", "s3")
 
@@ -43,6 +43,7 @@ _BS = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
 _MIRROR = np.array([[0, 1j], [1j, 0]], dtype=complex)
 
 _PPT_TOL = 1e-10
+_MARKERS = QubitRegister(("d1", "d2"))
 
 VISIBILITY_GRID = 256  # phases on [0, 2*pi) that visibility samples
 
@@ -78,7 +79,7 @@ def _marker_write() -> np.ndarray:
 
 
 def _markers() -> PureState:
-    return PureState.from_bits(QubitRegister(("d1", "d2")), "11")
+    return PureState.from_bits(_MARKERS, "11")
 
 
 def _input_state(extended: bool) -> PureState:
@@ -98,6 +99,22 @@ def _s1_state(extended: bool, decohere: bool) -> State:
     if extended:
         state = apply_unitary(state, _marker_write(), ("Q", "d1", "d2"))
     return state
+
+
+@functools.lru_cache(maxsize=2)
+def _extended_s2_entries(decohere: bool) -> np.ndarray:
+    """The extended device at s2 for phi = 0 as a read-only (2, 4, 2, 4)
+    density array, axes Q, markers, Q, markers; built once per decohere flag."""
+    cfg = MziConfig(phi=0.0, extended=True, decohere_after_first_bs=decohere)
+    entries = _as_density(mzi_state(cfg, "s2")).entries.reshape(2, 4, 2, 4)
+    entries.flags.writeable = False
+    return entries
+
+
+@functools.lru_cache(maxsize=2)
+def _s1_probe_irreality(decohere: bool) -> float:
+    """Irreality of sigma_z on the probe at s1, which depends on the decohere flag alone."""
+    return irreality(_s1_state(False, decohere), _pauli_z("Q")).irreality
 
 
 @functools.lru_cache(maxsize=4)
@@ -169,13 +186,6 @@ def _visibility(p0: np.ndarray) -> float:
     return (top - bottom) / (top + bottom)
 
 
-def _ppt_separable(rho: DensityMatrix) -> bool:
-    """Positive-partial-transpose test, conclusive for a pair of qubits."""
-    t = rho.entries.reshape(2, 2, 2, 2)
-    transposed = t.transpose(0, 3, 2, 1).reshape(4, 4)
-    return bool(np.linalg.eigvalsh(transposed).min() >= -_PPT_TOL)
-
-
 @dataclass(frozen=True)
 class ExtendedOutputReport:
     """Marker pair left behind after post-selecting one detector."""
@@ -194,32 +204,40 @@ def extended_output_analysis(cfg: MziConfig, *, detector: int = 0) -> ExtendedOu
     A coherent probe leaves the markers entangled (unit entanglement
     entropy); a probe decohered after the first beam splitter leaves only
     the classical mixture of |10> and |01>.
+
+    After the mirrors every gate acts on the probe alone, as in
+    :func:`detector_probabilities`: the unnormalized marker block is
+    v rho v^+ over the probe indices, with v row ``detector`` of
+    BS P(phi) (closed) or P(phi) (open) and rho the device at s2 for
+    phi = 0.  Its trace is the selection probability, 1/2 for either
+    detector since the markers record the path.  The normalized block is
+    validated once, as ``postselected_state``; the entropies and the
+    positive-partial-transpose test (tolerance 1e-10) read its entries.
     """
     if not cfg.extended:
         raise ConfigurationError("extended_output_analysis needs extended=True")
     if detector not in (0, 1):
         raise ConfigurationError("detector must be 0 or 1")
 
-    final = mzi_state(cfg, "s3" if cfg.closed else "s2")
-    outcome = np.eye(2)[detector]
-    selected, prob = post_select(final, outcome, ("Q",))
-    rho_markers = (
-        selected.to_density() if isinstance(selected, PureState) else selected
+    decohere = bool(cfg.decohere_after_first_bs)
+    shift = np.array([1.0, np.exp(1j * cfg.phi)])  # diag of P(phi)
+    row = (_BS if cfg.closed else np.eye(2))[detector]  # of the second beam splitter, if present
+    block = np.einsum(
+        "imjn,i,j,i,j->mn", _extended_s2_entries(decohere), shift, shift.conj(), row, row.conj()
     )
+    prob = float(np.real(np.trace(block)))
+    rho_markers = DensityMatrix(_MARKERS, (block + block.conj().T) / 2 / prob)
 
-    if purity(rho_markers) >= 1.0 - 1e-8:
-        ee = entanglement_entropy(rho_markers, (("d1",), ("d2",)))
-    else:
-        ee = 0.0  # mixed marker output carries no pure-state entanglement entropy
-
-    probe_s1 = _s1_state(False, bool(cfg.decohere_after_first_bs))
-    irr = irreality(probe_s1, _pauli_z("Q")).irreality
+    s_d1, s_d2, s_pair = _bipartite_entropies(rho_markers.entries, _MARKERS, (("d1",), ("d2",)))
+    # a mixed marker output carries no pure-state entanglement entropy
+    ee = s_d1 if purity(rho_markers) >= 1.0 - 1e-8 else 0.0
+    transposed = _partial_transpose(rho_markers.entries, 2, (1,))
 
     return ExtendedOutputReport(
         postselected_state=rho_markers,
         selection_probability=prob,
         entanglement_entropy=ee,
-        mutual_information=mutual_information(rho_markers, (("d1",), ("d2",))),
-        ppt_separable=_ppt_separable(rho_markers),
-        irreality_sigma_z_at_s1=irr,
+        mutual_information=s_d1 + s_d2 - s_pair,
+        ppt_separable=bool(np.linalg.eigvalsh(transposed).min() >= -_PPT_TOL),
+        irreality_sigma_z_at_s1=_s1_probe_irreality(decohere),
     )

@@ -1,10 +1,19 @@
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+# hypothesis imports this module to report a failing example.  On import it
+# raises a DeprecationWarning (mypy_extensions.TypedDict), which the "error"
+# filter turns into an INTERNALERROR that loses the example and stops the
+# run.  Importing it once here, with that warning ignored, keeps the report.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

@@ -3,9 +3,10 @@
 Everything here is deliberately written against raw numpy arrays with
 explicit index loops or full-space kron products, so it shares no code
 path with the library implementations it checks.  The exceptions are the
-per-point references at the end: they rebuild one device state per grid
-point with the library's single-state operations (stage states,
-post-selection, partial trace), the path the stacked grid kernels replace.
+references at the end: they rebuild one device state per grid point or
+phase with the library's single-state operations (stage states, unitaries,
+post-selection, partial trace), the path that the stacked grid kernels and
+the one-pass marker analysis replace.
 """
 
 import dataclasses
@@ -14,7 +15,20 @@ import itertools
 
 import numpy as np
 
-from qreality import ObservableSpec, irreality, mzi_state, partial_trace, post_select
+from qreality import (
+    DensityMatrix,
+    ObservableSpec,
+    PureState,
+    QubitRegister,
+    apply_unitary,
+    irreality,
+    mzi_state,
+    partial_trace,
+    post_select,
+    purity,
+    tensor,
+    von_neumann_entropy,
+)
 from qreality.eraser import TARGETS, apply_beam_displacers, build_psi0, evolve_to_psi1
 
 
@@ -56,6 +70,20 @@ def partial_trace_index_sum(rho, n, keep_axes):
                 i = int("".join(map(str, row)), 2)
                 j = int("".join(map(str, col)), 2)
                 out[r, c] += rho[i, j]
+    return out
+
+
+def partial_transpose_index_swap(rho, n, axes):
+    """Partial transpose by explicit loops: entry (i, j) moves to the index
+    pair whose bits at ``axes`` are exchanged between row and column."""
+    dim = 2**n
+    out = np.zeros_like(rho)
+    for i in range(dim):
+        for j in range(dim):
+            rbits, cbits = bits_of(i, n), bits_of(j, n)
+            for axis in axes:
+                rbits[axis], cbits[axis] = cbits[axis], rbits[axis]
+            out[int("".join(map(str, rbits)), 2), int("".join(map(str, cbits)), 2)] = rho[i, j]
     return out
 
 
@@ -274,3 +302,43 @@ def detector_probabilities_per_phi(cfg, phis):
         rho = partial_trace(state, ("Q",)).entries
         out.append((float(rho[0, 0].real), float(rho[1, 1].real)))
     return out
+
+
+MZI_BS = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
+MZI_MIRROR = np.array([[0, 1j], [1j, 0]], dtype=complex)
+
+
+def extended_report_reference(cfg, detector):
+    """The fields of ``extended_output_analysis`` by the single-state chain.
+
+    From the device at s1, built here gate by gate, three ``apply_unitary``
+    calls (mirrors, phase shifter, second beam splitter; two when open),
+    ``post_select`` on the probe, then ``partial_trace`` and
+    ``von_neumann_entropy``; the PPT test on an index-loop partial transpose.
+    """
+    probe_reg = QubitRegister(("Q",))
+    if cfg.decohere_after_first_bs:
+        probe = DensityMatrix.maximally_mixed(probe_reg)
+    else:
+        probe = apply_unitary(PureState(probe_reg, [1.0, 0.0]), MZI_BS, ("Q",))
+    x = PAULI["X"]
+    # Q = 0 flips d1, Q = 1 flips d2
+    write = kron_all([np.diag([1, 0]), x, PAULI["I"]]) + kron_all([np.diag([0, 1]), PAULI["I"], x])
+    markers = PureState.from_bits(QubitRegister(("d1", "d2")), "11")
+    state = apply_unitary(tensor(probe, markers), write, ("Q", "d1", "d2"))
+    phase = np.diag([1.0, np.exp(1j * cfg.phi)])
+    for gate in (MZI_MIRROR, phase, MZI_BS)[: 3 if cfg.closed else 2]:
+        state = apply_unitary(state, gate, ("Q",))
+    selected, prob = post_select(state, np.eye(2)[detector], ("Q",))
+    rho = selected.to_density() if isinstance(selected, PureState) else selected
+    s_d1 = von_neumann_entropy(partial_trace(rho, ("d1",)))
+    s_d2 = von_neumann_entropy(partial_trace(rho, ("d2",)))
+    transposed = partial_transpose_index_swap(rho.entries, 2, [1])
+    return {
+        "postselected_state": rho,
+        "selection_probability": prob,
+        "entanglement_entropy": s_d1 if purity(rho) >= 1.0 - 1e-8 else 0.0,
+        "mutual_information": s_d1 + s_d2 - von_neumann_entropy(rho),
+        "ppt_separable": bool(np.linalg.eigvalsh(transposed).min() >= -1e-10),
+        "irreality_sigma_z_at_s1": irreality(probe, ObservableSpec.pauli("Q", "Z")).irreality,
+    }

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -14,7 +15,9 @@ from qreality import (
     monte_carlo_irreality, purity, save_dataset, simulate_counts, tomography_end_to_end,
     visibility,
 )
-from qreality.cli import MAX_GRID, MAX_RESAMPLES, OMEGA_STATES, _write_csv, build_parser, main
+from qreality.cli import (
+    MAX_GRID, MAX_RESAMPLES, OMEGA_STATES, _reprs, _write_csv, build_parser, main,
+)
 from qreality.eraser import OMEGA_REGISTER, TARGETS, ProtocolConfig, irreality_curve, omega_state
 from qreality.tomography import MAX_POISSON_COUNT, load_dataset, reconstruct
 
@@ -904,6 +907,74 @@ class TestCsvWriter:
                 for field in row:
                     assert isinstance(field, str)
                     assert not set(field) & set(',"\r\n'), (name, row)
+
+
+class TestFloatFormatter:
+    COLUMNS = {
+        "signed zeros": [-0.0, 0.0, -0.0, 0.0],
+        "nan": [float("nan"), 1.0, float("nan")],
+        "nan payloads": np.array([0x7FF8000000000001, 0x7FF8000000000000, -0x0008000000000000]).view(np.float64),
+        "subnormal": [5e-324, -5e-324, 0.0],
+        "large": [1e16, 1e16 + 2, -1e16, float("inf"), -float("inf")],
+        "repeated": [0.25, 0.5, 0.25, 0.25, 0.5],
+        "all distinct": np.linspace(0.0, 2 * np.pi, 64, endpoint=False),
+        "single row": [0.1],
+    }
+
+    @pytest.mark.parametrize("name", sorted(COLUMNS))
+    def test_equals_repr_of_each_value(self, name):
+        column = np.asarray(self.COLUMNS[name], dtype=float)
+        assert _reprs(column) == [repr(v) for v in column.tolist()]
+
+    @pytest.mark.parametrize("name", sorted(COLUMNS))
+    def test_undefined_rows_are_empty(self, rng, name):
+        column = np.asarray(self.COLUMNS[name], dtype=float)
+        defined = rng.random(len(column)) < 0.5
+        want = [repr(v) if ok else "" for v, ok in zip(column.tolist(), defined.tolist())]
+        assert _reprs(column, defined) == want
+        assert _reprs(column, np.zeros(len(column), bool)) == [""] * len(column)
+
+    def test_each_distinct_value_is_formatted_once(self, monkeypatch):
+        calls = []
+
+        def counting_repr(value):
+            calls.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(qreality.cli, "repr", counting_repr, raising=False)
+        column = np.array([0.5, -0.0, 0.5, 0.0, 0.5, -0.0] * 40)
+        assert _reprs(column) == [repr(v) for v in column.tolist()]
+        assert len(calls) == 3
+
+
+# sha256 of the files each command writes, recorded with numpy 2.4.6 on x86-64;
+# the columnar writer and the float formatter must leave every byte unchanged.
+GOLDEN_MZI_CSV = {
+    ("--closed",): "5d2666bf7014d99d62e7d7dd70713e6edbf6c0495afb68b5c63ff22c1b1cdab6",
+    ("--closed", "--decohere"): "291467bedf39322b5d0658e5cd2ff6e469b2fa5cb380b597a95495897c39c1bc",
+    ("--closed", "--extended"): "1cb0b3089490956063f3353fa23378d52ba49f2df99833646804538890e70b3c",
+    ("--closed", "--extended", "--decohere"): "291467bedf39322b5d0658e5cd2ff6e469b2fa5cb380b597a95495897c39c1bc",
+    ("--open",): "ce73ac6b76d175793a398bcbe0a1476bbe2ec873b78f5ebf65934db06b65c017",
+    ("--open", "--decohere"): "444e223588fe0f0c1e69232420fcd116f7cd9013308876a454d36427251e1b72",
+    ("--open", "--extended"): "ce73ac6b76d175793a398bcbe0a1476bbe2ec873b78f5ebf65934db06b65c017",
+    ("--open", "--extended", "--decohere"): "444e223588fe0f0c1e69232420fcd116f7cd9013308876a454d36427251e1b72",
+}
+GOLDEN_SWEEP_CSV = "145eb768b796764e4b0813b5034d84f78d9c65c02babc624bb2e4d7669cd0c36"
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("flags", sorted(GOLDEN_MZI_CSV))
+    def test_mzi_csv(self, tmp_path, flags):
+        assert run(["mzi", *flags, "--out-dir", str(tmp_path)]) == 0
+        assert sha256_of(tmp_path / "mzi.csv") == GOLDEN_MZI_CSV[flags]
+
+    def test_default_sweep_csv(self, tmp_path):
+        assert run(["sweep", "--out-dir", str(tmp_path)]) == 0
+        assert sha256_of(tmp_path / "sweep.csv") == GOLDEN_SWEEP_CSV
 
 
 class TestEnvironmentOverrides:

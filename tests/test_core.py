@@ -63,6 +63,11 @@ class TestStateValidation:
         with pytest.raises(InvalidStateError):
             PureState(reg, [1.0, 1.0])
 
+    def test_huge_amplitudes_are_invalid_not_an_overflow(self):
+        # the squared norm overflows float64: still InvalidStateError, not an overflow warning
+        with pytest.raises(InvalidStateError):
+            PureState(QubitRegister(("q",)), [1e200, 0.0])
+
     def test_trace_enforced(self):
         reg = QubitRegister(("q",))
         with pytest.raises(InvalidStateError):
@@ -296,6 +301,11 @@ class TestPostSelect:
         sel_dm, p_dm = post_select(psi.to_density(), out, ("q",))
         assert p_pure == pytest.approx(p_dm, abs=1e-12)
         assert fidelity(sel_pure.to_density(), sel_dm) == pytest.approx(1.0, abs=1e-10)
+
+    def test_huge_outcome_is_invalid_not_an_overflow(self):
+        psi = PureState.from_bits(QubitRegister(("p", "q")), "00")
+        with pytest.raises(InvalidStateError):
+            post_select(psi, [1e200, 0.0], ("p",))
 
     def test_must_leave_a_remainder(self):
         psi = PureState.from_bits(QubitRegister(("p",)), "0")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qreality import (
@@ -443,6 +443,9 @@ def test_coherence_discord_split_property(theta, a1, a2, config, target, branch,
 
 @settings(max_examples=100, deadline=None)
 @given(a1=displacer_angles, a2=displacer_angles, bob=signs)
+# gamma2^2 = 3.2e-14, so H(gamma2^2) = 1.49e-12: an entropy floor above gamma2^2
+# drops that eigenvalue and reads 4.6e-14
+@example(a1=0.0, a2=1.7946380419457448e-07, bob="plus")
 def test_cz_erased_marker_property(a1, a2, bob):
     # Cz at theta = pi/2: d1 on Alice's plus outcome reads H(gamma1^2) and d2
     # on her minus outcome reads H(gamma2^2), whatever the other displacer is.

@@ -23,13 +23,14 @@ from qreality import (
     von_neumann_entropy,
 )
 from qreality.eraser import ProtocolConfig, omega_state
-from qreality.measures import _eigenvalue_entropies, _irreality_values
+from qreality.measures import _eigenvalue_entropies, _irreality_values, _partial_transpose
 
 from oracles import (
     binary_entropy_exact,
     dephase_block_zero,
     embed,
     entropy_bits,
+    partial_transpose_index_swap,
     random_density,
     random_pure,
     random_unitary,
@@ -84,6 +85,12 @@ class TestEntropy:
         eigenvalues = np.array([[0.5, 0.5], [1.0, bad]])
         with pytest.raises(InvalidStateError, match="finite"):
             _eigenvalue_entropies(eigenvalues)
+
+    @pytest.mark.parametrize("p", [3.2e-14, 1e-13, 1e-12])
+    def test_small_eigenvalue_carries_its_entropy(self, p):
+        # H(3.2e-14) = 1.49e-12; a floor above p would leave 4.6e-14
+        value = _eigenvalue_entropies(np.array([p, 1.0 - p]))
+        assert value == pytest.approx(binary_entropy_exact(p), rel=1e-6, abs=0)
 
     def test_concavity_spot_check(self, rng):
         reg = QubitRegister(("p", "q"))
@@ -225,6 +232,17 @@ class TestMutualInformation:
         rho = DensityMatrix.maximally_mixed(reg)
         with pytest.raises(LabelError):
             mutual_information(rho, (("p",), ("q",)))
+
+
+class TestPartialTranspose:
+    @pytest.mark.parametrize(
+        "n, axes", [(1, (0,)), (2, (0,)), (2, (1,)), (2, (0, 1)), (3, (1,)), (3, (0, 2))]
+    )
+    def test_matches_index_swap_oracle(self, rng, n, axes):
+        mats = np.stack([random_density(rng, n) for _ in range(3)])
+        got = _partial_transpose(mats, n, axes)
+        for mat, out in zip(mats, got):
+            np.testing.assert_array_equal(out, partial_transpose_index_swap(mat, n, axes))
 
 
 class TestEntanglementEntropy:

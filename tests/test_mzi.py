@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import qreality.core
+import qreality.mzi
 from qreality import (
     ConfigurationError,
     DensityMatrix,
@@ -14,7 +16,17 @@ from qreality import (
     visibility,
 )
 
+from oracles import extended_report_reference
+
 MARKER_REG = QubitRegister(("d1", "d2"))
+EXTENDED_CONFIGS = [
+    {"closed": closed, "decohere_after_first_bs": decohere}
+    for closed in (True, False)
+    for decohere in (False, True)
+]
+REPORT_PHIS = [
+    0.0, np.pi / 2, np.pi, 2 * np.pi - 1e-9, *np.random.default_rng(1414).uniform(0, 2 * np.pi, 5)
+]
 
 
 def phi_plus(phi):
@@ -192,3 +204,44 @@ class TestExtendedOutput:
                 assert report.irreality_sigma_z_at_s1 == pytest.approx(1.0, abs=1e-9)
                 assert not report.ppt_separable
                 assert report.entanglement_entropy == pytest.approx(1.0, abs=1e-9)
+
+
+class TestExtendedOutputAgainstChain:
+    @pytest.mark.parametrize("flags", EXTENDED_CONFIGS)
+    @pytest.mark.parametrize("detector", [0, 1])
+    @pytest.mark.parametrize("phi", REPORT_PHIS)
+    def test_every_field_matches_the_single_state_chain(self, flags, detector, phi):
+        cfg = MziConfig(phi=float(phi), extended=True, **flags)
+        report = extended_output_analysis(cfg, detector=detector)
+        want = extended_report_reference(cfg, detector)
+        np.testing.assert_allclose(
+            report.postselected_state.entries, want["postselected_state"].entries, rtol=0, atol=1e-12
+        )
+        assert report.postselected_state.register == want["postselected_state"].register
+        for field in ("selection_probability", "entanglement_entropy", "mutual_information"):
+            assert getattr(report, field) == pytest.approx(want[field], rel=0, abs=1e-12), field
+        assert report.ppt_separable == want["ppt_separable"]
+        assert report.irreality_sigma_z_at_s1 == want["irreality_sigma_z_at_s1"]
+
+    def test_one_validated_state_and_no_unitary_per_call(self, monkeypatch):
+        for flags in EXTENDED_CONFIGS:  # fill the per-flag caches first
+            extended_output_analysis(MziConfig(phi=0.0, extended=True, **flags))
+        built = []
+        validate = DensityMatrix.__post_init__
+
+        def counted(self):
+            built.append(self)
+            validate(self)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("apply_unitary called")
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        monkeypatch.setattr(qreality.core, "apply_unitary", forbidden)
+        monkeypatch.setattr(qreality.mzi, "apply_unitary", forbidden)
+        for flags in EXTENDED_CONFIGS:
+            for detector in (0, 1):
+                built.clear()
+                cfg = MziConfig(phi=1.3, extended=True, **flags)
+                report = extended_output_analysis(cfg, detector=detector)
+                assert len(built) == 1 and built[0] is report.postselected_state
