@@ -102,26 +102,23 @@ def _s1_state(extended: bool, decohere: bool) -> State:
 
 
 @functools.lru_cache(maxsize=2)
-def _extended_s2_entries(decohere: bool) -> np.ndarray:
-    """The extended device at s2 for phi = 0 as a read-only (2, 4, 2, 4)
-    density array, axes Q, markers, Q, markers; built once per decohere flag."""
-    cfg = MziConfig(phi=0.0, extended=True, decohere_after_first_bs=decohere)
-    entries = _as_density(mzi_state(cfg, "s2")).entries.reshape(2, 4, 2, 4)
-    entries.flags.writeable = False
-    return entries
-
-
-@functools.lru_cache(maxsize=2)
 def _s1_probe_irreality(decohere: bool) -> float:
     """Irreality of sigma_z on the probe at s1, which depends on the decohere flag alone."""
     return irreality(_s1_state(False, decohere), _pauli_z("Q")).irreality
 
 
 @functools.lru_cache(maxsize=4)
-def _probe_marginal(extended: bool, decohere: bool) -> DensityMatrix:
-    """rho_Q at s2 for phi = 0, which ``closed`` does not change; built once per flag pair."""
+def _s2_density(extended: bool, decohere: bool) -> DensityMatrix:
+    """The device at s2 for phi = 0, which ``closed`` does not change, as a
+    density matrix; built once per flag pair."""
     cfg = MziConfig(phi=0.0, extended=extended, decohere_after_first_bs=decohere)
-    return partial_trace(mzi_state(cfg, "s2"), ("Q",))
+    return _as_density(mzi_state(cfg, "s2"))
+
+
+@functools.lru_cache(maxsize=4)
+def _probe_marginal(extended: bool, decohere: bool) -> DensityMatrix:
+    """rho_Q of :func:`_s2_density`; built once per flag pair."""
+    return partial_trace(_s2_density(extended, decohere), ("Q",))
 
 
 def mzi_state(cfg: MziConfig, stage: str) -> State:
@@ -220,10 +217,11 @@ def extended_output_analysis(cfg: MziConfig, *, detector: int = 0) -> ExtendedOu
         raise ConfigurationError("detector must be 0 or 1")
 
     decohere = bool(cfg.decohere_after_first_bs)
+    rho = _s2_density(True, decohere).entries  # axes Q, d1, d2
     shift = np.array([1.0, np.exp(1j * cfg.phi)])  # diag of P(phi)
     row = (_BS if cfg.closed else np.eye(2))[detector]  # of the second beam splitter, if present
     block = np.einsum(
-        "imjn,i,j,i,j->mn", _extended_s2_entries(decohere), shift, shift.conj(), row, row.conj()
+        "imjn,i,j,i,j->mn", rho.reshape(2, 4, 2, 4), shift, shift.conj(), row, row.conj()
     )
     prob = float(np.real(np.trace(block)))
     rho_markers = DensityMatrix(_MARKERS, (block + block.conj().T) / 2 / prob)

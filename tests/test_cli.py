@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -947,8 +948,12 @@ class TestFloatFormatter:
         assert len(calls) == 3
 
 
-# sha256 of the files each command writes, recorded with numpy 2.4.6 on x86-64;
-# the columnar writer and the float formatter must leave every byte unchanged.
+# sha256 of the files each command writes; the columnar writer and the float
+# formatter must leave every byte unchanged.  The hashes pin the bits of
+# numpy's cos/exp and of its einsum summation order, so they hold only for
+# the numpy version and machine they were recorded on.  Elsewhere the CI
+# workflow's byte-identical reruns are the check.
+GOLDEN_NUMPY, GOLDEN_MACHINE = "2.4.6", "x86_64"
 GOLDEN_MZI_CSV = {
     ("--closed",): "5d2666bf7014d99d62e7d7dd70713e6edbf6c0495afb68b5c63ff22c1b1cdab6",
     ("--closed", "--decohere"): "291467bedf39322b5d0658e5cd2ff6e469b2fa5cb380b597a95495897c39c1bc",
@@ -966,6 +971,10 @@ def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@pytest.mark.skipif(
+    (np.__version__, platform.machine()) != (GOLDEN_NUMPY, GOLDEN_MACHINE),
+    reason=f"golden hashes were recorded with numpy {GOLDEN_NUMPY} on {GOLDEN_MACHINE}",
+)
 class TestGoldenOutputs:
     @pytest.mark.parametrize("flags", sorted(GOLDEN_MZI_CSV))
     def test_mzi_csv(self, tmp_path, flags):

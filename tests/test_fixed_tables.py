@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 
 from qreality import ObservableSpec, mzi_state, partial_trace
-from qreality.core import _EIGENBASES, _pauli_z
+from qreality.core import _EIGENBASES, _as_density, _pauli_z
 from qreality.eraser import ProtocolConfig, _basis_kets, irreality_curve
-from qreality.mzi import MziConfig, _probe_marginal, _s1_state, detector_probabilities
+from qreality.mzi import (
+    MziConfig, _probe_marginal, _s1_state, _s2_density, detector_probabilities,
+)
 from qreality.tomography import MAX_QUBITS, _setting_matrices, all_settings
 
 from oracles import stage_state
@@ -147,11 +149,17 @@ class TestMziTables:
         detector_probabilities(cfg, [0.0, 1.0])
         cached = _probe_marginal(extended, decohere)
         assert _probe_marginal(extended, decohere) is cached
+        s2 = _s2_density(extended, decohere)
+        assert _s2_density(extended, decohere) is s2
         s1 = _s1_state(extended, decohere)
 
         _probe_marginal.cache_clear()
+        _s2_density.cache_clear()
         _s1_state.cache_clear()
-        want = partial_trace(mzi_state(cfg, "s2"), ("Q",))
+        fresh_s2 = mzi_state(cfg, "s2")
+        assert_bits_equal(s2.entries, _as_density(fresh_s2).entries)
+        assert_read_only(s2.entries)
+        want = partial_trace(fresh_s2, ("Q",))
         assert_bits_equal(cached.entries, want.entries)
         assert_read_only(cached.entries)
         fresh_s1 = mzi_state(cfg, "s1")
@@ -167,4 +175,5 @@ class TestMziTables:
             detector_probabilities(cfg, [0.3])
             mzi_state(cfg, "s1")
         assert _probe_marginal.cache_info().currsize <= 4
+        assert _s2_density.cache_info().currsize <= 4
         assert _s1_state.cache_info().currsize <= 4
