@@ -5,6 +5,10 @@ register is the most significant bit of the computational-basis index, so
 that ket strings read left to right.  On the register ``(b, d1, d2)`` the
 ket ``|011>`` is basis index 3.
 
+An observable is one qubit read in one basis: :class:`ObservableSpec`
+holds the 2x2 unitary whose columns are its eigenvectors, and its
+projectors derive from those columns.
+
 Global phase is unobservable; state comparisons go through :func:`fidelity`,
 never through amplitude equality.  Every operation is a pure function of
 immutable inputs (arrays are defensively copied and marked read-only), so
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -23,9 +27,8 @@ HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
 NORM_ATOL = 1e-10
+UNITARY_ATOL = 1e-10
 ZERO_PROBABILITY_THRESHOLD = 1e-12
-
-_EYE2 = np.eye(2, dtype=complex)
 
 # Columns are the +1 and -1 eigenvectors of each Pauli operator (read-only).
 _EIGENBASES = {
@@ -57,6 +60,11 @@ def _norm(vec: np.ndarray) -> float:
     """2-norm of ``vec``: inf, not an overflow warning, when a square exceeds the float range."""
     with np.errstate(over="ignore"):
         return float(np.linalg.norm(vec))
+
+
+def _is_unitary(u: np.ndarray) -> bool:
+    """Whether the square matrix ``u`` has U U^dagger = I within UNITARY_ATOL."""
+    return np.abs(u @ u.conj().T - np.eye(len(u))).max() <= UNITARY_ATOL
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -189,67 +197,38 @@ State = Union[PureState, DensityMatrix]
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """Projective decomposition of an observable on one qubit of a register.
+    """Observable on one qubit of a register, given by its eigenbasis.
 
-    ``projectors`` must be orthogonal 2x2 projectors summing to the identity;
-    they drive both the dephasing channel and measurement statistics.
+    ``basis`` is a 2x2 unitary whose columns are the eigenvectors, in the
+    order that ``projectors`` and the dephased blocks of ``measures`` follow.
     """
 
     subsystem: str
-    projectors: tuple[np.ndarray, ...]
+    basis: np.ndarray
 
     def __post_init__(self):
-        projs = []
-        for p in self.projectors:
-            p = _finite(np.array(p, dtype=complex))
-            if p.shape != (2, 2):
-                raise InvalidStateError("qubit projectors must be 2x2")
-            if not np.abs(p - p.conj().T).max() <= HERMITICITY_ATOL:
-                raise InvalidStateError("projector is not Hermitian")
-            p.flags.writeable = False
-            projs.append(p)
-        total = sum(projs)
-        if not np.abs(total - _EYE2).max() <= HERMITICITY_ATOL:
-            raise InvalidStateError("projectors do not sum to the identity")
-        for i, p in enumerate(projs):
-            for j, q in enumerate(projs):
-                expect = p if i == j else np.zeros((2, 2))
-                if not np.abs(p @ q - expect).max() <= HERMITICITY_ATOL:
-                    raise InvalidStateError("projectors are not mutually orthogonal")
-        object.__setattr__(self, "projectors", tuple(projs))
-
-    @functools.cached_property
-    def _block_basis(self) -> Optional[np.ndarray]:
-        """2x2 unitary whose columns span the projectors' ranges (read-only).
-
-        The identity when every projector is diagonal.  None when one
-        projector has rank 2: the dephasing channel is then the identity.
-        """
-        ranks = [round(float(np.trace(p).real)) for p in self.projectors]
-        if 2 in ranks:
-            return None
-        if all(p[0, 1] == 0 == p[1, 0] for p in self.projectors):
-            basis = np.eye(2, dtype=complex)
-        else:
-            basis = np.linalg.eigh(self.projectors[ranks.index(1)])[1]
-        basis.flags.writeable = False
-        return basis
-
-    @classmethod
-    def from_basis(cls, subsystem: str, basis: np.ndarray) -> "ObservableSpec":
-        """Observable whose eigenvectors are the columns of a 2x2 unitary."""
-        basis = np.asarray(basis, dtype=complex)
+        basis = _finite(np.array(self.basis, dtype=complex))
         if basis.shape != (2, 2):
             raise InvalidStateError("basis must be a 2x2 unitary")
-        cols = [basis[:, k] for k in range(2)]
-        return cls(subsystem, tuple(np.outer(c, c.conj()) for c in cols))
+        if not _is_unitary(basis):
+            raise InvalidStateError("basis is not unitary within tolerance")
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
+
+    @functools.cached_property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """Rank-1 projectors onto the basis columns, in column order (read-only)."""
+        projs = tuple(np.outer(c, c.conj()) for c in self.basis.T)
+        for p in projs:
+            p.flags.writeable = False
+        return projs
 
     @classmethod
     def pauli(cls, subsystem: str, kind: str) -> "ObservableSpec":
         kind = kind.upper()
         if kind not in _EIGENBASES:
             raise ValueError(f"unknown Pauli kind {kind!r}")
-        return cls.from_basis(subsystem, _EIGENBASES[kind])
+        return cls(subsystem, _EIGENBASES[kind])
 
 
 @functools.lru_cache(maxsize=32)
@@ -409,7 +388,7 @@ def apply_unitary(state: State, u: np.ndarray, on: Iterable[str]) -> State:
     dim = 2**m
     if u.shape != (dim, dim):
         raise ValueError(f"unitary shape {u.shape} does not match {m} qubits")
-    if not np.abs(u @ u.conj().T - np.eye(dim)).max() <= 1e-10:
+    if not _is_unitary(u):
         raise ValueError("matrix is not unitary within tolerance")
     u_t = u.reshape((2,) * (2 * m))
     contract = list(range(m, 2 * m))

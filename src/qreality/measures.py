@@ -4,7 +4,9 @@ All quantities use the base-2 logarithm and are reported in bits.  The
 irreality of an observable is the entropy cost of its nonselective
 measurement; it vanishes exactly when the dephasing channel leaves the
 state invariant, and it splits into a local coherence part plus a
-correlation (discord) part.
+correlation (discord) part.  The dephased state is block diagonal in the
+observable's eigenbasis (``ObservableSpec.basis``), so its entropy is
+read from the two diagonal blocks.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .core import (
     _as_density,
     _finite,
     _partial_trace_entries,
-    partial_trace,
     purity,
 )
 
@@ -91,8 +92,8 @@ def irreality(state: State, observable: ObservableSpec) -> IrrealityReport:
     """
     rho = _as_density(state)
     total = float(_irreality_values(rho.entries, rho.register, observable))
-    reduced = partial_trace(rho, (observable.subsystem,))
-    local = float(_irreality_values(reduced.entries, reduced.register, observable))
+    sub, reduced = _partial_trace_entries(rho.entries, rho.register, (observable.subsystem,))
+    local = float(_irreality_values(reduced, sub, observable))
     return IrrealityReport(
         irreality=total, coherence=local, discord=total - local, observable=observable
     )
@@ -127,12 +128,9 @@ def _dephased_blocks(mats: np.ndarray, axis: int, observable: ObservableSpec) ->
     eigenvalues together are those of Phi(rho).
 
     Block k, of the (..., 2, d/2, d/2) result, is u_k^dagger rho u_k on
-    qubit ``axis`` for the k-th eigenvector u_k of the observable.  With a
-    rank-2 projector Phi is the identity, and the one block is rho itself.
+    qubit ``axis`` for column k of ``observable.basis``.
     """
-    basis = observable._block_basis
-    if basis is None:
-        return mats[..., None, :, :]
+    basis = observable.basis
     dim = mats.shape[-1]
     before, after = 2**axis, dim // 2 ** (axis + 1)
     t = mats.reshape(*mats.shape[:-2], before, 2, after, before, 2, after)

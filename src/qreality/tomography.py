@@ -65,7 +65,7 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """Per-qubit basis choice; the joint projectors are rank-1 and complete."""
+    """Per-qubit basis choice; the joint outcomes are the columns of its eigenvector matrix."""
 
     bases: tuple[str, ...]
 
@@ -76,19 +76,11 @@ class MeasurementSetting:
             if b not in SETTING_BASES:
                 raise DatasetFormatError(f"unknown measurement basis {_shown(b)}")
 
-    @property
-    def n_qubits(self) -> int:
-        return len(self.bases)
-
     def eigenvector_matrix(self) -> np.ndarray:
         """2^n x 2^n matrix whose columns are the joint-outcome eigenvectors (read-only)."""
         v = functools.reduce(np.kron, (_EIGENBASES[b] for b in self.bases))
         v.flags.writeable = False
         return v
-
-    def projectors(self) -> list[np.ndarray]:
-        v = self.eigenvector_matrix()
-        return [np.outer(v[:, k], v[:, k].conj()) for k in range(v.shape[1])]
 
 
 @functools.lru_cache(maxsize=MAX_QUBITS, typed=True)  # typed: 3.0 still raises TypeError

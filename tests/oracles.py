@@ -87,6 +87,24 @@ def partial_transpose_index_swap(rho, n, axes):
     return out
 
 
+def wootters_concurrence(rho):
+    """Two-qubit concurrence from Wootters' definition (PRL 80, 2245, 1998).
+
+    With the spin-flipped state rho~ = (Y x Y) rho* (Y x Y), the l_i are the
+    square roots of the eigenvalues of rho rho~ in decreasing order, and
+    C = max(0, l1 - l2 - l3 - l4).  Those eigenvalues are real and
+    nonnegative in exact arithmetic; the rounding residue (imaginary parts,
+    tiny negatives) is dropped before the square root.  A zero eigenvalue
+    that comes out as 1e-17 still adds a root of about 3e-9, so compare
+    with a tolerance of 1e-7.
+    """
+    yy = np.kron(PAULI["Y"], PAULI["Y"])
+    flipped = yy @ rho.conj() @ yy
+    eigs = np.linalg.eigvals(rho @ flipped)
+    lam = np.sort(np.sqrt(np.clip(eigs.real, 0.0, None)))[::-1]
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
 def dephase_block_zero(rho, axis, basis, n):
     """Dephasing by zeroing off-diagonal blocks in the measurement basis.
 

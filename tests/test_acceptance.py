@@ -193,7 +193,7 @@ def test_criterion_08_dephasing_oracle_equivalence():
             rho = DensityMatrix(reg, random_density(rng, n))
             axis = int(rng.integers(n))
             basis = random_unitary(rng, 2)
-            obs = ObservableSpec.from_basis(f"q{axis}", basis)
+            obs = ObservableSpec(f"q{axis}", basis)
             via_projectors = (
                 entropy_bits(dephasing_map(rho, obs).entries)
                 - entropy_bits(rho.entries)
@@ -219,8 +219,8 @@ def test_criterion_09_complementarity_bound():
         u = random_unitary(rng, 2)
         res = complementarity_check(
             rho,
-            ObservableSpec.from_basis("p", u),
-            ObservableSpec.from_basis("p", u @ hadamard),
+            ObservableSpec("p", u),
+            ObservableSpec("p", u @ hadamard),
         )
         if not res.holds:
             violations.append((res.lhs, res.rhs))

@@ -228,7 +228,7 @@ class TestDephasing:
         reg = QubitRegister(("p", "q"))
         for _ in range(10):
             rho = DensityMatrix(reg, random_density(rng, 2))
-            obs = ObservableSpec.from_basis("q", random_unitary(rng, 2))
+            obs = ObservableSpec("q", random_unitary(rng, 2))
             once = dephasing_map(rho, obs)
             twice = dephasing_map(once, obs)
             assert np.trace(once.entries) == pytest.approx(1.0, abs=1e-10)
@@ -238,7 +238,7 @@ class TestDephasing:
         reg = QubitRegister(("p", "q", "r"))
         rho = DensityMatrix(reg, random_density(rng, 3))
         basis = random_unitary(rng, 2)
-        got = dephasing_map(rho, ObservableSpec.from_basis("q", basis))
+        got = dephasing_map(rho, ObservableSpec("q", basis))
         want = dephase_block_zero(rho.entries, axis=1, basis=basis, n=3)
         np.testing.assert_allclose(got.entries, want, atol=1e-12)
 
@@ -413,14 +413,58 @@ class TestObservableSpec:
             total = sum(obs.projectors)
             np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
 
-    def test_rejects_non_projectors(self):
-        with pytest.raises(InvalidStateError):
-            ObservableSpec("q", (np.eye(2) * 0.5, np.eye(2) * 0.5))
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            np.eye(2) * 0.5,  # orthogonal columns, not unit
+            np.array([[1.0, 1.0], [0.0, 1.0]]),  # unit first column, not orthogonal
+            np.array([[1.0, 1.0], [1.0, 1.0]]) / np.sqrt(2),  # rank 1
+            np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]]),  # off by more than 1e-10
+        ],
+        ids=["half-identity", "shear", "rank-1", "beyond-tolerance"],
+    )
+    def test_rejects_non_unitary_basis(self, basis):
+        with pytest.raises(InvalidStateError, match="not unitary"):
+            ObservableSpec("q", basis)
+
+    @pytest.mark.parametrize(
+        "basis",
+        [np.eye(4), np.eye(2)[:, :1], np.ones(2), np.eye(2)[None], (np.eye(2), np.eye(2))],
+        ids=["4x4", "2x1", "vector", "stack-of-one", "projector-pair"],
+    )
+    def test_rejects_non_2x2_basis(self, basis):
+        with pytest.raises(InvalidStateError, match="2x2"):
+            ObservableSpec("q", basis)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
-    def test_rejects_non_finite_projector_entry(self, bad, entry):
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        p0[entry] = bad
+    def test_rejects_non_finite_basis_entry(self, bad, entry):
+        basis = np.eye(2, dtype=complex)
+        basis[entry] = bad
         with pytest.raises(InvalidStateError):
-            ObservableSpec("q", (p0, np.diag([0.0, 1.0])))
+            ObservableSpec("q", basis)
+
+    def test_basis_is_a_read_only_copy(self, rng):
+        given = random_unitary(rng, 2)
+        obs = ObservableSpec("q", given)
+        assert obs.basis is not given
+        assert obs.basis.tobytes() == given.astype(complex).tobytes()
+        given[0, 0] = 7.0
+        assert obs.basis[0, 0] != 7.0
+        with pytest.raises(ValueError):
+            obs.basis[0, 0] = 1.0
+
+    @pytest.mark.parametrize("kind", ["Z", "X", "Y", "random"])
+    def test_projectors_are_read_only_outer_products_of_the_columns(self, rng, kind):
+        if kind == "random":
+            obs = ObservableSpec("q", random_unitary(rng, 2))
+        else:
+            obs = ObservableSpec.pauli("q", kind)
+        projectors = obs.projectors
+        assert isinstance(projectors, tuple) and len(projectors) == 2
+        assert obs.projectors is projectors  # derived once
+        for k, p in enumerate(projectors):
+            column = obs.basis[:, k]
+            assert p.tobytes() == np.outer(column, column.conj()).tobytes()
+            with pytest.raises(ValueError):
+                p[0, 0] = 1.0

@@ -1,6 +1,6 @@
 """Per-process tables of the protocol's fixed pieces.
 
-The evolved basis kets, the Z observables and their block bases, the Pauli
+The evolved basis kets, the Z observables with their eigenbases, the Pauli
 measurement settings and their eigenvector matrices stacked per register
 size, and the MZI s1 state and probe marginal are each built once and
 served from a bounded ``functools`` cache.  Every table entry must equal, bit for bit,
@@ -84,9 +84,8 @@ class TestZObservable:
         for got, ref in zip(cached.projectors, want.projectors, strict=True):
             assert_bits_equal(got, ref)
             assert_read_only(got)
-        assert cached._block_basis is cached._block_basis
-        assert_bits_equal(cached._block_basis, np.eye(2, dtype=complex))
-        assert_read_only(cached._block_basis)
+        assert_bits_equal(cached.basis, np.eye(2, dtype=complex))
+        assert_read_only(cached.basis)
 
     def test_bounded_over_many_labels(self):
         for k in range(1000):

@@ -9,6 +9,7 @@ from qreality import (
     DensityMatrix,
     InvalidStateError,
     LabelError,
+    MziConfig,
     ObservableSpec,
     PureState,
     QubitRegister,
@@ -16,6 +17,7 @@ from qreality import (
     complementarity_check,
     dephasing_map,
     entanglement_entropy,
+    extended_output_analysis,
     fidelity,
     irreality,
     mutual_information,
@@ -34,6 +36,7 @@ from oracles import (
     random_density,
     random_pure,
     random_unitary,
+    wootters_concurrence,
 )
 
 H34 = 0.8112781244591328  # binary entropy of 3/4, frozen from the oracle
@@ -149,7 +152,7 @@ class TestIrreality:
         reg = QubitRegister(("p", "q"))
         for _ in range(1000):
             rho = DensityMatrix(reg, random_density(rng, 2))
-            obs = ObservableSpec.from_basis("p", random_unitary(rng, 2))
+            obs = ObservableSpec("p", random_unitary(rng, 2))
             rep = irreality(rho, obs)
             assert rep.irreality == pytest.approx(
                 rep.coherence + rep.discord, abs=1e-9
@@ -161,7 +164,7 @@ class TestIrreality:
         reg = QubitRegister(("p", "q"))
         for _ in range(50):
             rho = DensityMatrix(reg, random_density(rng, 2))
-            obs = ObservableSpec.from_basis("q", random_unitary(rng, 2))
+            obs = ObservableSpec("q", random_unitary(rng, 2))
             rep = irreality(rho, obs)
             from qreality import partial_trace
 
@@ -173,7 +176,7 @@ class TestIrreality:
         stack = np.stack([random_density(rng, 3, rank=1 + k % 8) for k in range(16)])
         for axis, label in enumerate(reg.labels):
             basis = random_unitary(rng, 2)
-            obs = ObservableSpec.from_basis(label, basis)
+            obs = ObservableSpec(label, basis)
             values = _irreality_values(stack, reg, obs)
             for rho, value in zip(stack, values):
                 dephased = dephase_block_zero(rho, axis, basis, 3)
@@ -243,6 +246,52 @@ class TestPartialTranspose:
         got = _partial_transpose(mats, n, axes)
         for mat, out in zip(mats, got):
             np.testing.assert_array_equal(out, partial_transpose_index_swap(mat, n, axes))
+
+
+class TestConcurrenceOracle:
+    """Wootters' concurrence pins the MZI marker pair and the partial transpose.
+
+    The tolerance is the oracle's: square roots of rounding-level zero
+    eigenvalues reach about 3e-8 (see ``wootters_concurrence``).
+    """
+
+    @pytest.mark.parametrize("detector", [0, 1])
+    @pytest.mark.parametrize("phi", [0.0, 0.85, np.pi, 5.5])
+    def test_closed_coherent_mzi_markers_are_maximally_entangled(self, phi, detector):
+        report = extended_output_analysis(MziConfig(phi=phi, extended=True), detector=detector)
+        assert wootters_concurrence(report.postselected_state.entries) == pytest.approx(
+            1.0, abs=1e-7
+        )
+
+    @pytest.mark.parametrize("detector", [0, 1])
+    @pytest.mark.parametrize(
+        "closed, decohere", [(True, True), (False, False), (False, True)],
+        ids=["closed-decohered", "open", "open-decohered"],
+    )
+    def test_decohered_and_open_markers_are_unentangled(self, closed, decohere, detector):
+        for phi in (0.0, 0.85, np.pi, 5.5):
+            cfg = MziConfig(
+                phi=phi, closed=closed, extended=True, decohere_after_first_bs=decohere
+            )
+            report = extended_output_analysis(cfg, detector=detector)
+            assert wootters_concurrence(report.postselected_state.entries) == pytest.approx(
+                0.0, abs=1e-7
+            )
+
+    def test_twice_negativity_on_random_pure_states(self, rng):
+        for _ in range(200):
+            psi = random_pure(rng, 2)
+            rho = np.outer(psi, psi.conj())
+            eigs = np.linalg.eigvalsh(_partial_transpose(rho, 2, (1,)))
+            negativity = -eigs[eigs < 0].sum()
+            assert wootters_concurrence(rho) == pytest.approx(2 * negativity, abs=1e-7)
+
+    @pytest.mark.parametrize("p", [0.0, 0.2, 1 / 3, 0.5, 0.8, 1.0])
+    def test_werner_states(self, p):
+        # p |Phi+><Phi+| + (1 - p) I/4 has C = max(0, (3p - 1)/2)
+        bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+        rho = p * np.outer(bell, bell) + (1 - p) * np.eye(4) / 4
+        assert wootters_concurrence(rho) == pytest.approx(max(0.0, (3 * p - 1) / 2), abs=1e-7)
 
 
 class TestEntanglementEntropy:
@@ -330,8 +379,8 @@ class TestComplementarity:
             u = random_unitary(rng, 2)
             res = complementarity_check(
                 rho,
-                ObservableSpec.from_basis("p", u),
-                ObservableSpec.from_basis("p", u @ hadamard),
+                ObservableSpec("p", u),
+                ObservableSpec("p", u @ hadamard),
             )
             if not res.holds:
                 violations.append((res.lhs, res.rhs))
@@ -345,9 +394,10 @@ class TestComplementarity:
             )
 
 
-EDGE_SPECS = {
-    "I": (np.eye(2),),
-    "I0": (np.eye(2), np.zeros((2, 2))),
+# Z up to column phases (the unrotated branch) and Z with its columns swapped
+Z_VARIANTS = {
+    "Z-phased": np.diag([1.0, 1j]),
+    "Z-swapped": np.array([[0.0, 1.0], [1.0, 0.0]]),
 }
 
 
@@ -355,7 +405,7 @@ EDGE_SPECS = {
 @given(
     data=st.data(),
     n=st.integers(1, 4),
-    kind=st.sampled_from(["Z", "X", "Y", "random", "I", "I0"]),
+    kind=st.sampled_from(["Z", "X", "Y", "random", *Z_VARIANTS]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_block_entropies_match_projector_dephasing(data, n, kind, seed):
@@ -363,10 +413,10 @@ def test_block_entropies_match_projector_dephasing(data, n, kind, seed):
     rng = np.random.default_rng(seed)
     labels = tuple(f"q{i}" for i in range(n))
     reg = QubitRegister(labels)
-    if kind in EDGE_SPECS:
-        obs = ObservableSpec(labels[axis], EDGE_SPECS[kind])
-    elif kind == "random":
-        obs = ObservableSpec.from_basis(labels[axis], random_unitary(rng, 2))
+    if kind == "random":
+        obs = ObservableSpec(labels[axis], random_unitary(rng, 2))
+    elif kind in Z_VARIANTS:
+        obs = ObservableSpec(labels[axis], Z_VARIANTS[kind])
     else:
         obs = ObservableSpec.pauli(labels[axis], kind)
     pure = [np.eye(2**n)[rng.integers(2**n)], random_pure(rng, n)]

@@ -61,15 +61,14 @@ class TestSettings:
         assert len(all_settings(1)) == 3
         assert len(all_settings(3)) == 27
 
-    def test_projectors_complete_and_orthogonal(self):
-        for setting in all_settings(2):
-            projs = setting.projectors()
-            total = sum(projs)
-            np.testing.assert_allclose(total, np.eye(4), atol=1e-10)
-            for i, p in enumerate(projs):
-                for j, q in enumerate(projs):
-                    expected = p if i == j else np.zeros((4, 4))
-                    np.testing.assert_allclose(p @ q, expected, atol=1e-10)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_eigenvector_matrices_are_unitary(self, n):
+        # unitary columns: the joint outcomes are complete and orthogonal
+        for setting in all_settings(n):
+            v = setting.eigenvector_matrix()
+            assert v.shape == (2**n, 2**n)
+            np.testing.assert_allclose(v @ v.conj().T, np.eye(2**n), atol=1e-10)
+            np.testing.assert_allclose(v.conj().T @ v, np.eye(2**n), atol=1e-10)
 
     def test_unknown_basis_rejected(self):
         with pytest.raises(DatasetFormatError):
