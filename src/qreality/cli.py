@@ -121,11 +121,12 @@ def _reprs(column: np.ndarray, defined: np.ndarray | None = None) -> list[str]:
     costs few ``repr`` calls, and -0.0, 0.0 and every NaN keep their own text.
     """
     values = np.ascontiguousarray(column, dtype=np.float64)
-    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
-    fields = np.array(list(map(repr, values[first].tolist())), dtype=object)[inverse]
+    bits = values.view(np.int64).tolist()
+    text = {b: repr(v) for b, v in dict(zip(bits, values.tolist())).items()}
+    fields = list(map(text.__getitem__, bits))
     if defined is not None:
-        fields[~defined] = ""
-    return fields.tolist()
+        fields = [field if ok else "" for field, ok in zip(fields, defined.tolist())]
+    return fields
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -18,7 +18,7 @@ values can be shared across threads without synchronization.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -79,6 +79,16 @@ def _finite(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _hermitian(mat: np.ndarray) -> np.ndarray:
+    """``mat`` itself, or InvalidStateError unless it is a nonempty square
+    matrix that is Hermitian within HERMITICITY_ATOL."""
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise InvalidStateError(f"matrix of shape {mat.shape} is not a nonempty square matrix")
+    if not np.abs(mat - mat.conj().T).max() <= HERMITICITY_ATOL:
+        raise InvalidStateError("matrix is not Hermitian within tolerance")
+    return mat
+
+
 @dataclass(frozen=True)
 class QubitRegister:
     """Ordered collection of named qubits.
@@ -134,9 +144,9 @@ class QubitRegister:
         return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """Unit-norm state vector over a labeled register."""
+    """Unit-norm state vector over a labeled register; ``==`` is identity."""
 
     register: QubitRegister
     amplitudes: np.ndarray
@@ -164,27 +174,35 @@ class PureState:
         return DensityMatrix(self.register, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Trace-one, Hermitian, positive-semidefinite matrix over a labeled register."""
+    """Trace-one, Hermitian, positive-semidefinite matrix over a labeled register.
+
+    ``eigenvalues`` is the ascending ``eigvalsh`` spectrum of ``entries``
+    that the PSD check computed, kept read-only so that measures reading
+    the spectrum do not diagonalise the matrix again.  ``==`` is identity.
+    """
 
     register: QubitRegister
     entries: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = _finite(np.array(self.entries, dtype=complex))
         dim = self.register.dimension
         if mat.shape != (dim, dim):
             raise InvalidStateError(f"matrix shape {mat.shape} does not match dimension {dim}")
-        if not np.abs(mat - mat.conj().T).max() <= HERMITICITY_ATOL:
-            raise InvalidStateError("matrix is not Hermitian within tolerance")
+        _hermitian(mat)
         tr = np.trace(mat)
         if not abs(tr - 1.0) <= TRACE_ATOL:
             raise InvalidStateError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
-        if not np.linalg.eigvalsh(mat).min() >= -PSD_ATOL:
+        eigenvalues = np.linalg.eigvalsh(mat)
+        if not eigenvalues.min() >= -PSD_ATOL:
             raise InvalidStateError("matrix has an eigenvalue below the PSD tolerance")
         mat.flags.writeable = False
+        eigenvalues.flags.writeable = False
         object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @classmethod
     def maximally_mixed(cls, register: QubitRegister) -> "DensityMatrix":
@@ -195,12 +213,13 @@ class DensityMatrix:
 State = Union[PureState, DensityMatrix]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableSpec:
     """Observable on one qubit of a register, given by its eigenbasis.
 
     ``basis`` is a 2x2 unitary whose columns are the eigenvectors, in the
     order that ``projectors`` and the dephased blocks of ``measures`` follow.
+    ``==`` is identity.
     """
 
     subsystem: str

@@ -26,6 +26,7 @@ from .core import (
     State,
     _as_density,
     _finite,
+    _hermitian,
     _partial_trace_entries,
     purity,
 )
@@ -51,12 +52,12 @@ def _eigenvalue_entropies(eigs: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(state: Union[State, np.ndarray]) -> float:
-    """Von Neumann entropy in bits.  Accepts a state or a raw Hermitian matrix."""
+    """Von Neumann entropy in bits.  Accepts a state, whose validated
+    spectrum it reads, or a raw Hermitian matrix: InvalidStateError unless
+    the matrix is square and Hermitian within HERMITICITY_ATOL."""
     if isinstance(state, (PureState, DensityMatrix)):
-        mat = _as_density(state).entries
-    else:
-        mat = _finite(np.asarray(state, dtype=complex))
-    return _entropy(mat)
+        return float(_eigenvalue_entropies(_as_density(state).eigenvalues))
+    return _entropy(_hermitian(_finite(np.asarray(state, dtype=complex))))
 
 
 def _entropy(mat: np.ndarray) -> float:
@@ -80,7 +81,6 @@ class IrrealityReport:
     irreality: float
     coherence: float
     discord: float
-    observable: ObservableSpec
 
 
 def irreality(state: State, observable: ObservableSpec) -> IrrealityReport:
@@ -91,12 +91,11 @@ def irreality(state: State, observable: ObservableSpec) -> IrrealityReport:
     discord part is the remainder.
     """
     rho = _as_density(state)
-    total = float(_irreality_values(rho.entries, rho.register, observable))
+    total = float(_irreality_values(rho.entries, rho.register, observable, rho.eigenvalues))
     sub, reduced = _partial_trace_entries(rho.entries, rho.register, (observable.subsystem,))
-    local = float(_irreality_values(reduced, sub, observable))
-    return IrrealityReport(
-        irreality=total, coherence=local, discord=total - local, observable=observable
-    )
+    # on a one-qubit register the reduced state is the state itself
+    local = total if reduced is rho.entries else float(_irreality_values(reduced, sub, observable))
+    return IrrealityReport(irreality=total, coherence=local, discord=total - local)
 
 
 def _irreality_values(
@@ -153,19 +152,18 @@ def _split_partition(state: State, partition) -> tuple[tuple[str, ...], tuple[st
 
 def mutual_information(state: State, partition) -> float:
     """S(A) + S(B) - S(AB) across a bipartition covering the register."""
-    part_a, part_b = _split_partition(state, partition)
-    rho = _as_density(state)
-    s_a, s_b, s_ab = _bipartite_entropies(rho.entries, rho.register, (part_a, part_b))
+    part = _split_partition(state, partition)
+    s_a, s_b, s_ab = _bipartite_entropies(_as_density(state), part)
     return s_a + s_b - s_ab
 
 
-def _bipartite_entropies(mat: np.ndarray, register: QubitRegister, partition):
-    """S(A), S(B) and S(AB) of a raw matrix on ``register``, unvalidated;
-    ``partition`` is (A, B), a checked bipartition of the register."""
+def _bipartite_entropies(rho: DensityMatrix, partition):
+    """S(A), S(B) and S(AB) of a validated state, S(AB) from its stored
+    spectrum; ``partition`` is (A, B), a checked bipartition of its register."""
     part_a, part_b = partition
-    _, rho_a = _partial_trace_entries(mat, register, part_a)
-    _, rho_b = _partial_trace_entries(mat, register, part_b)
-    return _entropy(rho_a), _entropy(rho_b), _entropy(mat)
+    _, rho_a = _partial_trace_entries(rho.entries, rho.register, part_a)
+    _, rho_b = _partial_trace_entries(rho.entries, rho.register, part_b)
+    return _entropy(rho_a), _entropy(rho_b), float(_eigenvalue_entropies(rho.eigenvalues))
 
 
 def entanglement_entropy(state: State, partition) -> float:

@@ -185,7 +185,11 @@ def _visibility(p0: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ExtendedOutputReport:
-    """Marker pair left behind after post-selecting one detector."""
+    """Marker pair left behind after post-selecting one detector.
+
+    ``==`` compares ``postselected_state`` by identity, as
+    :class:`DensityMatrix` does.
+    """
 
     postselected_state: DensityMatrix
     selection_probability: float
@@ -208,8 +212,9 @@ def extended_output_analysis(cfg: MziConfig, *, detector: int = 0) -> ExtendedOu
     BS P(phi) (closed) or P(phi) (open) and rho the device at s2 for
     phi = 0.  Its trace is the selection probability, 1/2 for either
     detector since the markers record the path.  The normalized block is
-    validated once, as ``postselected_state``; the entropies and the
-    positive-partial-transpose test (tolerance 1e-10) read its entries.
+    validated once, as ``postselected_state``; S(d1 d2) reads the spectrum
+    that validation kept, and S(d1), S(d2) and the positive-partial-transpose
+    test (tolerance 1e-10) read its entries.
     """
     if not cfg.extended:
         raise ConfigurationError("extended_output_analysis needs extended=True")
@@ -226,7 +231,7 @@ def extended_output_analysis(cfg: MziConfig, *, detector: int = 0) -> ExtendedOu
     prob = float(np.real(np.trace(block)))
     rho_markers = DensityMatrix(_MARKERS, (block + block.conj().T) / 2 / prob)
 
-    s_d1, s_d2, s_pair = _bipartite_entropies(rho_markers.entries, _MARKERS, (("d1",), ("d2",)))
+    s_d1, s_d2, s_pair = _bipartite_entropies(rho_markers, (("d1",), ("d2",)))
     # a mixed marker output carries no pure-state entanglement entropy
     ee = s_d1 if purity(rho_markers) >= 1.0 - 1e-8 else 0.0
     transposed = _partial_transpose(rho_markers.entries, 2, (1,))

@@ -92,9 +92,13 @@ def all_settings(n_qubits: int) -> tuple[MeasurementSetting, ...]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TomographyDataset:
-    """Counts for every setting, plus the budget and seed that produced them."""
+    """Counts for every setting, plus the budget and seed that produced them.
+
+    The counts must have an integer dtype and fit an int64; they are
+    stored as a read-only int64 array.  ``==`` is identity.
+    """
 
     n_qubits: int
     shots_per_setting: int
@@ -109,6 +113,10 @@ class TomographyDataset:
                 f"counts shape {counts.shape} does not match "
                 f"{len(self.settings)} settings x {2**self.n_qubits} outcomes"
             )
+        if not np.issubdtype(counts.dtype, np.integer):
+            raise DatasetFormatError(f"counts must be integers, got dtype {counts.dtype}")
+        if np.any(counts > MAX_COUNT):
+            raise DatasetFormatError(f"counts exceed the maximum of {MAX_COUNT}")
         if np.any(counts < 0):
             raise DatasetFormatError("counts must be nonnegative")
         first_index = {}
@@ -118,6 +126,7 @@ class TomographyDataset:
                 raise DatasetFormatError(
                     f"settings[{i}]: bases {list(setting.bases)} repeat settings[{j}]"
                 )
+        counts = counts.astype(np.int64, copy=False)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "settings", tuple(self.settings))
@@ -314,11 +323,12 @@ def monte_carlo_irreality(
     return float(values[0]), float(values[1:].std(ddof=1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionResult:
     """Linear estimate, its physical projection, and quality diagnostics.
 
-    ``fidelity_to_truth`` is None unless the true state is known.
+    ``fidelity_to_truth`` is None unless the true state is known.  ``==`` is
+    identity.
     """
 
     rho_linear: np.ndarray

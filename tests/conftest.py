@@ -24,3 +24,17 @@ with warnings.catch_warnings():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240815)
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Shapes of the arrays passed to ``np.linalg.eigvalsh`` from here on."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,21 @@ class TestStateValidation:
         rho = psi.to_density()
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_eigenvalues_are_the_validated_spectrum(self, rng, n):
+        reg = QubitRegister(tuple(f"q{i}" for i in range(n)))
+        for rank in range(1, 2**n + 1):
+            rho = DensityMatrix(reg, random_density(rng, n, rank=rank))
+            assert rho.eigenvalues.dtype == np.float64
+            assert rho.eigenvalues.tobytes() == np.linalg.eigvalsh(rho.entries).tobytes()
+            with pytest.raises(ValueError):
+                rho.eigenvalues[0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                rho.eigenvalues = np.ones(2**n)
+        assert "eigenvalues" not in repr(rho)
+        with pytest.raises(TypeError):
+            DensityMatrix(reg, rho.entries, eigenvalues=rho.eigenvalues)
 
 
 class TestTensor:

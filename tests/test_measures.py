@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,13 @@ from qreality import (
     von_neumann_entropy,
 )
 from qreality.eraser import ProtocolConfig, omega_state
-from qreality.measures import _eigenvalue_entropies, _irreality_values, _partial_transpose
+from qreality.core import _partial_trace_entries
+from qreality.measures import (
+    _dephased_blocks,
+    _eigenvalue_entropies,
+    _irreality_values,
+    _partial_transpose,
+)
 
 from oracles import (
     binary_entropy_exact,
@@ -74,6 +81,26 @@ class TestEntropy:
     def test_non_psd_matrix_rejected(self):
         with pytest.raises(InvalidStateError):
             von_neumann_entropy(np.diag([1.2, -0.2]))
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            [[0.5, 1.0], [0.0, 0.5]],  # eigvalsh reads one triangle: 1.0 bits
+            [[0.5, 0.5j], [0.5j, 0.5]],  # and 0.0 bits here
+            [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]],
+            [0.5, 0.5],
+            np.eye(2).reshape(1, 2, 2) / 2,
+            np.zeros((0, 0)),
+        ],
+    )
+    def test_raw_matrix_not_square_and_hermitian_rejected(self, mat):
+        with pytest.raises(InvalidStateError):
+            von_neumann_entropy(np.array(mat))
+
+    def test_raw_matrix_within_hermiticity_tolerance_accepted(self):
+        mat = np.diag([0.75, 0.25]).astype(complex)
+        mat[0, 1] = 1e-11
+        assert von_neumann_entropy(mat) == pytest.approx(H34, abs=1e-9)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("diagonal", [True, False])
@@ -235,6 +262,77 @@ class TestMutualInformation:
         rho = DensityMatrix.maximally_mixed(reg)
         with pytest.raises(LabelError):
             mutual_information(rho, (("p",), ("q",)))
+
+
+def bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def entropy_recomputed(mat):
+    """S in bits by the library's formula, from a fresh eigvalsh of ``mat``."""
+    return float(_eigenvalue_entropies(np.linalg.eigvalsh(mat)))
+
+
+def irreality_recomputed(rho, obs):
+    """(irreality, coherence) by the library's formulas, every spectrum from a
+    fresh eigvalsh."""
+
+    def value(mat, register):
+        eigs = np.linalg.eigvalsh(mat)
+        blocks = _dephased_blocks(mat, register.axis(obs.subsystem), obs)
+        dephased = np.linalg.eigvalsh(blocks).reshape(eigs.shape)
+        return float(_eigenvalue_entropies(dephased) - _eigenvalue_entropies(eigs))
+
+    sub, reduced = _partial_trace_entries(rho.entries, rho.register, (obs.subsystem,))
+    return value(rho.entries, rho.register), value(reduced, sub)
+
+
+class TestStoredSpectrum:
+    """Measures of a validated state read ``DensityMatrix.eigenvalues``; each
+    value equals, bit for bit, its formula with the spectrum recomputed."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_irreality(self, rng, n):
+        reg = QubitRegister(tuple(f"q{i}" for i in range(n)))
+        for k in range(12):
+            rho = DensityMatrix(reg, random_density(rng, n, rank=1 + k % 2**n))
+            obs = ObservableSpec(reg.labels[k % n], random_unitary(rng, 2))
+            total, local = irreality_recomputed(rho, obs)
+            report = dataclasses.astuple(irreality(rho, obs))
+            assert bits(*report) == bits(total, local, total - local)
+
+    def test_entropy_and_mutual_information(self, rng):
+        reg = QubitRegister(("p", "q", "r"))
+        for k in range(12):
+            rho = DensityMatrix(reg, random_density(rng, 3, rank=1 + k % 8))
+            assert bits(von_neumann_entropy(rho)) == bits(entropy_recomputed(rho.entries))
+            psi = PureState(reg, random_pure(rng, 3))
+            want = entropy_recomputed(psi.to_density().entries)
+            assert bits(von_neumann_entropy(psi)) == bits(want)
+            part = (("p", "r"), ("q",))
+            s_a, s_b = (
+                entropy_recomputed(_partial_trace_entries(rho.entries, reg, keep)[1])
+                for keep in part
+            )
+            want = s_a + s_b - entropy_recomputed(rho.entries)
+            assert bits(mutual_information(rho, part)) == bits(want)
+
+    def test_no_second_decomposition_of_the_state(self, rng, eigvalsh_calls):
+        reg = QubitRegister(("p", "q"))
+        rho = DensityMatrix(reg, random_density(rng, 2))
+        single = DensityMatrix(QubitRegister(("p",)), random_density(rng, 1))
+        eigvalsh_calls.clear()
+        irreality(rho, ObservableSpec.pauli("p", "X"))
+        # blocks of Phi(rho), the reduced state, the blocks of its dephasing
+        assert eigvalsh_calls == [(2, 2, 2), (2, 2), (2, 1, 1)]
+        eigvalsh_calls.clear()
+        irreality(single, ObservableSpec.pauli("p", "X"))
+        assert eigvalsh_calls == [(2, 1, 1)]  # the reduced state is the state
+        eigvalsh_calls.clear()
+        von_neumann_entropy(rho)
+        assert eigvalsh_calls == []
+        mutual_information(rho, (("p",), ("q",)))
+        assert eigvalsh_calls == [(2, 2), (2, 2)]
 
 
 class TestPartialTranspose:

@@ -15,6 +15,8 @@ from qreality import (
     mzi_state,
     visibility,
 )
+from qreality.core import _partial_trace_entries, purity
+from qreality.measures import _eigenvalue_entropies
 
 from oracles import extended_report_reference
 
@@ -245,3 +247,34 @@ class TestExtendedOutputAgainstChain:
                 cfg = MziConfig(phi=1.3, extended=True, **flags)
                 report = extended_output_analysis(cfg, detector=detector)
                 assert len(built) == 1 and built[0] is report.postselected_state
+
+    @pytest.mark.parametrize("flags", EXTENDED_CONFIGS)
+    @pytest.mark.parametrize("detector", [0, 1])
+    def test_entropies_read_the_validated_spectrum(self, flags, detector):
+        # bit for bit the formulas with every spectrum recomputed by eigvalsh
+        def entropy(mat):
+            return float(_eigenvalue_entropies(np.linalg.eigvalsh(mat)))
+
+        for phi in REPORT_PHIS:
+            report = extended_output_analysis(
+                MziConfig(phi=float(phi), extended=True, **flags), detector=detector
+            )
+            rho = report.postselected_state
+            s_d1, s_d2 = (
+                entropy(_partial_trace_entries(rho.entries, MARKER_REG, (label,))[1])
+                for label in ("d1", "d2")
+            )
+            ee = s_d1 if purity(rho) >= 1.0 - 1e-8 else 0.0
+            want = np.array([ee, s_d1 + s_d2 - entropy(rho.entries)])
+            got = np.array([report.entanglement_entropy, report.mutual_information])
+            assert got.tobytes() == want.tobytes()
+
+    def test_four_eigvalsh_calls_per_call(self, eigvalsh_calls):
+        for flags in EXTENDED_CONFIGS:  # fill the per-flag caches first
+            extended_output_analysis(MziConfig(phi=0.0, extended=True, **flags))
+        for flags in EXTENDED_CONFIGS:
+            eigvalsh_calls.clear()
+            extended_output_analysis(MziConfig(phi=0.9, extended=True, **flags))
+            # validation, S(d1), S(d2) and the partial transpose; S(d1 d2)
+            # reads the spectrum that validation kept
+            assert eigvalsh_calls == [(4, 4), (2, 2), (2, 2), (4, 4)]

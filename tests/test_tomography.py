@@ -453,6 +453,33 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError, match="exceeds"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [[5.5, 4.5], [5, 5], [5, 5]],  # the int64 resampling stack would read 5
+            [[float("nan"), 5], [5, 5], [5, 5]],  # the int64 cast would only warn
+            [[1e30, 5], [5, 5], [5, 5]],
+            [["5", "5"], ["5", "5"], ["5", "5"]],  # numpy's UFuncTypeError
+            [[True, False], [True, False], [True, False]],
+            [[2**70, 5], [5, 5], [5, 5]],  # an object array
+            np.array([[2**63, 5], [5, 5], [5, 5]], dtype=np.uint64),
+        ],
+    )
+    def test_counts_that_are_not_int64_integers_rejected(self, counts):
+        with pytest.raises(DatasetFormatError, match="counts"):
+            TomographyDataset(
+                n_qubits=1, shots_per_setting=10, seed=0, settings=all_settings(1), counts=counts
+            )
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
+    def test_integer_counts_are_stored_as_int64(self, dtype):
+        counts = np.array([[5, 5], [7, 3], [10, 0]], dtype=dtype)
+        data = TomographyDataset(
+            n_qubits=1, shots_per_setting=10, seed=0, settings=all_settings(1), counts=counts
+        )
+        assert data.counts.dtype == np.int64 and not data.counts.flags.writeable
+        np.testing.assert_array_equal(data.counts, counts)
+
     def test_external_data_reconstructs(self, tmp_path):
         # hand-written dataset for |0>: the pipeline accepts counts that did
         # not come from this simulator
