@@ -121,12 +121,11 @@ def _reprs(column: np.ndarray, defined: np.ndarray | None = None) -> list[str]:
     costs few ``repr`` calls, and -0.0, 0.0 and every NaN keep their own text.
     """
     values = np.ascontiguousarray(column, dtype=np.float64)
-    bits = values.view(np.int64).tolist()
-    text = {b: repr(v) for b, v in dict(zip(bits, values.tolist())).items()}
-    fields = list(map(text.__getitem__, bits))
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    fields = np.array(list(map(repr, values[first].tolist())), dtype=object)[inverse]
     if defined is not None:
-        fields = [field if ok else "" for field, ok in zip(fields, defined.tolist())]
-    return fields
+        fields[~defined] = ""
+    return fields.tolist()
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -93,8 +93,7 @@ def irreality(state: State, observable: ObservableSpec) -> IrrealityReport:
     rho = _as_density(state)
     total = float(_irreality_values(rho.entries, rho.register, observable, rho.eigenvalues))
     sub, reduced = _partial_trace_entries(rho.entries, rho.register, (observable.subsystem,))
-    # on a one-qubit register the reduced state is the state itself
-    local = total if reduced is rho.entries else float(_irreality_values(reduced, sub, observable))
+    local = float(_irreality_values(reduced, sub, observable))
     return IrrealityReport(irreality=total, coherence=local, discord=total - local)
 
 

@@ -327,7 +327,8 @@ class TestStoredSpectrum:
         assert eigvalsh_calls == [(2, 2, 2), (2, 2), (2, 1, 1)]
         eigvalsh_calls.clear()
         irreality(single, ObservableSpec.pauli("p", "X"))
-        assert eigvalsh_calls == [(2, 1, 1)]  # the reduced state is the state
+        # one qubit: the reduced state is the state, and it is diagonalised again
+        assert eigvalsh_calls == [(2, 1, 1), (2, 2), (2, 1, 1)]
         eigvalsh_calls.clear()
         von_neumann_entropy(rho)
         assert eigvalsh_calls == []
