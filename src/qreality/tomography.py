@@ -23,6 +23,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -92,44 +93,81 @@ def all_settings(n_qubits: int) -> tuple[MeasurementSetting, ...]:
     )
 
 
+class _LongInt(str):
+    """The digits of a JSON integer past Python's int-string conversion limit."""
+
+
+def _is_int(where: str, value) -> bool:
+    """Whether ``value`` is an ``int``; a :class:`_LongInt` raises, naming ``where``."""
+    if isinstance(value, _LongInt):
+        digits = len(value.lstrip("-"))
+        raise DatasetFormatError(f"{where}: integer of {digits} digits is too long to convert")
+    return type(value) is int
+
+
+def _check_qubit_count(n_qubits: int) -> None:
+    if n_qubits > MAX_QUBITS:
+        raise DatasetFormatError(
+            f"n_qubits: {_shown(n_qubits)} exceeds the maximum of {MAX_QUBITS}"
+        )
+
+
+def _check_header(n_qubits, shots, seed) -> None:
+    """The rules on a dataset's scalar fields, checked in the order of the file's fields."""
+    if not _is_int("n_qubits", n_qubits) or n_qubits < 1:
+        raise DatasetFormatError(f"n_qubits: expected positive integer, got {_shown(n_qubits)}")
+    _check_qubit_count(n_qubits)
+    if not _is_int("shots_per_setting", shots) or shots < 1:
+        raise DatasetFormatError(
+            f"shots_per_setting: expected positive integer, got {_shown(shots)}"
+        )
+    if shots > MAX_COUNT:  # bounds every count too, since a row sums to at most shots
+        raise DatasetFormatError(
+            f"shots_per_setting: {_shown(shots)} exceeds the maximum of {MAX_COUNT}"
+        )
+    if not _is_int("seed", seed):
+        raise DatasetFormatError(f"seed: expected integer, got {_shown(seed)}")
+
+
 @dataclass(frozen=True, eq=False)
 class TomographyDataset:
     """Counts for every setting, plus the budget and seed that produced them.
 
-    The counts must have an integer dtype and fit an int64; they are
-    stored as a read-only int64 array.  ``==`` is identity.
+    Row k of ``counts`` holds the 2^n outcome counts of setting k of
+    :func:`all_settings`.  The counts must have an integer dtype, be
+    nonnegative, and sum per row to between 1 and ``shots_per_setting``;
+    they are stored as a read-only int64 array.  ``==`` is identity.
     """
 
     n_qubits: int
     shots_per_setting: int
     seed: int
-    settings: tuple[MeasurementSetting, ...]
-    counts: np.ndarray  # shape (n_settings, 2**n_qubits)
+    counts: np.ndarray  # shape (3**n_qubits, 2**n_qubits)
 
     def __post_init__(self):
+        _check_header(self.n_qubits, self.shots_per_setting, self.seed)
         counts = np.array(self.counts)
-        if counts.shape != (len(self.settings), 2**self.n_qubits):
+        shape = (3**self.n_qubits, 2**self.n_qubits)
+        if counts.shape != shape:
             raise DatasetFormatError(
                 f"counts shape {counts.shape} does not match "
-                f"{len(self.settings)} settings x {2**self.n_qubits} outcomes"
+                f"{shape[0]} settings x {shape[1]} outcomes"
             )
         if not np.issubdtype(counts.dtype, np.integer):
             raise DatasetFormatError(f"counts must be integers, got dtype {counts.dtype}")
-        if np.any(counts > MAX_COUNT):
-            raise DatasetFormatError(f"counts exceed the maximum of {MAX_COUNT}")
         if np.any(counts < 0):
             raise DatasetFormatError("counts must be nonnegative")
-        first_index = {}
-        for i, setting in enumerate(self.settings):
-            j = first_index.setdefault(setting.bases, i)
-            if j != i:
-                raise DatasetFormatError(
-                    f"settings[{i}]: bases {list(setting.bases)} repeat settings[{j}]"
-                )
-        counts = counts.astype(np.int64, copy=False)
+        totals = counts.sum(axis=-1, dtype=object)  # Python ints: no int64 wrap
+        if min(totals) == 0:
+            raise IncompleteDataError("a setting has zero total counts")
+        if max(totals) > self.shots_per_setting:
+            raise DatasetFormatError(
+                f"counts: a row total of {_shown(max(totals))} exceeds "
+                f"shots_per_setting {self.shots_per_setting}"
+            )
+        counts = counts.astype(np.int64, copy=False)  # exact: no count exceeds MAX_COUNT
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "settings", tuple(self.settings))
 
 
 @functools.lru_cache(maxsize=MAX_QUBITS)
@@ -153,6 +191,14 @@ def born_probabilities(rho: DensityMatrix, setting: MeasurementSetting) -> np.nd
     return _born(rho.entries, setting.eigenvector_matrix())
 
 
+def _index(name: str, value) -> int:
+    """``operator.index(value)``, raising ValueError for a non-integer such as 2.5."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}: expected integer, got {_shown(value)}") from None
+
+
 def simulate_counts(
     rho: DensityMatrix, shots_per_setting: int, seed: int
 ) -> TomographyDataset:
@@ -161,27 +207,14 @@ def simulate_counts(
     Registers above MAX_QUBITS are rejected: no larger dataset can be
     loaded or reconstructed.
     """
-    if shots_per_setting < 1:
-        raise ValueError("shots_per_setting must be at least 1")
+    shots, seed = _index("shots_per_setting", shots_per_setting), _index("seed", seed)
     n = rho.register.n_qubits
     if n > MAX_QUBITS:
         raise ValueError(f"register has {n} qubits, maximum supported is {MAX_QUBITS}")
+    _check_header(n, shots, seed)  # bounds shots before numpy's draw overflows on them
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots_per_setting, _born(rho.entries, _setting_matrices(n)))
-    return TomographyDataset(
-        n_qubits=n,
-        shots_per_setting=int(shots_per_setting),
-        seed=int(seed),
-        settings=all_settings(n),
-        counts=counts,
-    )
-
-
-def _check_qubit_count(n_qubits: int) -> None:
-    if n_qubits > MAX_QUBITS:
-        raise DatasetFormatError(
-            f"n_qubits: {_shown(n_qubits)} exceeds the maximum of {MAX_QUBITS}"
-        )
+    counts = rng.multinomial(shots, _born(rho.entries, _setting_matrices(n)))
+    return TomographyDataset(n, shots, seed, counts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,27 +261,10 @@ def reconstruct_from_frequencies(freqs: np.ndarray, n_qubits: int) -> np.ndarray
     return flat.reshape(*lead, dim, dim) + np.eye(dim) / dim
 
 
-def _frequencies(data: TomographyDataset, counts: np.ndarray) -> np.ndarray:
-    """Frequencies in :func:`all_settings` order from counts stacked like ``data.counts``."""
-    _check_qubit_count(data.n_qubits)
-    expected = all_settings(data.n_qubits)
-    by_bases = {s.bases: i for i, s in enumerate(data.settings)}
-    missing = [s.bases for s in expected if s.bases not in by_bases]
-    if missing:
-        raise IncompleteDataError(
-            f"dataset is missing {len(missing)} of {len(expected)} settings, "
-            f"first missing: {missing[0]}"
-        )
-    ordered = counts[..., [by_bases[s.bases] for s in expected], :]
-    totals = ordered.sum(axis=-1, keepdims=True)
-    if np.any(totals == 0):
-        raise IncompleteDataError("a setting has zero total counts")
-    return ordered / totals
-
-
 def reconstruct_linear(data: TomographyDataset) -> np.ndarray:
     """Linear-inversion estimate from a complete dataset (possibly non-PSD)."""
-    return reconstruct_from_frequencies(_frequencies(data, data.counts), data.n_qubits)
+    freqs = data.counts / data.counts.sum(axis=-1, keepdims=True)
+    return reconstruct_from_frequencies(freqs, data.n_qubits)
 
 
 def _project(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -307,6 +323,7 @@ def monte_carlo_irreality(
     observed counts and the resamples form one stack, which is
     reconstructed, projected to physical states and measured at once.
     """
+    n_resamples, seed = _index("n_resamples", n_resamples), _index("seed", seed)
     if n_resamples < 2:
         raise ValueError("n_resamples must be at least 2")
     stack = np.empty((1 + n_resamples, *data.counts.shape), dtype=np.int64)
@@ -316,9 +333,8 @@ def monte_carlo_irreality(
     # observed row rather than dividing by zero.
     empty = np.nonzero(stack.sum(axis=-1) == 0)
     stack[empty] = data.counts[empty[1]]
-    rho, eigenvalues = _project(
-        reconstruct_from_frequencies(_frequencies(data, stack), data.n_qubits)
-    )
+    freqs = stack / stack.sum(axis=-1, keepdims=True)
+    rho, eigenvalues = _project(reconstruct_from_frequencies(freqs, data.n_qubits))
     values = _irreality_values(rho, register, observable, eigenvalues)
     return float(values[0]), float(values[1:].std(ddof=1))
 
@@ -355,7 +371,7 @@ def reconstruct(
         diagnostics={
             "min_eigenvalue_linear": float(eigs.min()),
             "clipped_negative_mass": float(abs(eigs[eigs < 0].sum())),  # 0.0, not -0.0
-            "n_settings": len(data.settings),
+            "n_settings": len(data.counts),
             "shots_per_setting": data.shots_per_setting,
             "seed": data.seed,
         },
@@ -377,7 +393,7 @@ def dataset_to_dict(data: TomographyDataset) -> dict:
         "seed": data.seed,
         "settings": [
             {"bases": list(s.bases), "counts": [int(c) for c in row]}
-            for s, row in zip(data.settings, data.counts)
+            for s, row in zip(all_settings(data.n_qubits), data.counts)
         ],
     }
 
@@ -388,41 +404,19 @@ def save_dataset(data: TomographyDataset, path) -> None:
         fh.write("\n")
 
 
-class _LongInt(str):
-    """The digits of a JSON integer past Python's int-string conversion limit."""
-
-
-def _is_int(where: str, value) -> bool:
-    """Whether ``value`` is an ``int``; a :class:`_LongInt` raises, naming ``where``."""
-    if isinstance(value, _LongInt):
-        digits = len(value.lstrip("-"))
-        raise DatasetFormatError(f"{where}: integer of {digits} digits is too long to convert")
-    return type(value) is int
-
-
 def dataset_from_dict(payload: dict) -> TomographyDataset:
-    """Build a dataset from the JSON schema, with field-level diagnostics."""
+    """Build a dataset from the JSON schema, with field-level diagnostics.
+
+    The settings may be listed in any order; they are sorted into
+    :func:`all_settings` order, and one left out raises IncompleteDataError.
+    """
     if not isinstance(payload, dict):
         raise DatasetFormatError("top-level JSON value must be an object")
     for field in ("n_qubits", "shots_per_setting", "seed", "settings"):
         if field not in payload:
             raise DatasetFormatError(f"missing required field {field!r}")
-    n = payload["n_qubits"]
-    if not _is_int("n_qubits", n) or n < 1:
-        raise DatasetFormatError(f"n_qubits: expected positive integer, got {_shown(n)}")
-    _check_qubit_count(n)
-    shots = payload["shots_per_setting"]
-    if not _is_int("shots_per_setting", shots) or shots < 1:
-        raise DatasetFormatError(
-            f"shots_per_setting: expected positive integer, got {_shown(shots)}"
-        )
-    if shots > MAX_COUNT:  # bounds every count too, since a row sums to at most shots
-        raise DatasetFormatError(
-            f"shots_per_setting: {_shown(shots)} exceeds the maximum of {MAX_COUNT}"
-        )
-    seed = payload["seed"]
-    if not _is_int("seed", seed):
-        raise DatasetFormatError(f"seed: expected integer, got {_shown(seed)}")
+    n, shots, seed = (payload[field] for field in ("n_qubits", "shots_per_setting", "seed"))
+    _check_header(n, shots, seed)
     raw_settings = payload["settings"]
     if not isinstance(raw_settings, list) or not raw_settings:
         raise DatasetFormatError("settings: expected a nonempty list")
@@ -455,13 +449,22 @@ def dataset_from_dict(payload: dict) -> TomographyDataset:
         settings.append(setting)
         counts.append(row)
 
-    return TomographyDataset(
-        n_qubits=n,
-        shots_per_setting=shots,
-        seed=seed,
-        settings=tuple(settings),
-        counts=np.array(counts, dtype=np.int64),
-    )
+    first_index = {}
+    for i, setting in enumerate(settings):
+        j = first_index.setdefault(setting.bases, i)
+        if j != i:
+            raise DatasetFormatError(
+                f"settings[{i}]: bases {list(setting.bases)} repeat settings[{j}]"
+            )
+    expected = all_settings(n)
+    missing = [s.bases for s in expected if s.bases not in first_index]
+    if missing:
+        raise IncompleteDataError(
+            f"dataset is missing {len(missing)} of {len(expected)} settings, "
+            f"first missing: {missing[0]}"
+        )
+    rows = [counts[first_index[s.bases]] for s in expected]
+    return TomographyDataset(n, shots, seed, np.array(rows, dtype=np.int64))
 
 
 def load_dataset(path) -> TomographyDataset:

@@ -965,6 +965,11 @@ GOLDEN_MZI_CSV = {
     ("--open", "--extended", "--decohere"): "444e223588fe0f0c1e69232420fcd116f7cd9013308876a454d36427251e1b72",
 }
 GOLDEN_SWEEP_CSV = "145eb768b796764e4b0813b5034d84f78d9c65c02babc624bb2e4d7669cd0c36"
+GOLDEN_TOMO_SWEEP_CSV = "b54b03aa63f6f52ee4e7de5632ed46e26fa22f624f16c37722e7feab41dda1ac"
+GOLDEN_TOMO_SIMULATE = {
+    "report.json": "4428a2326e4eaa9462487afd4ceee73ff02b4d11c20a1f735279f11c0ad5d5db",
+    "density_matrix_real.csv": "665d9ef3945b264a5b08542031c24466dfff84c3cf359e78c75b0ff278299c5f",
+}
 
 
 def sha256_of(path):
@@ -984,6 +989,16 @@ class TestGoldenOutputs:
     def test_default_sweep_csv(self, tmp_path):
         assert run(["sweep", "--out-dir", str(tmp_path)]) == 0
         assert sha256_of(tmp_path / "sweep.csv") == GOLDEN_SWEEP_CSV
+
+    def test_tomo_sweep_csv(self, tmp_path):
+        argv = ["sweep", "--tomo", "--grid", "3", "--resamples", "20", "--out-dir", str(tmp_path)]
+        assert run(argv) == 0
+        assert sha256_of(tmp_path / "sweep.csv") == GOLDEN_TOMO_SWEEP_CSV
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TOMO_SIMULATE))
+    def test_simulated_tomo_outputs(self, tmp_path, name):
+        assert run(["tomo", "--simulate", "--shots", "1000", "--out-dir", str(tmp_path)]) == 0
+        assert sha256_of(tmp_path / name) == GOLDEN_TOMO_SIMULATE[name]
 
 
 class TestEnvironmentOverrides:

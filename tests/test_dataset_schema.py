@@ -4,8 +4,9 @@ A valid payload is built for 1 or 2 qubits and then damaged in one way:
 a field dropped or retyped, a wrong length, an unknown basis letter, a bad
 count, a setting listed twice or left out, huge shot budgets, or a top
 level that is not an object.  Every damaged file must exit 1 with exactly
-one `error:` line of at most 300 bytes on stderr; valid variants, such as
-reordered settings, must exit 0.
+one `error:` line of at most 300 bytes on stderr.  A valid payload with its
+settings reordered must exit 0 and write the same bytes as the payload in
+its original order.
 """
 
 import contextlib
@@ -191,10 +192,16 @@ def test_top_level_not_an_object_is_one_error_line(workdir, top):
 @settings(max_examples=25, deadline=None)
 @given(payload=valid_payloads(), order=st.randoms(use_true_random=False))
 def test_reordered_valid_payload_is_accepted(workdir, payload, order):
-    order.shuffle(payload["settings"])
-    code, err = run_tomo(workdir, payload)
-    assert code == 0, err
-    assert err == ""
+    names = ("density_matrix.json", "density_matrix_real.csv", "report.json")
+    outputs = []
+    for shuffle in (False, True):
+        if shuffle:
+            order.shuffle(payload["settings"])
+        code, err = run_tomo(workdir, payload)
+        assert code == 0, err
+        assert err == ""
+        outputs.append([(workdir / "out" / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]  # report.json names the same file path both times
 
 
 def with_long_integer(path, digits):

@@ -24,7 +24,15 @@ from qreality import (
 )
 from qreality.eraser import ProtocolConfig, omega_state
 from qreality.measures import _eigenvalue_entropies
-from qreality.tomography import MAX_QUBITS, DatasetFormatError, MeasurementSetting, _project
+from qreality.tomography import (
+    MAX_COUNT,
+    MAX_QUBITS,
+    DatasetFormatError,
+    MeasurementSetting,
+    _project,
+    dataset_from_dict,
+    dataset_to_dict,
+)
 
 from oracles import (
     entropy_bits,
@@ -48,6 +56,11 @@ def omega2x(theta=np.pi / 2):
 def omega2z(theta=np.pi / 3):
     omega, _ = omega_state(ProtocolConfig(theta=theta, alice_config="Cz"), "d1")
     return omega
+
+
+def row_of(bases):
+    """The counts row of a setting: its position in :func:`all_settings`."""
+    return all_settings(len(bases)).index(MeasurementSetting(bases))
 
 
 def exact_frequency_matrix(rho):
@@ -79,21 +92,18 @@ class TestSimulateCounts:
     def test_z_eigenstate_is_deterministic(self):
         rho = PureState.from_bits(QubitRegister(("q",)), "0").to_density()
         data = simulate_counts(rho, 1000, seed=1)
-        z_row = [s.bases for s in data.settings].index(("Z",))
-        np.testing.assert_array_equal(data.counts[z_row], [1000, 0])
+        np.testing.assert_array_equal(data.counts[row_of(("Z",))], [1000, 0])
 
     def test_plus_state_in_x_basis(self):
         reg = QubitRegister(("q",))
         plus = PureState(reg, np.array([1, 1]) / np.sqrt(2)).to_density()
         data = simulate_counts(plus, 1000, seed=2)
-        x_row = [s.bases for s in data.settings].index(("X",))
-        np.testing.assert_array_equal(data.counts[x_row], [1000, 0])
+        np.testing.assert_array_equal(data.counts[row_of(("X",))], [1000, 0])
 
     def test_mixed_state_outcome_fraction(self):
         reg = QubitRegister(("q",))
         data = simulate_counts(DensityMatrix.maximally_mixed(reg), 1_000_000, seed=3)
-        z_row = [s.bases for s in data.settings].index(("Z",))
-        frac = data.counts[z_row][0] / 1_000_000
+        frac = data.counts[row_of(("Z",))][0] / 1_000_000
         assert abs(frac - 0.5) <= 0.002  # three binomial standard errors
 
     def test_counts_sum_to_shots(self):
@@ -161,16 +171,10 @@ class TestReconstruction:
             reconstruct_from_frequencies(np.full((9, 2), 0.5), 2)
 
     def test_register_above_cap_rejected(self):
+        # no dataset above the cap can be built, so none reaches the inversion
         n = MAX_QUBITS + 1
-        data = TomographyDataset(
-            n_qubits=n,
-            shots_per_setting=1,
-            seed=0,
-            settings=all_settings(n),
-            counts=np.ones((3**n, 2**n), dtype=np.int64),
-        )
         with pytest.raises(DatasetFormatError, match="maximum"):
-            reconstruct_linear(data)
+            TomographyDataset(n, 2**n, 0, np.ones((3**n, 2**n), dtype=np.int64))
 
     def test_trace_one_by_construction(self, rng):
         data = simulate_counts(omega2x(), 100, seed=5)
@@ -194,16 +198,11 @@ class TestReconstruction:
         assert min(min_eigs) < 0
 
     def test_missing_setting_rejected(self):
-        data = simulate_counts(omega2x(), 100, seed=7)
-        truncated = TomographyDataset(
-            n_qubits=data.n_qubits,
-            shots_per_setting=data.shots_per_setting,
-            seed=data.seed,
-            settings=data.settings[1:],
-            counts=data.counts[1:],
-        )
-        with pytest.raises(IncompleteDataError):
-            reconstruct_linear(truncated)
+        # a dataset holds every setting, so a file that leaves one out fails to load
+        payload = dataset_to_dict(simulate_counts(omega2x(), 100, seed=7))
+        del payload["settings"][0]
+        with pytest.raises(IncompleteDataError, match="missing 1 of 27 settings"):
+            dataset_from_dict(payload)
 
 
 class TestProjectToPhysical:
@@ -307,6 +306,47 @@ class TestMonteCarlo:
                 register=QubitRegister(("p", "q")),
             )
 
+    def test_numpy_integer_arguments_accepted(self):
+        data = simulate_counts(omega2z(), np.int64(100), np.uint32(8))
+        assert type(data.shots_per_setting) is int and type(data.seed) is int
+        np.testing.assert_array_equal(data.counts, simulate_counts(omega2z(), 100, 8).counts)
+        obs = ObservableSpec.pauli("d1", "Z")
+        assert monte_carlo_irreality(data, obs, np.int32(5), np.int64(9), BDT_REG) == (
+            monte_carlo_irreality(data, obs, 5, 9, BDT_REG)
+        )
+
+    @pytest.mark.parametrize(
+        "function, first, second",
+        [
+            ("simulate_counts", 2.5, 1),  # would draw 2 shots per setting
+            ("simulate_counts", MAX_COUNT + 1, 1),  # numpy's draw overflows
+            ("simulate_counts", None, 1),
+            ("simulate_counts", "10", 1),
+            ("simulate_counts", 10, 1.0),
+            ("simulate_counts", 10, None),
+            ("monte_carlo_irreality", 2.5, 1),
+            ("monte_carlo_irreality", 10, None),  # would draw fresh OS entropy
+            ("monte_carlo_irreality", 10, "1"),
+            ("monte_carlo_irreality", 10, 1.5),
+        ],
+        ids=[
+            "float-shots", "shots-past-int64", "none-shots", "string-shots", "float-seed",
+            "none-seed", "float-resamples", "none-seed-mc", "string-seed-mc", "float-seed-mc",
+        ],
+    )
+    def test_non_integer_arguments_rejected_before_any_draw(
+        self, monkeypatch, function, first, second
+    ):
+        # first and second are shots and seed, or n_resamples and seed
+        data = simulate_counts(omega2z(), 100, seed=8)
+        obs = ObservableSpec.pauli("d1", "Z")
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew counts"))
+        with pytest.raises(ValueError):
+            if function == "simulate_counts":
+                simulate_counts(omega2z(), first, second)
+            else:
+                monte_carlo_irreality(data, obs, first, second, register=BDT_REG)
+
     def test_minimal_resample_count_runs(self):
         data = simulate_counts(omega2z(), 1000, seed=8)
         mean, std = monte_carlo_irreality(
@@ -408,6 +448,10 @@ class TestDatasetIO:
         rho_a = reconstruct_linear(data)
         rho_b = reconstruct_linear(loaded)
         np.testing.assert_allclose(rho_a, rho_b, atol=1e-14)
+        # the loader sorts a file's settings into all_settings order
+        payload = dataset_to_dict(data)
+        payload["settings"].reverse()
+        np.testing.assert_array_equal(dataset_from_dict(payload).counts, data.counts)
 
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -467,18 +511,46 @@ class TestDatasetIO:
     )
     def test_counts_that_are_not_int64_integers_rejected(self, counts):
         with pytest.raises(DatasetFormatError, match="counts"):
-            TomographyDataset(
-                n_qubits=1, shots_per_setting=10, seed=0, settings=all_settings(1), counts=counts
-            )
+            TomographyDataset(n_qubits=1, shots_per_setting=10, seed=0, counts=counts)
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
     def test_integer_counts_are_stored_as_int64(self, dtype):
         counts = np.array([[5, 5], [7, 3], [10, 0]], dtype=dtype)
-        data = TomographyDataset(
-            n_qubits=1, shots_per_setting=10, seed=0, settings=all_settings(1), counts=counts
-        )
+        data = TomographyDataset(n_qubits=1, shots_per_setting=10, seed=0, counts=counts)
         assert data.counts.dtype == np.int64 and not data.counts.flags.writeable
         np.testing.assert_array_equal(data.counts, counts)
+
+    @pytest.mark.parametrize(
+        "n_qubits, shots, seed, counts, error, message",
+        [
+            (1, -3, "abc", [[5, 5]] * 3, DatasetFormatError, "^shots_per_setting: expected"),
+            (1, 10, 0, [[2**62, 2**62], [5, 5], [5, 5]], DatasetFormatError, "^counts: a row"),
+            (1, 10, 0, [[5, 5], [0, 0], [5, 5]], IncompleteDataError,
+             "^a setting has zero total counts$"),
+            (1, 10, 0, [[6, 5], [5, 5], [5, 5]], DatasetFormatError, "^counts: a row total of 11"),
+            (1, 10, 0, [[5, 5], [5, 5]], DatasetFormatError, "^counts shape"),
+            (0, 10, 0, [[5]], DatasetFormatError, "^n_qubits: expected"),
+            (5, 10, 0, np.ones((3**5, 2**5), dtype=np.int64), DatasetFormatError,
+             "^n_qubits: 5 exceeds the maximum of 4$"),
+            (True, 10, 0, [[5, 5]] * 3, DatasetFormatError, "^n_qubits: expected"),
+            (1.0, 10, 0, [[5, 5]] * 3, DatasetFormatError, "^n_qubits: expected"),
+            (1, True, 0, [[1, 0]] * 3, DatasetFormatError, "^shots_per_setting: expected"),
+            (1, 10.0, 0, [[5, 5]] * 3, DatasetFormatError, "^shots_per_setting: expected"),
+            (1, 10, False, [[5, 5]] * 3, DatasetFormatError, "^seed: expected"),
+            (1, 10, 0.0, [[5, 5]] * 3, DatasetFormatError, "^seed: expected"),
+        ],
+        ids=[
+            "negative-shots-string-seed", "int64-wrap", "zero-row", "overfull-row",
+            "missing-row", "no-qubits", "five-qubits", "bool-n_qubits", "float-n_qubits",
+            "bool-shots", "float-shots", "bool-seed", "float-seed",
+        ],
+    )
+    def test_invalid_dataset_rejected_by_constructor(
+        self, n_qubits, shots, seed, counts, error, message
+    ):
+        with pytest.raises(error, match=message) as caught:
+            TomographyDataset(n_qubits, shots, seed, counts)
+        assert type(caught.value) is error
 
     def test_external_data_reconstructs(self, tmp_path):
         # hand-written dataset for |0>: the pipeline accepts counts that did
