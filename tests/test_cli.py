@@ -970,6 +970,13 @@ GOLDEN_TOMO_SIMULATE = {
     "report.json": "4428a2326e4eaa9462487afd4ceee73ff02b4d11c20a1f735279f11c0ad5d5db",
     "density_matrix_real.csv": "665d9ef3945b264a5b08542031c24466dfff84c3cf359e78c75b0ff278299c5f",
 }
+# the dataset file of omega2x at theta = pi/2, 1000 shots, seed 7, and what
+# `tomo` writes from it; report.json holds the file's path, so it is left out
+GOLDEN_DATASET_FILE = "1634e845b6efb132e4dcc0b9f958b0c98446e5c6ecd4b0ea763524721fc5d990"
+GOLDEN_TOMO_FILE = {
+    "density_matrix.json": "0fcc57054764e9a921e78084a666a218e084c56fa5c0f7425fc3967b9a6b0d37",
+    "density_matrix_real.csv": "c2a55488f860edc9c2e2f38b27d541656c4528135ffc34fc668b04b19d711eb2",
+}
 
 
 def sha256_of(path):
@@ -999,6 +1006,16 @@ class TestGoldenOutputs:
     def test_simulated_tomo_outputs(self, tmp_path, name):
         assert run(["tomo", "--simulate", "--shots", "1000", "--out-dir", str(tmp_path)]) == 0
         assert sha256_of(tmp_path / name) == GOLDEN_TOMO_SIMULATE[name]
+
+    def test_dataset_file_and_its_tomo_outputs(self, tmp_path):
+        cfg = ProtocolConfig(theta=float(np.pi / 2), alice_config="Cx")
+        omega, _ = omega_state(cfg, "d1")
+        path = tmp_path / "counts.json"
+        save_dataset(simulate_counts(omega, 1000, 7), path)
+        assert sha256_of(path) == GOLDEN_DATASET_FILE
+        out = tmp_path / "out"
+        assert run(["tomo", str(path), "--out-dir", str(out)]) == 0
+        assert {name: sha256_of(out / name) for name in GOLDEN_TOMO_FILE} == GOLDEN_TOMO_FILE
 
 
 class TestEnvironmentOverrides:
