@@ -158,6 +158,8 @@ def cmd_sweep(parser, args) -> int:
         _check_range(parser, "--resamples", args.resamples, 2, MAX_RESAMPLES, "to bound memory")
         _check_range(parser, "--shots", args.shots, 1, MAX_COUNT, INT64_LIMIT)
         _check_range(parser, "--shots", args.shots, 1, MAX_POISSON_COUNT, POISSON_LIMIT)
+        if args.seed < 0:  # numpy's generators take no negative seed
+            parser.error("--seed must be at least 0")
     configs = ("Cz", "Cx") if args.config == "both" else (args.config,)
 
     curves = [
@@ -236,6 +238,8 @@ def cmd_tomo(parser, args) -> int:
             parser.error(f"--{name} applies only with --simulate")
     if args.simulate:
         _check_range(parser, "--shots", args.shots, 1, MAX_COUNT, INT64_LIMIT)
+        if args.seed < 0:  # numpy's generators take no negative seed
+            parser.error("--seed must be at least 0")
         theta = np.radians(args.theta) if args.degrees else args.theta
         if not 0.0 <= theta <= np.pi + 1e-12:
             parser.error("--theta must satisfy 0 <= theta <= pi")
@@ -369,10 +373,9 @@ def _selftest_checks():
     def inversion_roundtrip():
         cfg = ProtocolConfig(theta=1.1, alice_config="Cx")
         omega, _ = omega_state(cfg, "d1")
-        from .tomography import all_settings, born_probabilities, reconstruct_from_frequencies
+        from .tomography import born_probabilities, reconstruct_from_frequencies
 
-        freqs = np.stack([born_probabilities(omega, s) for s in all_settings(3)])
-        rho_hat = reconstruct_from_frequencies(freqs, 3)
+        rho_hat = reconstruct_from_frequencies(born_probabilities(omega), 3)
         rho = project_to_physical(rho_hat, omega.register)
         assert fidelity(rho, omega) > 1.0 - 1e-9
 

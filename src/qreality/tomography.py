@@ -1,8 +1,9 @@
 """Simulated projective tomography with shot noise and Monte Carlo error bars.
 
-The measurement scheme is the full set of 3^n Pauli-basis settings (Z, X or
-Y per qubit), each recording all 2^n joint outcomes.  Counts are drawn
-multinomially from Born probabilities.  Linear inversion over the Pauli basis
+The measurement scheme is the full set of 3^n Pauli-basis settings, each a
+tuple of basis letters (Z, X or Y per qubit) that records all 2^n joint
+outcomes.  Counts are drawn multinomially from the (3^n, 2^n) table of Born
+probabilities, row k for setting k.  Linear inversion over the Pauli basis
 is one fixed linear map from the 3^n x 2^n frequencies to the 4^n matrix
 entries, built once per n <= MAX_QUBITS, so a stack of estimates takes one
 matrix product; physicality is restored by clipping negative eigenvalues and
@@ -64,33 +65,9 @@ class DatasetFormatError(ValueError):
     """A dataset file or payload is malformed."""
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """Per-qubit basis choice; the joint outcomes are the columns of its eigenvector matrix."""
-
-    bases: tuple[str, ...]
-
-    def __post_init__(self):
-        bases = tuple(self.bases)
-        object.__setattr__(self, "bases", bases)
-        for b in bases:
-            if b not in SETTING_BASES:
-                raise DatasetFormatError(f"unknown measurement basis {_shown(b)}")
-
-    def eigenvector_matrix(self) -> np.ndarray:
-        """2^n x 2^n matrix whose columns are the joint-outcome eigenvectors (read-only)."""
-        v = functools.reduce(np.kron, (_EIGENBASES[b] for b in self.bases))
-        v.flags.writeable = False
-        return v
-
-
-@functools.lru_cache(maxsize=MAX_QUBITS, typed=True)  # typed: 3.0 still raises TypeError
-def all_settings(n_qubits: int) -> tuple[MeasurementSetting, ...]:
-    """The 3^n settings in a fixed, deterministic order, built once per n."""
-    return tuple(
-        MeasurementSetting(bases)
-        for bases in itertools.product(SETTING_BASES, repeat=n_qubits)
-    )
+def all_settings(n_qubits: int) -> tuple[tuple[str, ...], ...]:
+    """The 3^n settings, each a tuple of per-qubit basis letters, in a fixed order."""
+    return tuple(itertools.product(SETTING_BASES, repeat=n_qubits))
 
 
 class _LongInt(str):
@@ -172,23 +149,32 @@ class TomographyDataset:
 
 @functools.lru_cache(maxsize=MAX_QUBITS)
 def _setting_matrices(n_qubits: int) -> np.ndarray:
-    """The (3^n, 2^n, 2^n) eigenvector matrices of :func:`all_settings` (read-only)."""
-    stack = np.stack([s.eigenvector_matrix() for s in all_settings(n_qubits)])
+    """The (3^n, 2^n, 2^n) stack of :func:`all_settings`' eigenvector matrices,
+    whose columns are the joint outcomes (read-only)."""
+    stack = np.stack(
+        [
+            functools.reduce(np.kron, (_EIGENBASES[b] for b in bases))
+            for bases in all_settings(n_qubits)
+        ]
+    )
     stack.flags.writeable = False
     return stack
 
 
-def _born(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Outcome probabilities for each eigenvector matrix in ``v`` (..., d, d),
-    clipped and normalized."""
-    p = np.einsum("...io,ij,...jo->...o", v.conj(), rho, v).real
+def born_probabilities(rho: DensityMatrix) -> np.ndarray:
+    """The (3^n, 2^n) table of outcome probabilities Tr(rho P), row k for
+    setting k of :func:`all_settings`, each row clipped and normalized.
+
+    Registers above MAX_QUBITS are rejected: no larger dataset can be
+    loaded or reconstructed.
+    """
+    n = rho.register.n_qubits
+    if n > MAX_QUBITS:
+        raise ValueError(f"register has {n} qubits, maximum supported is {MAX_QUBITS}")
+    v = _setting_matrices(n)
+    p = np.einsum("...io,ij,...jo->...o", v.conj(), rho.entries, v).real
     p = np.clip(p, 0.0, None)
     return p / p.sum(axis=-1, keepdims=True)
-
-
-def born_probabilities(rho: DensityMatrix, setting: MeasurementSetting) -> np.ndarray:
-    """Outcome probabilities Tr(rho P_k) for one setting, clipped and normalized."""
-    return _born(rho.entries, setting.eigenvector_matrix())
 
 
 def _index(name: str, value) -> int:
@@ -199,21 +185,24 @@ def _index(name: str, value) -> int:
         raise ValueError(f"{name}: expected integer, got {_shown(value)}") from None
 
 
+def _seed(value) -> int:
+    """A generator seed: an integer that numpy's seeding accepts, i.e. nonnegative."""
+    seed = _index("seed", value)
+    if seed < 0:
+        raise ValueError(f"seed: expected nonnegative integer, got {_shown(seed)}")
+    return seed
+
+
 def simulate_counts(
     rho: DensityMatrix, shots_per_setting: int, seed: int
 ) -> TomographyDataset:
-    """Multinomial counts for all 3^n settings; identical seeds give identical counts.
-
-    Registers above MAX_QUBITS are rejected: no larger dataset can be
-    loaded or reconstructed.
-    """
-    shots, seed = _index("shots_per_setting", shots_per_setting), _index("seed", seed)
+    """Multinomial counts drawn from :func:`born_probabilities`; identical
+    seeds give identical counts."""
+    shots, seed = _index("shots_per_setting", shots_per_setting), _seed(seed)
+    probabilities = born_probabilities(rho)
     n = rho.register.n_qubits
-    if n > MAX_QUBITS:
-        raise ValueError(f"register has {n} qubits, maximum supported is {MAX_QUBITS}")
     _check_header(n, shots, seed)  # bounds shots before numpy's draw overflows on them
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, _born(rho.entries, _setting_matrices(n)))
+    counts = np.random.default_rng(seed).multinomial(shots, probabilities)
     return TomographyDataset(n, shots, seed, counts)
 
 
@@ -261,12 +250,6 @@ def reconstruct_from_frequencies(freqs: np.ndarray, n_qubits: int) -> np.ndarray
     return flat.reshape(*lead, dim, dim) + np.eye(dim) / dim
 
 
-def reconstruct_linear(data: TomographyDataset) -> np.ndarray:
-    """Linear-inversion estimate from a complete dataset (possibly non-PSD)."""
-    freqs = data.counts / data.counts.sum(axis=-1, keepdims=True)
-    return reconstruct_from_frequencies(freqs, data.n_qubits)
-
-
 def _project(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue clipping of every matrix in a (..., d, d) stack.
 
@@ -303,10 +286,6 @@ def project_to_physical(rho_hat: np.ndarray, register: QubitRegister) -> Density
     return DensityMatrix(register, _project(rho_hat)[0])
 
 
-def _default_register(n_qubits: int) -> QubitRegister:
-    return QubitRegister(tuple(f"q{i}" for i in range(n_qubits)))
-
-
 def monte_carlo_irreality(
     data: TomographyDataset,
     observable: ObservableSpec,
@@ -323,7 +302,7 @@ def monte_carlo_irreality(
     observed counts and the resamples form one stack, which is
     reconstructed, projected to physical states and measured at once.
     """
-    n_resamples, seed = _index("n_resamples", n_resamples), _index("seed", seed)
+    n_resamples, seed = _index("n_resamples", n_resamples), _seed(seed)
     if n_resamples < 2:
         raise ValueError("n_resamples must be at least 2")
     stack = np.empty((1 + n_resamples, *data.counts.shape), dtype=np.int64)
@@ -361,9 +340,10 @@ def reconstruct(
     The one reconstruction pipeline for simulated and file datasets alike.
     Without ``register`` the qubits are labelled q0 ... q{n-1}.
     """
-    rho_linear = reconstruct_linear(data)
+    freqs = data.counts / data.counts.sum(axis=-1, keepdims=True)
+    rho_linear = reconstruct_from_frequencies(freqs, data.n_qubits)
     eigs = np.linalg.eigvalsh((rho_linear + rho_linear.conj().T) / 2)
-    register = register or _default_register(data.n_qubits)
+    register = register or QubitRegister(tuple(f"q{i}" for i in range(data.n_qubits)))
     return ReconstructionResult(
         rho_linear=rho_linear,
         rho_physical=project_to_physical(rho_linear, register),
@@ -392,8 +372,8 @@ def dataset_to_dict(data: TomographyDataset) -> dict:
         "shots_per_setting": data.shots_per_setting,
         "seed": data.seed,
         "settings": [
-            {"bases": list(s.bases), "counts": [int(c) for c in row]}
-            for s, row in zip(all_settings(data.n_qubits), data.counts)
+            {"bases": list(bases), "counts": [int(c) for c in row]}
+            for bases, row in zip(all_settings(data.n_qubits), data.counts)
         ],
     }
 
@@ -430,10 +410,9 @@ def dataset_from_dict(payload: dict) -> TomographyDataset:
         bases = item.get("bases")
         if not isinstance(bases, list) or len(bases) != n:
             raise DatasetFormatError(f"{where}.bases: expected {n} basis letters")
-        try:
-            setting = MeasurementSetting(tuple(bases))
-        except DatasetFormatError as exc:
-            raise DatasetFormatError(f"{where}.bases: {exc}") from None
+        for b in bases:
+            if b not in SETTING_BASES:
+                raise DatasetFormatError(f"{where}.bases: unknown measurement basis {_shown(b)}")
         row = item.get("counts")
         if not isinstance(row, list) or len(row) != 2**n:
             raise DatasetFormatError(f"{where}.counts: expected {2**n} integers")
@@ -446,24 +425,22 @@ def dataset_from_dict(payload: dict) -> TomographyDataset:
             raise DatasetFormatError(
                 f"{where}.counts: total {_shown(sum(row))} exceeds shots_per_setting {shots}"
             )
-        settings.append(setting)
+        settings.append(tuple(bases))
         counts.append(row)
 
     first_index = {}
-    for i, setting in enumerate(settings):
-        j = first_index.setdefault(setting.bases, i)
+    for i, bases in enumerate(settings):
+        j = first_index.setdefault(bases, i)
         if j != i:
-            raise DatasetFormatError(
-                f"settings[{i}]: bases {list(setting.bases)} repeat settings[{j}]"
-            )
+            raise DatasetFormatError(f"settings[{i}]: bases {list(bases)} repeat settings[{j}]")
     expected = all_settings(n)
-    missing = [s.bases for s in expected if s.bases not in first_index]
+    missing = [bases for bases in expected if bases not in first_index]
     if missing:
         raise IncompleteDataError(
             f"dataset is missing {len(missing)} of {len(expected)} settings, "
             f"first missing: {missing[0]}"
         )
-    rows = [counts[first_index[s.bases]] for s in expected]
+    rows = [counts[first_index[bases]] for bases in expected]
     return TomographyDataset(n, shots, seed, np.array(rows, dtype=np.int64))
 
 

@@ -673,6 +673,23 @@ class TestTomo:
         assert run(argv) == 2
         assert "--shots must be at most 9223372036854775807" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, code",
+        [
+            (["sweep", "--tomo", "--grid", "1"], 2),
+            (["tomo", "--simulate"], 2),
+            (["sweep", "--grid", "3"], 0),  # no --tomo: nothing is drawn, any seed runs
+        ],
+    )
+    def test_negative_seed_is_usage_error_where_it_draws(self, tmp_path, capsys, command, code):
+        out = tmp_path / "run"
+        assert run(command + ["--seed", "-1", "--out-dir", str(out)]) == code
+        if code == 2:
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                "qreality: error: --seed must be at least 0"
+            )
+        assert out.exists() == (code == 0)
+
     def test_missing_setting_is_runtime_error(self, tmp_path):
         payload = {
             "n_qubits": 1,

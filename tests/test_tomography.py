@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -16,8 +17,8 @@ from qreality import (
     load_dataset,
     monte_carlo_irreality,
     project_to_physical,
+    reconstruct,
     reconstruct_from_frequencies,
-    reconstruct_linear,
     save_dataset,
     simulate_counts,
     tomography_end_to_end,
@@ -28,14 +29,16 @@ from qreality.tomography import (
     MAX_COUNT,
     MAX_QUBITS,
     DatasetFormatError,
-    MeasurementSetting,
     _project,
+    _setting_matrices,
     dataset_from_dict,
     dataset_to_dict,
 )
 
 from oracles import (
+    EIGENBASIS,
     entropy_bits,
+    kron_all,
     monte_carlo_irreality_reference,
     pauli_inversion,
     random_density,
@@ -60,13 +63,7 @@ def omega2z(theta=np.pi / 3):
 
 def row_of(bases):
     """The counts row of a setting: its position in :func:`all_settings`."""
-    return all_settings(len(bases)).index(MeasurementSetting(bases))
-
-
-def exact_frequency_matrix(rho):
-    return np.stack(
-        [born_probabilities(rho, s) for s in all_settings(rho.register.n_qubits)]
-    )
+    return all_settings(len(bases)).index(bases)
 
 
 class TestSettings:
@@ -77,15 +74,33 @@ class TestSettings:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_eigenvector_matrices_are_unitary(self, n):
         # unitary columns: the joint outcomes are complete and orthogonal
-        for setting in all_settings(n):
-            v = setting.eigenvector_matrix()
-            assert v.shape == (2**n, 2**n)
+        stack = _setting_matrices(n)
+        assert stack.shape == (3**n, 2**n, 2**n)
+        for v in stack:
             np.testing.assert_allclose(v @ v.conj().T, np.eye(2**n), atol=1e-10)
             np.testing.assert_allclose(v.conj().T @ v, np.eye(2**n), atol=1e-10)
 
-    def test_unknown_basis_rejected(self):
-        with pytest.raises(DatasetFormatError):
-            MeasurementSetting(("Z", "W"))
+
+class TestBornProbabilities:
+    def test_matches_per_setting_trace_oracle(self, rng):
+        for k in range(40):
+            n = 1 + k % 4
+            reg = QubitRegister(tuple(f"q{i}" for i in range(n)))
+            rho = DensityMatrix(reg, random_density(rng, n, rank=1 + k % 2**n))
+            want = []
+            for bases in itertools.product("ZXY", repeat=n):
+                v = kron_all([EIGENBASIS[b] for b in bases])
+                want.append(
+                    [np.trace(rho.entries @ np.outer(col, col.conj())).real for col in v.T]
+                )
+            table = born_probabilities(rho)
+            assert table.shape == (3**n, 2**n)
+            np.testing.assert_allclose(table, want, rtol=0, atol=1e-12)
+
+    def test_register_above_cap_rejected(self):
+        reg = QubitRegister(tuple(f"q{i}" for i in range(MAX_QUBITS + 1)))
+        with pytest.raises(ValueError, match="maximum supported is 4"):
+            born_probabilities(DensityMatrix.maximally_mixed(reg))
 
 
 class TestSimulateCounts:
@@ -144,8 +159,7 @@ class TestReconstruction:
         for n in (1, 2, 3, 4):
             reg = QubitRegister(tuple(f"q{i}" for i in range(n)))
             rho = DensityMatrix(reg, random_density(rng, n))
-            freqs = exact_frequency_matrix(rho)
-            rho_hat = reconstruct_from_frequencies(freqs, n)
+            rho_hat = reconstruct_from_frequencies(born_probabilities(rho), n)
             np.testing.assert_allclose(rho_hat, rho.entries, atol=1e-10)
             assert fidelity(project_to_physical(rho_hat, reg), rho) > 1 - 1e-9
 
@@ -178,13 +192,13 @@ class TestReconstruction:
 
     def test_trace_one_by_construction(self, rng):
         data = simulate_counts(omega2x(), 100, seed=5)
-        rho_hat = reconstruct_linear(data)
+        rho_hat = reconstruct(data).rho_linear
         assert np.trace(rho_hat).real == pytest.approx(1.0, abs=1e-12)
 
     def test_single_qubit_ground_state(self):
         rho = PureState.from_bits(QubitRegister(("q",)), "0").to_density()
         data = simulate_counts(rho, 20_000, seed=6)
-        rho_hat = reconstruct_linear(data)
+        rho_hat = reconstruct(data).rho_linear
         np.testing.assert_allclose(rho_hat, np.diag([1.0, 0.0]), atol=0.02)
 
     def test_finite_shots_can_go_negative(self):
@@ -193,7 +207,7 @@ class TestReconstruction:
         min_eigs = []
         for seed in range(10):
             data = simulate_counts(bell, 100, seed=seed)
-            rho_hat = reconstruct_linear(data)
+            rho_hat = reconstruct(data).rho_linear
             min_eigs.append(np.linalg.eigvalsh((rho_hat + rho_hat.conj().T) / 2).min())
         assert min(min_eigs) < 0
 
@@ -347,6 +361,18 @@ class TestMonteCarlo:
             else:
                 monte_carlo_irreality(data, obs, first, second, register=BDT_REG)
 
+    @pytest.mark.parametrize("function", ["simulate_counts", "monte_carlo_irreality"])
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1)])
+    def test_negative_seed_named_before_any_draw(self, monkeypatch, function, seed):
+        data = simulate_counts(omega2z(), 100, seed=8)
+        obs = ObservableSpec.pauli("d1", "Z")
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew counts"))
+        with pytest.raises(ValueError, match="^seed: expected nonnegative integer, got -1$"):
+            if function == "simulate_counts":
+                simulate_counts(omega2z(), 100, seed)
+            else:
+                monte_carlo_irreality(data, obs, 10, seed, register=BDT_REG)
+
     def test_minimal_resample_count_runs(self):
         data = simulate_counts(omega2z(), 1000, seed=8)
         mean, std = monte_carlo_irreality(
@@ -445,8 +471,8 @@ class TestDatasetIO:
         assert loaded.shots_per_setting == data.shots_per_setting
         assert loaded.seed == data.seed
         np.testing.assert_array_equal(loaded.counts, data.counts)
-        rho_a = reconstruct_linear(data)
-        rho_b = reconstruct_linear(loaded)
+        rho_a = reconstruct(data).rho_linear
+        rho_b = reconstruct(loaded).rho_linear
         np.testing.assert_allclose(rho_a, rho_b, atol=1e-14)
         # the loader sorts a file's settings into all_settings order
         payload = dataset_to_dict(data)
@@ -568,5 +594,5 @@ class TestDatasetIO:
         path = tmp_path / "external.json"
         path.write_text(json.dumps(payload))
         data = load_dataset(path)
-        rho = project_to_physical(reconstruct_linear(data), QubitRegister(("q",)))
+        rho = project_to_physical(reconstruct(data).rho_linear, QubitRegister(("q",)))
         np.testing.assert_allclose(rho.entries, np.diag([1.0, 0.0]), atol=1e-10)

@@ -19,7 +19,6 @@ from qreality import (
     DensityMatrix,
     ExtendedOutputReport,
     IrrealityReport,
-    MeasurementSetting,
     MziConfig,
     ObservableSpec,
     ProtocolConfig,
@@ -68,7 +67,6 @@ BUILDERS = {
     ProtocolConfig: lambda theta: ProtocolConfig(theta=theta, alice_config="Cx"),
     MziConfig: lambda theta: MziConfig(phi=theta, extended=True),
     ExtendedOutputReport: lambda theta: extended_output_analysis(MziConfig(phi=theta, extended=True)),
-    MeasurementSetting: lambda theta: MeasurementSetting(("Z", "X")),
     TomographyDataset: dataset,
     ReconstructionResult: lambda theta: reconstruct(dataset(theta)),
 }
@@ -85,7 +83,7 @@ def test_builders_cover_every_exported_frozen_dataclass():
         if dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
     }
     assert frozen == set(BUILDERS)
-    assert len(frozen) == 12
+    assert len(frozen) == 11
 
 
 @settings(max_examples=100, deadline=None)
