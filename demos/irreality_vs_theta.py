@@ -12,7 +12,6 @@ from qreality.eraser import (
     ProtocolConfig,
     apply_beam_displacers,
     build_psi0,
-    default_theta_grid,
     evolve_to_psi1,
     irreality_curve,
     omega_state,
@@ -49,7 +48,7 @@ def show_omegas(theta):
 
 def sweep_table():
     print("\n--- irreality versus theta (analytic) ---")
-    grid = default_theta_grid(9)
+    grid = np.linspace(0.0, np.pi / 2, 9)
     cx = irreality_curve(ProtocolConfig(theta=0.0, alice_config="Cx"), "d1", grid)
     cz = irreality_curve(ProtocolConfig(theta=0.0, alice_config="Cz"), "d1", grid)
     print(f"  {'theta':>8}  {'Cx':>10}  {'Cz':>10}  {'H(cos^2)':>10}")

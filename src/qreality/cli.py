@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import DensityMatrix, ObservableSpec, QubitRegister, _pauli_z, purity
+from .core import DensityMatrix, ObservableSpec, QubitRegister, _pauli_z, fidelity, purity
 from .eraser import (
     OMEGA_REGISTER,
     ProtocolConfig,
@@ -45,7 +45,6 @@ from .tomography import (
     project_to_physical,
     reconstruct,
     simulate_counts,
-    tomography_end_to_end,
 )
 
 OUT_DIR_ENV = "QREALITY_OUT_DIR"
@@ -153,7 +152,6 @@ def _check_range(parser, flag: str, value: int, low: int, high: int, why: str) -
 
 def cmd_sweep(parser, args) -> int:
     grid = _theta_grid(parser, args)
-    target = TARGETS[args.target]
     if args.tomo:
         _check_range(parser, "--resamples", args.resamples, 2, MAX_RESAMPLES, "to bound memory")
         _check_range(parser, "--shots", args.shots, 1, MAX_COUNT, INT64_LIMIT)
@@ -172,7 +170,7 @@ def cmd_sweep(parser, args) -> int:
     tomo_mean, tomo_std = np.full((2, len(thetas)), np.nan)
     if args.tomo:
         omegas = np.concatenate([curve.omega for curve in curves])
-        z_target = _pauli_z(target)
+        z_target = _pauli_z(args.target)
         child_seeds = np.random.SeedSequence(args.seed).generate_state(2 * len(thetas))
         for i, (counts_seed, resample_seed) in enumerate(child_seeds.reshape(-1, 2).tolist()):
             if not defined[i]:
@@ -192,7 +190,7 @@ def cmd_sweep(parser, args) -> int:
     columns = {
         "theta": _reprs(thetas),
         "config": [config for config in configs for _ in grid],
-        "target": [target] * len(thetas),
+        "target": [args.target] * len(thetas),
         "irreality_analytic": _reprs(irrealities, defined),
         "irreality_tomo_mean": _reprs(tomo_mean, tomo_done),
         "irreality_tomo_std": _reprs(tomo_std, tomo_done),
@@ -201,7 +199,7 @@ def cmd_sweep(parser, args) -> int:
     _write_csv(out_dir / "sweep.csv", SWEEP_SCHEMA, columns)
 
     config_dict = {
-        "target": target,
+        "target": args.target,
         "stage": stage_for_target(args.target),
         "configs": list(configs),
         "branch": args.branch,
@@ -246,17 +244,19 @@ def cmd_tomo(parser, args) -> int:
         target, config = OMEGA_STATES[args.state]
         cfg = ProtocolConfig(theta=float(theta), alice_config=config, alice_branch=args.branch)
         truth, _ = omega_state(cfg, target)
-        result = tomography_end_to_end(truth, args.shots, args.seed)
+        data = simulate_counts(truth, args.shots, args.seed)
         report = {"state": args.state, "theta": float(theta)}
         config_dict = {"simulate": True, **report, "branch": args.branch, "shots": args.shots}
     else:
-        result = reconstruct(load_dataset(args.dataset))  # qubits labelled q0 ... q{n-1}
+        truth, data = None, load_dataset(args.dataset)
         report = {"dataset": str(args.dataset)}
         config_dict = {"simulate": False, **report}
 
+    # a file's qubits are labelled q0 ... q{n-1}
+    result = reconstruct(data, None if truth is None else truth.register)
     rho = result.rho_physical
     register = rho.register
-    report["fidelity_to_truth"] = result.fidelity_to_truth
+    report["fidelity_to_truth"] = None if truth is None else fidelity(rho, truth)
     report["purity"] = purity(rho)
     report["diagnostics"] = result.diagnostics
 
@@ -350,7 +350,7 @@ def cmd_mzi(parser, args) -> int:
 
 
 def _selftest_checks():
-    from .core import PureState, fidelity
+    from .core import PureState
     from .measures import binary_entropy, irreality as irr, von_neumann_entropy
 
     def closed_forms():
@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="irreality versus theta, CSV + JSON")
-    sweep.add_argument("--target", choices=sorted(TARGETS), default="b")
+    sweep.add_argument("--target", choices=TARGETS, default="b")
     sweep.add_argument("--config", choices=("Cz", "Cx", "both"), default="both")
     sweep.add_argument("--branch", choices=("plus", "minus"), default="plus")
     sweep.add_argument("--grid", type=int, default=41)

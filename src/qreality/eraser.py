@@ -52,7 +52,7 @@ OMEGA_REGISTER = QubitRegister(("b", "d1", "d2"))
 
 ALICE_CONFIGS = ("Cz", "Cx")
 BRANCH_SIGNS = ("plus", "minus")
-TARGETS = {"path_b": "b", "b": "b", "d1": "d1", "d2": "d2"}
+TARGETS = OMEGA_REGISTER.labels  # a target is the label of the qubit read
 
 _BD_NORM_ATOL = 1e-10
 
@@ -182,10 +182,9 @@ class IrrealityCurve(NamedTuple):
 
 def stage_for_target(target: str) -> int:
     """Path irreality is probed at stage 1 (Psi1), marker irreality at stage 2 (Psi2)."""
-    label = TARGETS.get(target)
-    if label is None:
-        raise ConfigurationError(f"target must be one of {sorted(TARGETS)}")
-    return 1 if label == "b" else 2
+    if target not in TARGETS:
+        raise ConfigurationError(f"target must be one of {list(TARGETS)}")
+    return 1 if target == "b" else 2
 
 
 def _normalize_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,11 +255,6 @@ def omega_state(
     return DensityMatrix(OMEGA_REGISTER, omegas[0]), float(probs[0])
 
 
-def default_theta_grid(n: int = 41) -> np.ndarray:
-    """Uniform grid on [0, pi/2], the range where the curves are plotted."""
-    return np.linspace(0.0, np.pi / 2, n)
-
-
 def irreality_curve(
     cfg_template: ProtocolConfig,
     target: str,
@@ -284,7 +278,7 @@ def irreality_curve(
         dataclasses.replace(cfg_template, theta=float(theta))
 
     omegas, probs = _omega_stack(cfg_template, target, thetas)  # checks the target
-    axis = OMEGA_REGISTER.axis(TARGETS[target])
+    axis = OMEGA_REGISTER.axis(target)
     diag = np.diagonal(omegas, axis1=-2, axis2=-1).real
     outcome_probs = diag.reshape(len(thetas), 2**axis, 2, -1).sum(axis=(1, 3))
     values = np.where(probs > 0.0, _eigenvalue_entropies(outcome_probs), np.nan)

@@ -17,6 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (
+    PSD_ATOL,
     DensityMatrix,
     InvalidStateError,
     LabelError,
@@ -31,7 +32,6 @@ from .core import (
     purity,
 )
 
-PSD_TOLERANCE = 1e-10
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 MIXEDNESS_TOLERANCE = 1e-8
 COMPLEMENTARITY_SLACK = 1e-9
@@ -41,7 +41,7 @@ def _eigenvalue_entropies(eigs: np.ndarray) -> np.ndarray:
     """Von Neumann entropies in bits from a (..., d) stack of state eigenvalues."""
     if not np.isfinite(eigs).all():
         raise InvalidStateError("an eigenvalue is not finite; not a valid state")
-    if eigs.min() < -PSD_TOLERANCE:
+    if eigs.min() < -PSD_ATOL:
         raise InvalidStateError(
             f"eigenvalue {eigs.min():.3e} below the PSD tolerance; not a valid state"
         )

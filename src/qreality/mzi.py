@@ -35,7 +35,7 @@ from .core import (
     purity,
     tensor,
 )
-from .measures import _bipartite_entropies, _partial_transpose, irreality
+from .measures import MIXEDNESS_TOLERANCE, _bipartite_entropies, _partial_transpose, irreality
 
 STAGES = ("s0", "s1", "s2", "s3")
 
@@ -233,7 +233,7 @@ def extended_output_analysis(cfg: MziConfig, *, detector: int = 0) -> ExtendedOu
 
     s_d1, s_d2, s_pair = _bipartite_entropies(rho_markers, (("d1",), ("d2",)))
     # a mixed marker output carries no pure-state entanglement entropy
-    ee = s_d1 if purity(rho_markers) >= 1.0 - 1e-8 else 0.0
+    ee = s_d1 if purity(rho_markers) >= 1.0 - MIXEDNESS_TOLERANCE else 0.0
     transposed = _partial_transpose(rho_markers.entries, 2, (1,))
 
     return ExtendedOutputReport(

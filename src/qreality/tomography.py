@@ -15,12 +15,13 @@ The single-qubit eigenbases are the Pauli table of :mod:`qreality.core`.
 :func:`reconstruct` is the one pipeline for simulated and file data alike, and
 the only step that labels an unnamed register q0 ... q{n-1};
 :func:`project_to_physical` and :func:`monte_carlo_irreality` take the
-register from their caller.
+register from their caller.  A simulated run reconstructs its counts with
+the true state's register, and its fidelity to that state is one
+``fidelity(result.rho_physical, truth)`` call after :func:`reconstruct`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import json
@@ -30,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _EIGENBASES, DensityMatrix, ObservableSpec, QubitRegister, fidelity
+from .core import _EIGENBASES, DensityMatrix, ObservableSpec, QubitRegister
 from .measures import _irreality_values
 
 SETTING_BASES = ("Z", "X", "Y")
@@ -308,11 +309,12 @@ def monte_carlo_irreality(
     stack = np.empty((1 + n_resamples, *data.counts.shape), dtype=np.int64)
     stack[0] = data.counts
     stack[1:] = np.random.default_rng(seed).poisson(data.counts, size=stack[1:].shape)
+    # Row totals are summed in float64, since int64 sums wrap near MAX_COUNT.
     # A degenerate resample row (only possible at tiny counts) keeps the
     # observed row rather than dividing by zero.
-    empty = np.nonzero(stack.sum(axis=-1) == 0)
+    empty = np.nonzero(stack.sum(axis=-1, dtype=float) == 0)
     stack[empty] = data.counts[empty[1]]
-    freqs = stack / stack.sum(axis=-1, keepdims=True)
+    freqs = stack / stack.sum(axis=-1, keepdims=True, dtype=float)
     rho, eigenvalues = _project(reconstruct_from_frequencies(freqs, data.n_qubits))
     values = _irreality_values(rho, register, observable, eigenvalues)
     return float(values[0]), float(values[1:].std(ddof=1))
@@ -322,20 +324,20 @@ def monte_carlo_irreality(
 class ReconstructionResult:
     """Linear estimate, its physical projection, and quality diagnostics.
 
-    ``fidelity_to_truth`` is None unless the true state is known.  ``==`` is
-    identity.
+    The same for simulated and file datasets: a fidelity to a known true
+    state is the caller's ``fidelity(result.rho_physical, truth)``.  ``==``
+    is identity.
     """
 
     rho_linear: np.ndarray
     rho_physical: DensityMatrix
-    fidelity_to_truth: Optional[float]
     diagnostics: dict
 
 
 def reconstruct(
     data: TomographyDataset, register: Optional[QubitRegister] = None
 ) -> ReconstructionResult:
-    """Linear estimate, its physical projection and diagnostics; no fidelity.
+    """Linear estimate, its physical projection and diagnostics.
 
     The one reconstruction pipeline for simulated and file datasets alike.
     Without ``register`` the qubits are labelled q0 ... q{n-1}.
@@ -347,7 +349,6 @@ def reconstruct(
     return ReconstructionResult(
         rho_linear=rho_linear,
         rho_physical=project_to_physical(rho_linear, register),
-        fidelity_to_truth=None,
         diagnostics={
             "min_eigenvalue_linear": float(eigs.min()),
             "clipped_negative_mass": float(abs(eigs[eigs < 0].sum())),  # 0.0, not -0.0
@@ -355,14 +356,6 @@ def reconstruct(
             "shots_per_setting": data.shots_per_setting,
             "seed": data.seed,
         },
-    )
-
-
-def tomography_end_to_end(rho_true: DensityMatrix, shots: int, seed: int) -> ReconstructionResult:
-    """Simulate counts, reconstruct, restore physicality, report fidelity."""
-    result = reconstruct(simulate_counts(rho_true, shots, seed), rho_true.register)
-    return dataclasses.replace(
-        result, fidelity_to_truth=fidelity(result.rho_physical, rho_true)
     )
 
 

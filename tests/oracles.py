@@ -29,7 +29,7 @@ from qreality import (
     tensor,
     von_neumann_entropy,
 )
-from qreality.eraser import TARGETS, apply_beam_displacers, build_psi0, evolve_to_psi1
+from qreality.eraser import apply_beam_displacers, build_psi0, evolve_to_psi1
 
 
 def kron_all(mats):
@@ -300,7 +300,7 @@ def omega_per_theta(cfg, target, *, bob_sign="plus"):
         "minus": np.array([1.0, -1.0]) / np.sqrt(2),
     }
     alice = (z_basis if cfg.alice_config == "Cz" else x_basis)[cfg.alice_branch]
-    state = stage_state(cfg, 1 if TARGETS[target] == "b" else 2)
+    state = stage_state(cfg, 1 if target == "b" else 2)
     state, p_alice = post_select(state, np.kron(alice, [1.0, 0.0]), ("A", "a"))
     state, p_bob = post_select(state, x_basis[bob_sign], ("B",))
     return state.to_density(), p_alice * p_bob
@@ -309,7 +309,7 @@ def omega_per_theta(cfg, target, *, bob_sign="plus"):
 def irreality_per_theta(cfg, target):
     """(irreality, selection probability) of one theta, as the sweep rows were built."""
     omega, prob = omega_per_theta(cfg, target)
-    return irreality(omega, ObservableSpec.pauli(TARGETS[target], "Z")).irreality, prob
+    return irreality(omega, ObservableSpec.pauli(target, "Z")).irreality, prob
 
 
 def detector_probabilities_per_phi(cfg, phis):

@@ -12,15 +12,15 @@ from qreality import (
     complementarity_check,
     dephasing_map,
     entanglement_entropy,
+    fidelity,
     irreality,
     monte_carlo_irreality,
+    reconstruct,
     simulate_counts,
-    tomography_end_to_end,
 )
 from qreality.cli import main as cli_main
 from qreality.eraser import (
     ProtocolConfig,
-    default_theta_grid,
     irreality_curve,
     omega_state,
 )
@@ -34,7 +34,7 @@ from oracles import (
     random_unitary,
 )
 
-GRID = default_theta_grid(41)
+GRID = np.linspace(0.0, np.pi / 2, 41)
 
 
 def report(number, description, passed, detail=""):
@@ -49,7 +49,7 @@ def test_criterion_01_closed_form_curves():
     deviations = []
     cx = ProtocolConfig(theta=0.0, alice_config="Cx")
     cz = ProtocolConfig(theta=0.0, alice_config="Cz")
-    for target in ("path_b", "d1", "d2"):
+    for target in ("b", "d1", "d2"):
         curve = irreality_curve(cx, target, GRID)
         for theta, value in zip(curve.theta, curve.irreality):
             expected = binary_entropy_exact(np.cos(theta / 2) ** 2)
@@ -69,7 +69,7 @@ def test_criterion_01_closed_form_curves():
 def test_criterion_02_endpoint_values():
     cx = ProtocolConfig(theta=0.0, alice_config="Cx")
     devs = []
-    for target in ("path_b", "d1"):
+    for target in ("b", "d1"):
         lo, hi = irreality_curve(cx, target, [0.0, np.pi / 2]).irreality
         devs.append(abs(lo - 0.0))
         devs.append(abs(hi - 1.0))
@@ -120,10 +120,10 @@ def test_criterion_04_entanglement_equality():
 def test_criterion_05_tomography_fidelity():
     started = time.perf_counter()
     omega, _ = omega_state(ProtocolConfig(theta=np.pi / 2, alice_config="Cx"), "d1")
-    fidelities = [
-        tomography_end_to_end(omega, 100_000, seed).fidelity_to_truth
-        for seed in range(20)
-    ]
+    fidelities = []
+    for seed in range(20):
+        result = reconstruct(simulate_counts(omega, 100_000, seed), omega.register)
+        fidelities.append(fidelity(result.rho_physical, omega))
     elapsed = time.perf_counter() - started
     report(
         5,

@@ -13,8 +13,7 @@ import qreality.cli
 import qreality.mzi
 from qreality import (
     DensityMatrix, MziConfig, ObservableSpec, QubitRegister, detector_probabilities, fidelity,
-    monte_carlo_irreality, purity, save_dataset, simulate_counts, tomography_end_to_end,
-    visibility,
+    monte_carlo_irreality, purity, save_dataset, simulate_counts, visibility,
 )
 from qreality.cli import (
     MAX_GRID, MAX_RESAMPLES, OMEGA_STATES, _reprs, _write_csv, build_parser, main,
@@ -49,12 +48,11 @@ def expected_sweep_csv(target, branch, grid, tomo=None):
     ``tomo`` is (shots, resamples, seed) for the tomography columns, drawn
     with the CLI's two child seeds per row.
     """
-    label = TARGETS[target]
     rows = []
     for config in ("Cz", "Cx"):
         curve = irreality_curve(ProtocolConfig(0.0, config, branch), target, grid)
         for theta, value, prob, omega in zip(*curve):
-            rows.append([theta, config, label, value, None, None, prob, omega])
+            rows.append([theta, config, target, value, None, None, prob, omega])
     if tomo is not None:
         shots, resamples, seed = tomo
         child_seeds = np.random.SeedSequence(seed).generate_state(2 * len(rows))
@@ -62,7 +60,7 @@ def expected_sweep_csv(target, branch, grid, tomo=None):
             if row[6] > 0:
                 counts = simulate_counts(DensityMatrix(OMEGA_REGISTER, row[7]), shots, counts_seed)
                 row[4:6] = monte_carlo_irreality(
-                    counts, ObservableSpec.pauli(label, "Z"), resamples, resample_seed,
+                    counts, ObservableSpec.pauli(target, "Z"), resamples, resample_seed,
                     OMEGA_REGISTER,
                 )
     header = ["theta", "config", "target", "irreality_analytic",
@@ -187,7 +185,7 @@ class TestSweep:
         cx_at_zero = [r for r in rows if r["config"] == "Cx" and r["theta"] == "0.0"]
         assert [r["irreality_analytic"] for r in cx_at_zero] == ["0.0"]
 
-    @pytest.mark.parametrize("target", sorted(TARGETS))
+    @pytest.mark.parametrize("target", TARGETS)
     @pytest.mark.parametrize("branch", ["plus", "minus"])
     @pytest.mark.parametrize("tomo", [False, True])
     def test_file_is_the_curve_columns_row_by_row(self, tmp_path, target, branch, tomo):
@@ -229,6 +227,12 @@ class TestSweep:
             assert code == 2
             assert f"unrecognized arguments: --stage {stage}" in capsys.readouterr().err
         assert not tmp_path.joinpath("sweep.csv").exists()
+
+    def test_target_is_a_qubit_label(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["sweep", "--target", "path_b", "--out-dir", str(out)]) == 2
+        assert "invalid choice: 'path_b' (choose from " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cz_minus_branch_is_alice_one_outcome(self, tmp_path):
         runs = {}
@@ -452,7 +456,7 @@ class TestTomo:
                     "--out-dir", str(tmp_path)]) == 0
         target, config = OMEGA_STATES[state]
         truth, _ = omega_state(ProtocolConfig(np.pi / 2, config), target)
-        rho = tomography_end_to_end(truth, 1000, 42).rho_physical
+        rho = reconstruct(simulate_counts(truth, 1000, 42), truth.register).rho_physical
         assert (tmp_path / "density_matrix_real.csv").read_bytes() == expected_rho_csv(rho)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -759,9 +763,9 @@ class TestTomo:
         assert run(["tomo", "--simulate", *argv, "--out-dir", str(out)]) == 0
         target, config = OMEGA_STATES[state]
         omega, _ = omega_state(ProtocolConfig(theta=theta, alice_config=config), target)
-        result = tomography_end_to_end(omega, shots, seed)
+        result = reconstruct(simulate_counts(omega, shots, seed), omega.register)
         report = json.loads((out / "report.json").read_text())
-        assert report["fidelity_to_truth"] == result.fidelity_to_truth
+        assert report["fidelity_to_truth"] == fidelity(result.rho_physical, omega)
         assert report["purity"] == purity(result.rho_physical)
         assert report["diagnostics"] == result.diagnostics
         matrix = json.loads((out / "density_matrix.json").read_text())

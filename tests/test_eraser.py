@@ -15,10 +15,11 @@ from qreality import (
     irreality,
 )
 from qreality.eraser import (
+    OMEGA_REGISTER,
+    TARGETS,
     ProtocolConfig,
     apply_beam_displacers,
     build_psi0,
-    default_theta_grid,
     eraser_register,
     evolve_to_psi1,
     irreality_curve,
@@ -277,7 +278,7 @@ class TestNoSignalling:
 class TestIrrealityCurve:
     def test_endpoints(self):
         cfg = ProtocolConfig(theta=0.0, alice_config="Cx")
-        lo, hi = irreality_curve(cfg, "path_b", [0.0, np.pi / 2]).irreality
+        lo, hi = irreality_curve(cfg, "b", [0.0, np.pi / 2]).irreality
         assert lo == pytest.approx(0.0, abs=1e-10)
         assert hi == pytest.approx(1.0, abs=1e-10)
 
@@ -290,15 +291,15 @@ class TestIrrealityCurve:
 
     def test_cz_curves_vanish(self):
         cfg = ProtocolConfig(theta=0.0, alice_config="Cz")
-        grid = default_theta_grid(21)
-        for target in ("path_b", "d1", "d2"):
+        grid = np.linspace(0.0, np.pi / 2, 21)
+        for target in ("b", "d1", "d2"):
             for value in irreality_curve(cfg, target, grid).irreality:
                 assert abs(value) < 1e-9
 
     def test_cx_matches_binary_entropy(self):
         cfg = ProtocolConfig(theta=0.0, alice_config="Cx")
-        grid = default_theta_grid(21)
-        curve = irreality_curve(cfg, "path_b", grid)
+        grid = np.linspace(0.0, np.pi / 2, 21)
+        curve = irreality_curve(cfg, "b", grid)
         for theta, value in zip(curve.theta, curve.irreality):
             expected = binary_entropy_exact(np.cos(theta / 2) ** 2)
             assert value == pytest.approx(expected, abs=1e-9)
@@ -306,7 +307,7 @@ class TestIrrealityCurve:
     def test_equality_chain_with_entanglement(self):
         grid = np.linspace(0.0, np.pi / 2, 50)
         cfg = ProtocolConfig(theta=0.0, alice_config="Cx")
-        b_curve = irreality_curve(cfg, "path_b", grid).irreality
+        b_curve = irreality_curve(cfg, "b", grid).irreality
         d1_curve = irreality_curve(cfg, "d1", grid).irreality
         d2_curve = irreality_curve(cfg, "d2", grid).irreality
         for theta, rb, r1, r2 in zip(grid, b_curve, d1_curve, d2_curve):
@@ -318,7 +319,7 @@ class TestIrrealityCurve:
             assert r1 == pytest.approx(ee, abs=1e-9)
 
     def test_plus_minus_branches_agree(self):
-        grid = default_theta_grid(11)
+        grid = np.linspace(0.0, np.pi / 2, 11)
         plus = irreality_curve(
             ProtocolConfig(theta=0.0, alice_config="Cx", alice_branch="plus"),
             "d1",
@@ -386,6 +387,16 @@ class TestIrrealityCurve:
         cfg = ProtocolConfig(theta=0.0, alice_config="Cx")
         with pytest.raises(ConfigurationError):
             irreality_curve(cfg, "d3", [0.1])
+
+    def test_target_is_a_qubit_label_only(self):
+        # a target is a label of OMEGA_REGISTER; path_b, a name for b, is not one
+        cfg = ProtocolConfig(theta=0.3, alice_config="Cx")
+        assert TARGETS == OMEGA_REGISTER.labels == ("b", "d1", "d2")
+        message = r"^target must be one of \['b', 'd1', 'd2'\]$"
+        with pytest.raises(ConfigurationError, match=message):
+            irreality_curve(cfg, "path_b", [0.3])
+        with pytest.raises(ConfigurationError, match=message):
+            omega_state(cfg, "path_b")
 
 
 # Protocol identities over the whole parameter space: random pair angle theta,

@@ -59,7 +59,7 @@ def assert_curve_matches(cfg, target, thetas):
 
 
 class TestIrrealityCurve:
-    @pytest.mark.parametrize("target", ["path_b", "b", "d1", "d2"])
+    @pytest.mark.parametrize("target", ["b", "d1", "d2"])
     @pytest.mark.parametrize("config", ["Cz", "Cx"])
     @pytest.mark.parametrize("branch", ["plus", "minus"])
     @pytest.mark.parametrize("bd_settings", BD_SETTINGS)

@@ -68,7 +68,7 @@ BUILDERS = {
     MziConfig: lambda theta: MziConfig(phi=theta, extended=True),
     ExtendedOutputReport: lambda theta: extended_output_analysis(MziConfig(phi=theta, extended=True)),
     TomographyDataset: dataset,
-    ReconstructionResult: lambda theta: reconstruct(dataset(theta)),
+    ReconstructionResult: lambda theta: reconstruct(dataset(theta), PAIR),
 }
 BY_IDENTITY = {PureState, DensityMatrix, ObservableSpec, TomographyDataset, ReconstructionResult}
 # ExtendedOutputReport is neither: it compares its state by identity, the rest by value
@@ -120,3 +120,13 @@ def test_irreality_report_holds_only_floats():
     ]
     report = irreality(mixed(0.3), observable(0.3))
     assert report == IrrealityReport(*dataclasses.astuple(report))
+
+
+def test_reconstruction_result_holds_no_fidelity():
+    # a fidelity needs the true state, which only the caller knows
+    assert [f.name for f in dataclasses.fields(ReconstructionResult)] == [
+        "rho_linear",
+        "rho_physical",
+        "diagnostics",
+    ]
+    assert BUILDERS[ReconstructionResult](0.3).rho_physical.register == PAIR
