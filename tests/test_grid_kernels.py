@@ -69,6 +69,17 @@ class TestIrrealityCurve:
         )
         assert_curve_matches(cfg, target, np.linspace(0.0, np.pi, 13))
 
+    @pytest.mark.parametrize("config", ["Cz", "Cx"])
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    @pytest.mark.parametrize("bd_settings", BD_SETTINGS)
+    def test_rows_follow_an_unordered_grid(self, config, branch, bd_settings):
+        # row i is theta_i for any grid: descending, repeated, both endpoints
+        cfg = ProtocolConfig(
+            theta=0.0, alice_config=config, alice_branch=branch, bd_settings=bd_settings
+        )
+        for target in ("b", "d1", "d2"):
+            assert_curve_matches(cfg, target, [np.pi, 2.9, 0.4, 0.4, 0.0, np.pi / 2, 1.3])
+
     def test_theta_pi_rows_are_undefined_only_for_cz(self):
         for config in ("Cz", "Cx"):
             cfg = ProtocolConfig(theta=0.0, alice_config=config)
