@@ -2,7 +2,9 @@
 """Simulate counts, reconstruct the state, and attach Monte Carlo error bars.
 
 Simulated counts go through the same ``reconstruct`` call as counts loaded
-from a file; only a simulation knows the true state to compare with.
+from a file; only a simulation knows the true state to compare with.  A
+simulated dataset carries the state's register (b, d1, d2), so neither
+``reconstruct`` nor ``monte_carlo_irreality`` is told which qubit is which.
 
 Run:
     python3 demos/tomography_pipeline.py
@@ -25,7 +27,7 @@ def reconstruction_quality():
     print("--- reconstruction fidelity versus shot budget ---")
     omega, _ = omega_state(ProtocolConfig(theta=np.pi / 2, alice_config="Cx"), "d1")
     for shots in (1_000, 10_000, 100_000):
-        result = reconstruct(simulate_counts(omega, shots, seed=1), omega.register)
+        result = reconstruct(simulate_counts(omega, shots, seed=1))
         diag = result.diagnostics
         print(
             f"  shots={shots:>7}  fidelity={fidelity(result.rho_physical, omega):.5f}  "
@@ -43,9 +45,7 @@ def error_bars():
         cfg = ProtocolConfig(theta=float(theta), alice_config="Cx")
         omega, _ = omega_state(cfg, "d1")
         data = simulate_counts(omega, 10_000, seed=40 + k)
-        estimate, std = monte_carlo_irreality(
-            data, observable, 100, seed=60 + k, register=omega.register
-        )
+        estimate, std = monte_carlo_irreality(data, observable, 100, seed=60 + k)
         analytic = binary_entropy(np.cos(theta / 2) ** 2)
         print(f"  {theta:8.4f}  {analytic:9.5f}  {estimate:9.5f}  {std:8.5f}")
 
@@ -53,7 +53,7 @@ def error_bars():
 def reconstructed_matrix():
     print("\n--- real part of the reconstructed matrix at theta=pi/2 ---")
     omega, _ = omega_state(ProtocolConfig(theta=np.pi / 2, alice_config="Cx"), "d1")
-    result = reconstruct(simulate_counts(omega, 100_000, seed=5), omega.register)
+    result = reconstruct(simulate_counts(omega, 100_000, seed=5))
     real = result.rho_physical.entries.real
     kets = [f"|{i:03b}>" for i in range(8)]
     print("        " + "  ".join(f"{k:>6}" for k in kets))

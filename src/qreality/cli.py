@@ -181,7 +181,6 @@ def cmd_sweep(parser, args) -> int:
                 z_target,
                 args.resamples,
                 resample_seed,
-                OMEGA_REGISTER,
             )
 
     out_dir = Path(args.out_dir)
@@ -252,8 +251,7 @@ def cmd_tomo(parser, args) -> int:
         report = {"dataset": str(args.dataset)}
         config_dict = {"simulate": False, **report}
 
-    # a file's qubits are labelled q0 ... q{n-1}
-    result = reconstruct(data, None if truth is None else truth.register)
+    result = reconstruct(data)
     rho = result.rho_physical
     register = rho.register
     report["fidelity_to_truth"] = None if truth is None else fidelity(rho, truth)
@@ -375,7 +373,7 @@ def _selftest_checks():
         omega, _ = omega_state(cfg, "d1")
         from .tomography import born_probabilities, reconstruct_from_frequencies
 
-        rho_hat = reconstruct_from_frequencies(born_probabilities(omega), 3)
+        rho_hat = reconstruct_from_frequencies(born_probabilities(omega))
         rho = project_to_physical(rho_hat, omega.register)
         assert fidelity(rho, omega) > 1.0 - 1e-9
 

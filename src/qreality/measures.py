@@ -103,17 +103,14 @@ def _irreality_values(
     observable: ObservableSpec,
     eigenvalues: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Irreality of ``observable`` for every state in a (..., d, d) stack on ``register``.
+    """Irreality of ``observable`` for every state in a (..., d, d) stack on
+    ``register``; its callers guarantee that d is ``register.dimension``.
 
     ``eigenvalues``, when given, are those of ``mats`` (a caller that has
     just diagonalised the stack passes them), so S(rho) costs no second
     decomposition.  S(Phi(rho)) comes from the two diagonal blocks of the
     stack in the observable's eigenbasis, where Phi(rho) is block diagonal.
     """
-    if mats.shape[-1] != register.dimension:
-        raise InvalidStateError(
-            f"matrix dimension {mats.shape[-1]} does not match register {register.labels}"
-        )
     if eigenvalues is None:
         eigenvalues = np.linalg.eigvalsh(mats)
     blocks = _dephased_blocks(mats, register.axis(observable.subsystem), observable)

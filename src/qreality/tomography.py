@@ -12,11 +12,11 @@ is bit-reproducible: one generator seeded by the caller draws all counts of
 a call, the whole stack of Monte Carlo resamples included.
 
 The single-qubit eigenbases are the Pauli table of :mod:`qreality.core`.
-:func:`reconstruct` is the one pipeline for simulated and file data alike, and
-the only step that labels an unnamed register q0 ... q{n-1};
-:func:`project_to_physical` and :func:`monte_carlo_irreality` take the
-register from their caller.  A simulated run reconstructs its counts with
-the true state's register, and its fidelity to that state is one
+A :class:`TomographyDataset` carries the register its counts were taken on:
+:func:`simulate_counts` records the state's register, and the loader names
+a file's qubits q0 ... q{n-1}.  :func:`reconstruct`, the one pipeline for
+simulated and file data alike, and :func:`monte_carlo_irreality` read it
+from the dataset.  A simulated run's fidelity to its true state is one
 ``fidelity(result.rho_physical, truth)`` call after :func:`reconstruct`.
 """
 
@@ -27,7 +27,6 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -109,18 +108,24 @@ def _check_header(n_qubits, shots, seed) -> None:
 
 @dataclass(frozen=True, eq=False)
 class TomographyDataset:
-    """Counts for every setting, plus the budget and seed that produced them.
+    """Counts for every setting on a named register, plus the budget and
+    seed that produced them.
 
     Row k of ``counts`` holds the 2^n outcome counts of setting k of
-    :func:`all_settings`.  The counts must have an integer dtype, be
+    :func:`all_settings`, qubit i measured in letter i of the setting and
+    named ``register.labels[i]``.  The counts must have an integer dtype, be
     nonnegative, and sum per row to between 1 and ``shots_per_setting``;
     they are stored as a read-only int64 array.  ``==`` is identity.
     """
 
-    n_qubits: int
+    register: QubitRegister
     shots_per_setting: int
     seed: int
     counts: np.ndarray  # shape (3**n_qubits, 2**n_qubits)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.register.n_qubits
 
     def __post_init__(self):
         _check_header(self.n_qubits, self.shots_per_setting, self.seed)
@@ -201,10 +206,10 @@ def simulate_counts(
     seeds give identical counts."""
     shots, seed = _index("shots_per_setting", shots_per_setting), _seed(seed)
     probabilities = born_probabilities(rho)
-    n = rho.register.n_qubits
-    _check_header(n, shots, seed)  # bounds shots before numpy's draw overflows on them
+    # bounds shots before numpy's draw overflows on them
+    _check_header(rho.register.n_qubits, shots, seed)
     counts = np.random.default_rng(seed).multinomial(shots, probabilities)
-    return TomographyDataset(n, shots, seed, counts)
+    return TomographyDataset(rho.register, shots, seed, counts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,20 +239,21 @@ def _inversion_map(n_qubits: int) -> np.ndarray:
     return inversion
 
 
-def reconstruct_from_frequencies(freqs: np.ndarray, n_qubits: int) -> np.ndarray:
+def reconstruct_from_frequencies(freqs: np.ndarray) -> np.ndarray:
     """Linear inversion from per-setting outcome frequencies.
 
-    ``freqs`` has shape (..., 3^n, 2^n), rows in :func:`all_settings` order;
-    leading axes are a stack of independent estimates.  The identity
-    coefficient is fixed to 1, so each estimate has unit trace by
-    construction; it may still fail to be positive semidefinite.
+    ``freqs`` has shape (..., 3^n, 2^n) for some n >= 1, rows in
+    :func:`all_settings` order; leading axes are a stack of independent
+    estimates.  The identity coefficient is fixed to 1, so each estimate has
+    unit trace by construction; it may still fail to be positive semidefinite.
     """
     freqs = np.asarray(freqs, dtype=float)
-    dim = 2**n_qubits
-    if freqs.shape[-2:] != (3**n_qubits, dim):
-        raise ValueError(f"frequencies of shape {freqs.shape} do not fit {n_qubits} qubits")
+    n = freqs.shape[-1].bit_length() - 1 if freqs.ndim >= 2 else 0
+    dim = 2**n
+    if n < 1 or freqs.shape[-2:] != (3**n, dim):
+        raise ValueError(f"frequencies of shape {freqs.shape} are not (3^n, 2^n) for an n >= 1")
     lead = freqs.shape[:-2]
-    flat = (freqs.reshape(*lead, -1) @ _inversion_map(n_qubits)).view(complex)
+    flat = (freqs.reshape(*lead, -1) @ _inversion_map(n)).view(complex)
     return flat.reshape(*lead, dim, dim) + np.eye(dim) / dim
 
 
@@ -292,16 +298,16 @@ def monte_carlo_irreality(
     observable: ObservableSpec,
     n_resamples: int,
     seed: int,
-    register: QubitRegister,
 ) -> tuple[float, float]:
     """Estimate and bootstrap standard deviation of the reconstructed irreality.
 
     The estimate is the irreality of the state reconstructed from the
-    observed counts (plug-in).  The standard deviation is over
-    ``n_resamples`` Poisson resamples of those counts (parametric
-    bootstrap), all drawn from one generator seeded with ``seed``.  The
-    observed counts and the resamples form one stack, which is
-    reconstructed, projected to physical states and measured at once.
+    observed counts (plug-in), on ``data.register``, which names the qubit
+    ``observable`` reads.  The standard deviation is over ``n_resamples``
+    Poisson resamples of those counts (parametric bootstrap), all drawn from
+    one generator seeded with ``seed``.  The observed counts and the
+    resamples form one stack, which is reconstructed, projected to physical
+    states and measured at once.
     """
     n_resamples, seed = _index("n_resamples", n_resamples), _seed(seed)
     if n_resamples < 2:
@@ -315,8 +321,8 @@ def monte_carlo_irreality(
     empty = np.nonzero(stack.sum(axis=-1, dtype=float) == 0)
     stack[empty] = data.counts[empty[1]]
     freqs = stack / stack.sum(axis=-1, keepdims=True, dtype=float)
-    rho, eigenvalues = _project(reconstruct_from_frequencies(freqs, data.n_qubits))
-    values = _irreality_values(rho, register, observable, eigenvalues)
+    rho, eigenvalues = _project(reconstruct_from_frequencies(freqs))
+    values = _irreality_values(rho, data.register, observable, eigenvalues)
     return float(values[0]), float(values[1:].std(ddof=1))
 
 
@@ -334,21 +340,18 @@ class ReconstructionResult:
     diagnostics: dict
 
 
-def reconstruct(
-    data: TomographyDataset, register: Optional[QubitRegister] = None
-) -> ReconstructionResult:
+def reconstruct(data: TomographyDataset) -> ReconstructionResult:
     """Linear estimate, its physical projection and diagnostics.
 
     The one reconstruction pipeline for simulated and file datasets alike.
-    Without ``register`` the qubits are labelled q0 ... q{n-1}.
+    The physical state is on ``data.register``.
     """
     freqs = data.counts / data.counts.sum(axis=-1, keepdims=True)
-    rho_linear = reconstruct_from_frequencies(freqs, data.n_qubits)
+    rho_linear = reconstruct_from_frequencies(freqs)
     eigs = np.linalg.eigvalsh((rho_linear + rho_linear.conj().T) / 2)
-    register = register or QubitRegister(tuple(f"q{i}" for i in range(data.n_qubits)))
     return ReconstructionResult(
         rho_linear=rho_linear,
-        rho_physical=project_to_physical(rho_linear, register),
+        rho_physical=project_to_physical(rho_linear, data.register),
         diagnostics={
             "min_eigenvalue_linear": float(eigs.min()),
             "clipped_negative_mass": float(abs(eigs[eigs < 0].sum())),  # 0.0, not -0.0
@@ -382,6 +385,7 @@ def dataset_from_dict(payload: dict) -> TomographyDataset:
 
     The settings may be listed in any order; they are sorted into
     :func:`all_settings` order, and one left out raises IncompleteDataError.
+    The file names no qubits, so they are labelled q0 ... q{n-1}.
     """
     if not isinstance(payload, dict):
         raise DatasetFormatError("top-level JSON value must be an object")
@@ -434,7 +438,8 @@ def dataset_from_dict(payload: dict) -> TomographyDataset:
             f"first missing: {missing[0]}"
         )
     rows = [counts[first_index[bases]] for bases in expected]
-    return TomographyDataset(n, shots, seed, np.array(rows, dtype=np.int64))
+    register = QubitRegister(tuple(f"q{i}" for i in range(n)))
+    return TomographyDataset(register, shots, seed, np.array(rows, dtype=np.int64))
 
 
 def load_dataset(path) -> TomographyDataset:

@@ -12,6 +12,7 @@ the one-pass marker analysis replace.
 import dataclasses
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -192,6 +193,27 @@ def simulate_counts_per_setting(rho, shots, seed):
         p = np.clip(np.einsum("io,ij,jo->o", v.conj(), rho, v).real, 0.0, None)
         rows.append(rng.multinomial(shots, p / p.sum()))
     return np.stack(rows)
+
+
+def one_qubit_datasets(rho, shots):
+    """Every one-qubit dataset at ``shots`` per setting, with its exact probability.
+
+    Returns the ((shots + 1)^3, 3, 2) counts, rows in "ZXY" order, and
+    their weights.  A setting's outcome-0 count k has the binomial weight
+    C(shots, k) p^k (1 - p)^(shots - k), p = <v_0| rho |v_0> for the
+    setting's first eigenvector; the three settings draw independently, so
+    a dataset's weight is the product of its three, and the weights sum to 1.
+    """
+    ks = range(shots + 1)
+    binomials = []
+    for basis in "ZXY":
+        v0 = EIGENBASIS[basis][:, 0]
+        p = float(np.clip(np.vdot(v0, rho @ v0).real, 0.0, 1.0))
+        binomials.append([math.comb(shots, k) * p**k * (1.0 - p) ** (shots - k) for k in ks])
+    zero_counts = np.stack(np.meshgrid(ks, ks, ks, indexing="ij"), axis=-1).reshape(-1, 3)
+    counts = np.stack([zero_counts, shots - zero_counts], axis=-1)
+    weights = functools.reduce(np.multiply.outer, [np.array(b) for b in binomials]).ravel()
+    return counts, weights
 
 
 def pauli_inversion(freqs, n):

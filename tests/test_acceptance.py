@@ -122,7 +122,7 @@ def test_criterion_05_tomography_fidelity():
     omega, _ = omega_state(ProtocolConfig(theta=np.pi / 2, alice_config="Cx"), "d1")
     fidelities = []
     for seed in range(20):
-        result = reconstruct(simulate_counts(omega, 100_000, seed), omega.register)
+        result = reconstruct(simulate_counts(omega, 100_000, seed))
         fidelities.append(fidelity(result.rho_physical, omega))
     elapsed = time.perf_counter() - started
     report(
@@ -143,9 +143,7 @@ def test_criterion_06_monte_carlo_error_bars():
         cfg = ProtocolConfig(theta=float(theta), alice_config="Cx")
         omega, _ = omega_state(cfg, "d1")
         data = simulate_counts(omega, 10_000, seed=100 + k)
-        mean, std = monte_carlo_irreality(
-            data, observable, 100, seed=200 + k, register=omega.register
-        )
+        mean, std = monte_carlo_irreality(data, observable, 100, seed=200 + k)
         analytic = binary_entropy_exact(np.cos(theta / 2) ** 2)
         ok = ok and np.isfinite(std) and std > 0 and abs(mean - analytic) <= 3 * std
         details.append(f"z={abs(mean - analytic) / std:.2f}")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -60,8 +61,7 @@ def expected_sweep_csv(target, branch, grid, tomo=None):
             if row[6] > 0:
                 counts = simulate_counts(DensityMatrix(OMEGA_REGISTER, row[7]), shots, counts_seed)
                 row[4:6] = monte_carlo_irreality(
-                    counts, ObservableSpec.pauli(target, "Z"), resamples, resample_seed,
-                    OMEGA_REGISTER,
+                    counts, ObservableSpec.pauli(target, "Z"), resamples, resample_seed
                 )
     header = ["theta", "config", "target", "irreality_analytic",
               "irreality_tomo_mean", "irreality_tomo_std", "selection_probability"]
@@ -456,7 +456,7 @@ class TestTomo:
                     "--out-dir", str(tmp_path)]) == 0
         target, config = OMEGA_STATES[state]
         truth, _ = omega_state(ProtocolConfig(np.pi / 2, config), target)
-        rho = reconstruct(simulate_counts(truth, 1000, 42), truth.register).rho_physical
+        rho = reconstruct(simulate_counts(truth, 1000, 42)).rho_physical
         assert (tmp_path / "density_matrix_real.csv").read_bytes() == expected_rho_csv(rho)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -506,6 +506,25 @@ class TestTomo:
         assert reports[0]["diagnostics"] == reports[1]["diagnostics"]
         assert reports[0]["purity"] == reports[1]["purity"]
         assert "clipped_negative_mass" in reports[1]["diagnostics"]
+
+    def test_relabelled_file_reproduces_the_simulated_matrix(self, tmp_path):
+        # a file names no qubits; replacing the loaded dataset's register names them
+        omega, _ = omega_state(ProtocolConfig(theta=np.pi / 2, alice_config="Cx"), "d1")
+        dataset_path = tmp_path / "counts.json"
+        save_dataset(simulate_counts(omega, 100_000, 42), dataset_path)
+        data = dataclasses.replace(load_dataset(dataset_path), register=OMEGA_REGISTER)
+        rho = reconstruct(data).rho_physical
+        sim = tmp_path / "sim"
+        argv = ["--state", "omega2x", "--shots", "100000", "--seed", "42", "--out-dir", str(sim)]
+        assert run(["tomo", "--simulate", *argv]) == 0
+        matrix = {
+            "labels": ["b", "d1", "d2"],
+            "real": rho.entries.real.tolist(),
+            "imag": rho.entries.imag.tolist(),
+        }
+        expected = json.dumps(matrix, indent=2) + "\n"
+        assert (sim / "density_matrix.json").read_text(encoding="utf-8") == expected
+        assert (sim / "density_matrix_real.csv").read_bytes() == expected_rho_csv(rho)
 
     def test_dataset_seed_is_printed_and_recorded(self, tmp_path, capsys):
         omega, _ = omega_state(ProtocolConfig(theta=1.0, alice_config="Cx"), "d1")
@@ -763,7 +782,7 @@ class TestTomo:
         assert run(["tomo", "--simulate", *argv, "--out-dir", str(out)]) == 0
         target, config = OMEGA_STATES[state]
         omega, _ = omega_state(ProtocolConfig(theta=theta, alice_config=config), target)
-        result = reconstruct(simulate_counts(omega, shots, seed), omega.register)
+        result = reconstruct(simulate_counts(omega, shots, seed))
         report = json.loads((out / "report.json").read_text())
         assert report["fidelity_to_truth"] == fidelity(result.rho_physical, omega)
         assert report["purity"] == purity(result.rho_physical)

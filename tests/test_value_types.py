@@ -68,7 +68,7 @@ BUILDERS = {
     MziConfig: lambda theta: MziConfig(phi=theta, extended=True),
     ExtendedOutputReport: lambda theta: extended_output_analysis(MziConfig(phi=theta, extended=True)),
     TomographyDataset: dataset,
-    ReconstructionResult: lambda theta: reconstruct(dataset(theta), PAIR),
+    ReconstructionResult: lambda theta: reconstruct(dataset(theta)),
 }
 BY_IDENTITY = {PureState, DensityMatrix, ObservableSpec, TomographyDataset, ReconstructionResult}
 # ExtendedOutputReport is neither: it compares its state by identity, the rest by value
