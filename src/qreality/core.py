@@ -6,8 +6,11 @@ that ket strings read left to right.  On the register ``(b, d1, d2)`` the
 ket ``|011>`` is basis index 3.
 
 An observable is one qubit read in one basis: :class:`ObservableSpec`
-holds the 2x2 unitary whose columns are its eigenvectors, and its
-projectors derive from those columns.
+holds the 2x2 unitary whose columns are its eigenvectors, and nothing
+else.  Its dephasing is laid out here alone: :func:`_dephased_blocks`
+gives the two diagonal blocks of Phi(rho) in that eigenbasis, which
+``measures`` reads for every irreality and :func:`dephasing_map` rotates
+back into the computational basis.
 
 Global phase is unobservable; state comparisons go through :func:`fidelity`,
 never through amplitude equality.  Every operation is a pure function of
@@ -100,6 +103,8 @@ class QubitRegister:
 
     def __post_init__(self):
         labels = tuple(self.labels)
+        if isinstance(self.labels, str) or not all(isinstance(lb, str) for lb in labels):
+            raise LabelError(f"register labels must be a sequence of strings, got {self.labels!r}")
         object.__setattr__(self, "labels", labels)
         if not labels:
             raise LabelError("register needs at least one label")
@@ -218,7 +223,8 @@ class ObservableSpec:
     """Observable on one qubit of a register, given by its eigenbasis.
 
     ``basis`` is a 2x2 unitary whose columns are the eigenvectors, in the
-    order that ``projectors`` and the dephased blocks of ``measures`` follow.
+    order that the dephased blocks of :func:`_dephased_blocks` follow; the
+    projector of column k is ``np.outer(basis[:, k], basis[:, k].conj())``.
     ``==`` is identity.
     """
 
@@ -233,14 +239,6 @@ class ObservableSpec:
             raise InvalidStateError("basis is not unitary within tolerance")
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
-
-    @functools.cached_property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        """Rank-1 projectors onto the basis columns, in column order (read-only)."""
-        projs = tuple(np.outer(c, c.conj()) for c in self.basis.T)
-        for p in projs:
-            p.flags.writeable = False
-        return projs
 
     @classmethod
     def pauli(cls, subsystem: str, kind: str) -> "ObservableSpec":
@@ -306,30 +304,41 @@ def _partial_trace_entries(mat: np.ndarray, register: QubitRegister, keep: Itera
 
 
 def dephasing_map(state: State, observable: ObservableSpec) -> DensityMatrix:
-    """Nonselective measurement channel: sum of P_i rho P_i over the projectors.
+    """Nonselective measurement channel: sum of P_k rho P_k over the projectors
+    onto the columns of ``observable.basis``.
 
-    Idempotent and trace preserving; the output is re-Hermitized to absorb
-    floating-point drift.
+    Built from the two blocks of :func:`_dephased_blocks`, rotated back out
+    of the eigenbasis.  Idempotent and trace preserving; the output is
+    re-Hermitized to absorb floating-point drift.
     """
     rho = _as_density(state)
     axis = rho.register.axis(observable.subsystem)
-    return DensityMatrix(
-        rho.register, _dephase(rho.entries, axis, rho.register.n_qubits, observable.projectors)
-    )
+    dim = rho.register.dimension
+    before, after = 2**axis, dim // 2 ** (axis + 1)
+    blocks = _dephased_blocks(rho.entries, axis, observable)
+    basis = observable.basis
+    out = np.einsum(
+        "ik,kbace,jk->biacje", basis, blocks.reshape(2, before, after, before, after), basis.conj()
+    ).reshape(dim, dim)
+    return DensityMatrix(rho.register, (out + out.conj().T) / 2)
 
 
-def _dephase(mats: np.ndarray, axis: int, n: int, projectors) -> np.ndarray:
-    """Sum of P_k rho P_k on qubit ``axis`` of every matrix in a (..., 2^n, 2^n) stack.
+def _dephased_blocks(mats: np.ndarray, axis: int, observable: ObservableSpec) -> np.ndarray:
+    """Diagonal blocks of Phi(rho) for a stack of (..., d, d) states; their
+    eigenvalues together are those of Phi(rho).
 
-    The channel acts on the (row, column) index pair of that qubit alone, as
-    the 4x4 matrix sum_k P_k (x) P_k^T, contracted in one tensordot.
+    Block k, of the (..., 2, d/2, d/2) result, is u_k^dagger rho u_k on
+    qubit ``axis`` for column k of ``observable.basis``.
     """
-    before, after = 2**axis, 2 ** (n - axis - 1)
-    t = mats.reshape(-1, before, 2, after, before, 2, after)
-    channel = np.einsum("kij,kzw->iwjz", projectors, projectors)
-    out = np.tensordot(channel, t, axes=([2, 3], [2, 5]))
-    out = np.moveaxis(out, (0, 1), (2, 5)).reshape(mats.shape)
-    return (out + out.conj().swapaxes(-1, -2)) / 2
+    basis = observable.basis
+    dim = mats.shape[-1]
+    before, after = 2**axis, dim // 2 ** (axis + 1)
+    t = mats.reshape(*mats.shape[:-2], before, 2, after, before, 2, after)
+    if basis[0, 1] == 0 == basis[1, 0]:  # a diagonal basis needs no rotation
+        blocks = np.moveaxis(np.diagonal(t, axis1=-5, axis2=-2), -1, -5)
+    else:
+        blocks = np.einsum("ik,...biacje,jk->...kbace", basis.conj(), t, basis)
+    return blocks.reshape(*mats.shape[:-2], 2, dim // 2, dim // 2)
 
 
 def _outcome_vector(outcome, m: int) -> np.ndarray:

@@ -6,7 +6,8 @@ measurement; it vanishes exactly when the dephasing channel leaves the
 state invariant, and it splits into a local coherence part plus a
 correlation (discord) part.  The dephased state is block diagonal in the
 observable's eigenbasis (``ObservableSpec.basis``), so its entropy is
-read from the two diagonal blocks.
+read from the two diagonal blocks of ``core._dephased_blocks``, the same
+kernel that ``core.dephasing_map`` rotates back into a full state.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .core import (
     QubitRegister,
     State,
     _as_density,
+    _dephased_blocks,
     _finite,
     _hermitian,
     _partial_trace_entries,
@@ -116,24 +118,6 @@ def _irreality_values(
     blocks = _dephased_blocks(mats, register.axis(observable.subsystem), observable)
     dephased = np.linalg.eigvalsh(blocks).reshape(eigenvalues.shape)
     return _eigenvalue_entropies(dephased) - _eigenvalue_entropies(eigenvalues)
-
-
-def _dephased_blocks(mats: np.ndarray, axis: int, observable: ObservableSpec) -> np.ndarray:
-    """Diagonal blocks of Phi(rho) for a stack of (..., d, d) states; their
-    eigenvalues together are those of Phi(rho).
-
-    Block k, of the (..., 2, d/2, d/2) result, is u_k^dagger rho u_k on
-    qubit ``axis`` for column k of ``observable.basis``.
-    """
-    basis = observable.basis
-    dim = mats.shape[-1]
-    before, after = 2**axis, dim // 2 ** (axis + 1)
-    t = mats.reshape(*mats.shape[:-2], before, 2, after, before, 2, after)
-    if basis[0, 1] == 0 == basis[1, 0]:  # a diagonal basis needs no rotation
-        blocks = np.moveaxis(np.diagonal(t, axis1=-5, axis2=-2), -1, -5)
-    else:
-        blocks = np.einsum("ik,...biacje,jk->...kbace", basis.conj(), t, basis)
-    return blocks.reshape(*mats.shape[:-2], 2, dim // 2, dim // 2)
 
 
 def _split_partition(state: State, partition) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -128,6 +128,8 @@ class TomographyDataset:
         return self.register.n_qubits
 
     def __post_init__(self):
+        if not isinstance(self.register, QubitRegister):
+            raise DatasetFormatError(f"register: expected QubitRegister, got {_shown(self.register)}")
         _check_header(self.n_qubits, self.shots_per_setting, self.seed)
         counts = np.array(self.counts)
         shape = (3**self.n_qubits, 2**self.n_qubits)

@@ -106,6 +106,17 @@ def wootters_concurrence(rho):
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
+def dephase_projector_sum(rho, axis, basis, n):
+    """Dephasing as sum_k P_k rho P_k with full-space projectors.
+
+    ``basis`` is the 2x2 unitary whose columns are the measured-qubit
+    eigenvectors; P_k is the outer product of column k, embedded on qubit
+    ``axis`` of ``n`` by a kron product with identities.
+    """
+    projectors = [embed(np.outer(basis[:, k], basis[:, k].conj()), axis, n) for k in range(2)]
+    return sum(p @ rho @ p for p in projectors)
+
+
 def dephase_block_zero(rho, axis, basis, n):
     """Dephasing by zeroing off-diagonal blocks in the measurement basis.
 
@@ -281,13 +292,11 @@ def monte_carlo_irreality_reference(counts, n, axis, basis, n_resamples, seed):
     one after another from a single generator seeded with ``seed``.
     """
     counts = np.asarray(counts)
-    projectors = [embed(np.outer(basis[:, k], basis[:, k].conj()), axis, n) for k in range(2)]
 
     def irreality_of(rows):
         freqs = rows / rows.sum(axis=1, keepdims=True)
         rho = sgs_clip(pauli_inversion(freqs, n))
-        dephased = sum(p @ rho @ p for p in projectors)
-        return entropy_bits(dephased) - entropy_bits(rho)
+        return entropy_bits(dephase_projector_sum(rho, axis, basis, n)) - entropy_bits(rho)
 
     rng = np.random.default_rng(seed)
     values = []

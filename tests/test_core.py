@@ -58,6 +58,12 @@ class TestRegister:
         with pytest.raises(LabelError):
             reg.axis("c")
 
+    # a bare string is a sequence of characters: "d1" would be the register (d, 1)
+    @pytest.mark.parametrize("labels", ["d1", ("a", 1), (b"a",), (None,)])
+    def test_labels_must_be_a_sequence_of_strings(self, labels):
+        with pytest.raises(LabelError, match="sequence of strings, got"):
+            QubitRegister(labels)
+
 
 class TestStateValidation:
     def test_norm_enforced(self):
@@ -424,12 +430,6 @@ class TestPurityFidelity:
 
 
 class TestObservableSpec:
-    def test_pauli_projectors_complete(self):
-        for kind in ("Z", "X", "Y"):
-            obs = ObservableSpec.pauli("q", kind)
-            total = sum(obs.projectors)
-            np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
-
     @pytest.mark.parametrize(
         "basis",
         [
@@ -470,18 +470,3 @@ class TestObservableSpec:
         assert obs.basis[0, 0] != 7.0
         with pytest.raises(ValueError):
             obs.basis[0, 0] = 1.0
-
-    @pytest.mark.parametrize("kind", ["Z", "X", "Y", "random"])
-    def test_projectors_are_read_only_outer_products_of_the_columns(self, rng, kind):
-        if kind == "random":
-            obs = ObservableSpec("q", random_unitary(rng, 2))
-        else:
-            obs = ObservableSpec.pauli("q", kind)
-        projectors = obs.projectors
-        assert isinstance(projectors, tuple) and len(projectors) == 2
-        assert obs.projectors is projectors  # derived once
-        for k, p in enumerate(projectors):
-            column = obs.basis[:, k]
-            assert p.tobytes() == np.outer(column, column.conj()).tobytes()
-            with pytest.raises(ValueError):
-                p[0, 0] = 1.0

@@ -671,10 +671,15 @@ class TestDatasetIO:
             (Q1, 10.0, 0, [[5, 5]] * 3, DatasetFormatError, "^shots_per_setting: expected"),
             (Q1, 10, False, [[5, 5]] * 3, DatasetFormatError, "^seed: expected"),
             (Q1, 10, 0.0, [[5, 5]] * 3, DatasetFormatError, "^seed: expected"),
+            (1, 10, 0, [[5, 5]] * 3, DatasetFormatError,
+             "^register: expected QubitRegister, got 1$"),
+            (("q",), 10, 0, [[5, 5]] * 3, DatasetFormatError,
+             r"^register: expected QubitRegister, got \('q',\)$"),
         ],
         ids=[
             "negative-shots-string-seed", "int64-wrap", "zero-row", "overfull-row",
             "missing-row", "five-qubits", "bool-shots", "float-shots", "bool-seed", "float-seed",
+            "qubit-count-register", "label-tuple-register",
         ],
     )
     def test_invalid_dataset_rejected_by_constructor(
