@@ -25,7 +25,7 @@ from .eraser import (
     OMEGA_REGISTER,
     ProtocolConfig,
     TARGETS,
-    irreality_curve,
+    _irreality_curves,
     omega_state,
     stage_for_target,
 )
@@ -119,6 +119,8 @@ def _reprs(column: np.ndarray, defined: np.ndarray | None = None) -> list[str]:
     Each distinct bit pattern is formatted once, so a column of few values
     costs few ``repr`` calls, and -0.0, 0.0 and every NaN keep their own text.
     """
+    if defined is not None and not defined.any():
+        return [""] * len(column)
     values = np.ascontiguousarray(column, dtype=np.float64)
     _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
     fields = np.array(list(map(repr, values[first].tolist())), dtype=object)[inverse]
@@ -160,16 +162,11 @@ def cmd_sweep(parser, args) -> int:
             parser.error("--seed must be at least 0")
     configs = ("Cz", "Cx") if args.config == "both" else (args.config,)
 
-    curves = [
-        irreality_curve(ProtocolConfig(0.0, config, args.branch), args.target, grid)
-        for config in configs
-    ]
-    # all columns but omega, which only --tomo reads and is joined there
-    thetas, irrealities, probs = (np.concatenate(column) for column in list(zip(*curves))[:3])
+    cfg = ProtocolConfig(0.0, configs[0], args.branch)
+    thetas, irrealities, probs, omegas = _irreality_curves(cfg, configs, args.target, grid)
     defined = probs > 0.0
     tomo_mean, tomo_std = np.full((2, len(thetas)), np.nan)
     if args.tomo:
-        omegas = np.concatenate([curve.omega for curve in curves])
         z_target = _pauli_z(args.target)
         child_seeds = np.random.SeedSequence(args.seed).generate_state(2 * len(thetas))
         for i, (counts_seed, resample_seed) in enumerate(child_seeds.reshape(-1, 2).tolist()):
@@ -237,14 +234,15 @@ def cmd_tomo(parser, args) -> int:
         _check_range(parser, "--shots", args.shots, 1, MAX_COUNT, INT64_LIMIT)
         if args.seed < 0:  # numpy's generators take no negative seed
             parser.error("--seed must be at least 0")
-        theta = np.radians(args.theta) if args.degrees else args.theta
+        # adding 0.0 turns -0.0 into 0.0, the same state, so both write one report
+        theta = float(np.radians(args.theta) if args.degrees else args.theta) + 0.0
         if not 0.0 <= theta <= np.pi + 1e-12:
             parser.error("--theta must satisfy 0 <= theta <= pi")
         target, config = OMEGA_STATES[args.state]
-        cfg = ProtocolConfig(theta=float(theta), alice_config=config, alice_branch=args.branch)
+        cfg = ProtocolConfig(theta=theta, alice_config=config, alice_branch=args.branch)
         truth, _ = omega_state(cfg, target)
         data = simulate_counts(truth, args.shots, args.seed)
-        report = {"state": args.state, "theta": float(theta)}
+        report = {"state": args.state, "theta": theta}
         config_dict = {"simulate": True, **report, "branch": args.branch, "shots": args.shots}
     else:
         truth, data = None, load_dataset(args.dataset)

@@ -27,7 +27,6 @@ displacer alignment), so all protocol amplitudes are real.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import numbers
 from dataclasses import dataclass
@@ -61,6 +60,12 @@ def eraser_register() -> QubitRegister:
     return QubitRegister(ERASER_LABELS)
 
 
+def _check_theta(theta) -> None:
+    """The pair angle must lie in [0, pi], to 1e-12; NaN fails."""
+    if not (-1e-12 <= theta <= np.pi + 1e-12):
+        raise ConfigurationError(f"theta {theta} outside [0, pi]")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """One run configuration: pair angle, Alice's choice, displacer settings.
@@ -78,8 +83,7 @@ class ProtocolConfig:
     bd_settings: tuple[float, float, float, float] = (0.0, 1.0, 1.0, 0.0)
 
     def __post_init__(self):
-        if not (-1e-12 <= self.theta <= np.pi + 1e-12):
-            raise ConfigurationError(f"theta {self.theta} outside [0, pi]")
+        _check_theta(self.theta)
         if self.alice_config not in ALICE_CONFIGS:
             raise ConfigurationError(f"alice_config must be one of {ALICE_CONFIGS}")
         if self.alice_branch not in BRANCH_SIGNS:
@@ -154,16 +158,6 @@ def apply_beam_displacers(psi1: PureState, cfg: ProtocolConfig) -> PureState:
     return apply_unitary(state, controlled_2, ("b", "B", "d2"))
 
 
-def _outcomes(cfg: ProtocolConfig, bob_sign: str):
-    """Alice's outcome vector on (A, a) and Bob's on B, from the Pauli eigenbases."""
-    if bob_sign not in BRANCH_SIGNS:
-        raise ConfigurationError(f"bob_sign must be one of {BRANCH_SIGNS}")
-    alice_basis = _EIGENBASES["Z" if cfg.alice_config == "Cz" else "X"]
-    alice_pol = alice_basis[:, BRANCH_SIGNS.index(cfg.alice_branch)]
-    alice_outcome = np.kron(alice_pol, [1.0, 0.0])  # path a projected on |0>
-    return alice_outcome, _EIGENBASES["X"][:, BRANCH_SIGNS.index(bob_sign)]
-
-
 class IrrealityCurve(NamedTuple):
     """An irreality-versus-theta sweep as columns, one row per grid point.
 
@@ -216,21 +210,41 @@ def _basis_kets(bd_settings: tuple, stage: int) -> np.ndarray:
     return kets
 
 
-def _omega_stack(cfg, target: str, thetas: np.ndarray, *, bob_sign="plus"):
-    """Omega states (T, 8, 8) and selection probabilities (T,) over a theta grid.
+@functools.lru_cache(maxsize=len(ALICE_CONFIGS) * len(BRANCH_SIGNS))
+def _alice_outcome(alice_config: str, alice_branch: str) -> np.ndarray:
+    """Alice's outcome vector on (A, a), from the Pauli eigenbases, read-only.
 
-    The evolved basis kets (:func:`_basis_kets`), projected on Alice's
-    outcome once, give r0, r1, and row t is cos(theta_t/2) r0 +
+    Her polarization is projected on the ``alice_branch`` eigenvector of Z
+    (Cz) or X (Cx) and her path on |0>.  Built once per configuration and
+    branch.
+    """
+    alice_basis = _EIGENBASES["Z" if alice_config == "Cz" else "X"]
+    outcome = np.kron(alice_basis[:, BRANCH_SIGNS.index(alice_branch)], [1.0, 0.0])
+    outcome.flags.writeable = False
+    return outcome
+
+
+def _omega_stack(cfg, configs: tuple, target: str, thetas: np.ndarray, *, bob_sign="plus"):
+    """Omega states (C T, 8, 8) and selection probabilities (C T,) over a theta grid.
+
+    ``configs`` lists Alice's configurations (C of them) in row order; ``cfg``
+    supplies her branch and the displacer settings.  Rows are config-major:
+    the T grid rows of ``configs[0]``, then those of ``configs[1]``.  The
+    evolved basis kets (:func:`_basis_kets`), projected on each of Alice's
+    outcomes once, give r0, r1, and row t is cos(theta_t/2) r0 +
     sin(theta_t/2) r1, then normalized, projected on Bob's outcome and
     normalized again, as by two :func:`post_select` calls (bit for bit at
     the default displacer settings).  Undefined rows are zero matrices with
     probability 0.
     """
-    alice_outcome, bob_outcome = _outcomes(cfg, bob_sign)
+    if bob_sign not in BRANCH_SIGNS:
+        raise ConfigurationError(f"bob_sign must be one of {BRANCH_SIGNS}")
+    alice = np.stack([_alice_outcome(config, cfg.alice_branch) for config in configs])
+    bob_outcome = _EIGENBASES["X"][:, BRANCH_SIGNS.index(bob_sign)]
     kets = _basis_kets(tuple(cfg.bd_settings), stage_for_target(target))
-    r = np.einsum("Aa,ABaj->ABj", alice_outcome.reshape(2, 2).conj(), kets)
-    amps = np.stack([np.cos(thetas / 2), np.sin(thetas / 2)], axis=-1) @ r.reshape(2, 16)
-    amps, p_alice = _normalize_rows(amps)
+    r = np.einsum("cAa,ABaj->cABj", alice.reshape(-1, 2, 2).conj(), kets)
+    amps = np.stack([np.cos(thetas / 2), np.sin(thetas / 2)], axis=-1) @ r.reshape(-1, 2, 16)
+    amps, p_alice = _normalize_rows(amps.reshape(-1, 16))
     amps = np.einsum("B,tBj->tj", bob_outcome.conj(), amps.reshape(-1, 2, 8))
     amps, p_bob = _normalize_rows(amps)
     omegas = amps[:, :, None] * amps[:, None, :].conj()
@@ -249,10 +263,29 @@ def omega_state(
     :class:`ZeroProbabilityError`: under Cz the plus branch is undefined at
     theta = pi and the minus branch at theta = 0.
     """
-    omegas, probs = _omega_stack(cfg, target, np.array([cfg.theta]), bob_sign=bob_sign)
+    omegas, probs = _omega_stack(
+        cfg, (cfg.alice_config,), target, np.array([cfg.theta]), bob_sign=bob_sign
+    )
     if probs[0] == 0.0:
         raise ZeroProbabilityError(f"a projection at theta {cfg.theta} has zero probability")
     return DensityMatrix(OMEGA_REGISTER, omegas[0]), float(probs[0])
+
+
+def _irreality_curves(cfg, configs: tuple, target: str, thetas: np.ndarray) -> IrrealityCurve:
+    """:func:`irreality_curve` for each of Alice's ``configs``, as one stack.
+
+    ``thetas`` is a nonempty float array.  Rows are config-major, as
+    :func:`_omega_stack` lays them out, and the theta column repeats the
+    grid once per configuration.
+    """
+    for theta in (thetas.min(), thetas.max()):  # NaN propagates to both ends
+        _check_theta(theta)
+    omegas, probs = _omega_stack(cfg, configs, target, thetas)  # checks the target
+    axis = OMEGA_REGISTER.axis(target)
+    diag = np.diagonal(omegas, axis1=-2, axis2=-1).real
+    outcome_probs = diag.reshape(len(probs), 2**axis, 2, -1).sum(axis=(1, 3))
+    values = np.where(probs > 0.0, _eigenvalue_entropies(outcome_probs), np.nan)
+    return IrrealityCurve(np.tile(thetas, len(configs)), values, probs, omegas)
 
 
 def irreality_curve(
@@ -274,12 +307,4 @@ def irreality_curve(
     thetas = np.array([float(t) for t in theta_grid])
     if not thetas.size:
         raise ConfigurationError("theta grid must be nonempty")
-    for theta in (thetas.min(), thetas.max()):  # NaN propagates to both ends
-        dataclasses.replace(cfg_template, theta=float(theta))
-
-    omegas, probs = _omega_stack(cfg_template, target, thetas)  # checks the target
-    axis = OMEGA_REGISTER.axis(target)
-    diag = np.diagonal(omegas, axis1=-2, axis2=-1).real
-    outcome_probs = diag.reshape(len(thetas), 2**axis, 2, -1).sum(axis=(1, 3))
-    values = np.where(probs > 0.0, _eigenvalue_entropies(outcome_probs), np.nan)
-    return IrrealityCurve(thetas, values, probs, omegas)
+    return _irreality_curves(cfg_template, (cfg_template.alice_config,), target, thetas)

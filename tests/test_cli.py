@@ -588,6 +588,17 @@ class TestTomo:
         argv = ["tomo", "--simulate", "--shots", "100", "--theta", *theta]
         assert run(argv + ["--out-dir", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("negative_zero", [["-0.0"], ["-0.0", "--degrees"]])
+    def test_negative_zero_theta_is_the_zero_run(self, tmp_path, negative_zero):
+        # -0.0 prepares the theta = 0 state, so it writes the theta = 0 bytes
+        argv = ["tomo", "--simulate", "--shots", "1000", "--theta"]
+        assert run(argv + negative_zero + ["--out-dir", str(tmp_path / "neg")]) == 0
+        assert run(argv + ["0.0", "--out-dir", str(tmp_path / "pos")]) == 0
+        for name in ("report.json", "density_matrix.json", "density_matrix_real.csv"):
+            assert (tmp_path / "neg" / name).read_bytes() == (tmp_path / "pos" / name).read_bytes()
+        manifest = json.loads((tmp_path / "neg" / "manifest.json").read_text())
+        assert not np.signbit(manifest["config"]["theta"])
+
     def test_zero_probability_state_fails_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "run"
         argv = ["tomo", "--simulate", "--state", "omega1z", "--theta", repr(np.pi)]
@@ -985,6 +996,10 @@ class TestFloatFormatter:
         monkeypatch.setattr(qreality.cli, "repr", counting_repr, raising=False)
         column = np.array([0.5, -0.0, 0.5, 0.0, 0.5, -0.0] * 40)
         assert _reprs(column) == [repr(v) for v in column.tolist()]
+        assert len(calls) == 3
+
+        # a column with no defined row is all empty fields, with nothing formatted
+        assert _reprs(column, np.zeros(len(column), bool)) == [""] * len(column)
         assert len(calls) == 3
 
 

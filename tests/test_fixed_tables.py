@@ -1,11 +1,12 @@
 """Per-process tables of the protocol's fixed pieces.
 
-The evolved basis kets, the Z observables with their eigenbases, the
-eigenvector matrices of the Pauli measurement settings stacked per register
-size, and the MZI s1 state and probe marginal are each built once and
-served from a bounded ``functools`` cache.  Every table entry must equal, bit for bit,
-an uncached build through the reference path, be read-only, and the tables
-must stay within their size bound however many keys pass through them.
+The evolved basis kets, Alice's outcome vectors, the Z observables with
+their eigenbases, the eigenvector matrices of the Pauli measurement settings
+stacked per register size, and the MZI s1 state and probe marginal are each
+built once and served from a bounded ``functools`` cache.  Every table entry
+must equal, bit for bit, an uncached build through the reference path, be
+read-only, and the tables must stay within their size bound however many
+keys pass through them.
 """
 
 import dataclasses
@@ -17,7 +18,10 @@ import pytest
 
 from qreality import ObservableSpec, mzi_state, partial_trace
 from qreality.core import _EIGENBASES, _as_density, _pauli_z
-from qreality.eraser import ProtocolConfig, _basis_kets, irreality_curve
+from qreality.eraser import (
+    ALICE_CONFIGS, BRANCH_SIGNS, ProtocolConfig, _alice_outcome, _basis_kets, irreality_curve,
+    omega_state,
+)
 from qreality.mzi import (
     MziConfig, _probe_marginal, _s1_state, _s2_density, detector_probabilities,
 )
@@ -72,6 +76,29 @@ class TestBasisKets:
             irreality_curve(ProtocolConfig(theta=0.0, alice_config="Cx", bd_settings=bd), "d2", [0.7])
         info = _basis_kets.cache_info()
         assert info.currsize <= info.maxsize
+
+
+class TestAliceOutcome:
+    @pytest.mark.parametrize("config", ALICE_CONFIGS)
+    @pytest.mark.parametrize("branch", BRANCH_SIGNS)
+    def test_matches_kron_of_eigenvector(self, config, branch):
+        cfg = ProtocolConfig(theta=0.0, alice_config=config, alice_branch=branch)
+        irreality_curve(cfg, "d1", [0.2, 1.3])
+        cached = _alice_outcome(config, branch)
+        assert _alice_outcome(config, branch) is cached
+
+        # Alice's polarization on her branch's eigenvector, her path on |0>
+        column = _EIGENBASES["Z" if config == "Cz" else "X"][:, BRANCH_SIGNS.index(branch)]
+        assert_bits_equal(cached, np.kron(column, [1.0, 0.0]))
+        assert_read_only(cached)
+
+    def test_bounded_over_every_configuration_and_branch(self):
+        for config, branch, theta in itertools.product(ALICE_CONFIGS, BRANCH_SIGNS, (0.3, 1.2)):
+            cfg = ProtocolConfig(theta=theta, alice_config=config, alice_branch=branch)
+            irreality_curve(cfg, "b", [theta])
+            omega_state(cfg, "d2")
+        info = _alice_outcome.cache_info()
+        assert info.currsize <= info.maxsize == len(ALICE_CONFIGS) * len(BRANCH_SIGNS)
 
 
 class TestZObservable:

@@ -18,7 +18,7 @@ from qreality import (
     ZeroProbabilityError,
     detector_probabilities,
 )
-from qreality.eraser import ProtocolConfig, irreality_curve, omega_state
+from qreality.eraser import ProtocolConfig, _irreality_curves, irreality_curve, omega_state
 
 from oracles import (
     detector_probabilities_per_phi,
@@ -27,6 +27,8 @@ from oracles import (
 )
 
 ATOL = 1e-12
+# descending, a repeated point and both ends: the Cz rows at 0 and pi are undefined
+UNORDERED_GRID = [np.pi, 2.9, 0.4, 0.4, 0.0, np.pi / 2, 1.3]
 # (gamma1, delta1, gamma2, delta2): the default and two rotated displacer pairs
 BD_SETTINGS = [
     (0.0, 1.0, 1.0, 0.0),
@@ -39,6 +41,15 @@ MZI_VARIANTS = [
     for extended in (False, True)
     for decohere in (False, True)
 ]
+
+
+def forbid_eigensolvers(patch):
+    # every omega row is pure, so a curve is an outcome entropy of diag(omega)
+    def refuse(*args, **kwargs):
+        raise AssertionError("irreality_curve diagonalised a matrix")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        patch.setattr(np.linalg, name, refuse)
 
 
 def assert_curve_matches(cfg, target, thetas):
@@ -78,7 +89,30 @@ class TestIrrealityCurve:
             theta=0.0, alice_config=config, alice_branch=branch, bd_settings=bd_settings
         )
         for target in ("b", "d1", "d2"):
-            assert_curve_matches(cfg, target, [np.pi, 2.9, 0.4, 0.4, 0.0, np.pi / 2, 1.3])
+            assert_curve_matches(cfg, target, UNORDERED_GRID)
+
+    @pytest.mark.parametrize("target", ["b", "d1", "d2"])
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    @pytest.mark.parametrize("bd_settings", BD_SETTINGS)
+    def test_stacked_configs_are_the_separate_curves(
+        self, monkeypatch, target, branch, bd_settings
+    ):
+        # one pass over (Cz, Cx) gives the Cz curve's rows, then the Cx curve's
+        cfg = ProtocolConfig(
+            theta=0.0, alice_config="Cz", alice_branch=branch, bd_settings=bd_settings
+        )
+        with monkeypatch.context() as patch:
+            forbid_eigensolvers(patch)
+            stacked = _irreality_curves(cfg, ("Cz", "Cx"), target, np.array(UNORDERED_GRID))
+            cz, cx = (
+                irreality_curve(dataclasses.replace(cfg, alice_config=c), target, UNORDERED_GRID)
+                for c in ("Cz", "Cx")
+            )
+        assert np.isnan(stacked.irreality[: len(UNORDERED_GRID)]).any()
+        for got, want_cz, want_cx in zip(stacked, cz, cx):
+            want = np.concatenate([want_cz, want_cx])
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_theta_pi_rows_are_undefined_only_for_cz(self):
         for config in ("Cz", "Cx"):
@@ -92,15 +126,10 @@ class TestIrrealityCurve:
                 assert prob == pytest.approx(0.25, abs=1e-12)
 
     def test_needs_no_eigendecomposition(self, monkeypatch):
-        # every omega row is pure, so the curve is an outcome entropy of diag(omega)
-        def refuse(*args, **kwargs):
-            raise AssertionError("irreality_curve diagonalised a matrix")
-
         thetas = np.linspace(0.0, np.pi, 5)
         cfgs = [ProtocolConfig(theta=0.0, alice_config=c) for c in ("Cz", "Cx")]
         with monkeypatch.context() as patch:
-            for name in ("eigvalsh", "eigh", "eigvals", "eig"):
-                patch.setattr(np.linalg, name, refuse)
+            forbid_eigensolvers(patch)
             curves = [irreality_curve(cfg, "d2", thetas) for cfg in cfgs]
         for cfg, curve in zip(cfgs, curves):
             for got, want in zip(curve, irreality_curve(cfg, "d2", thetas)):
@@ -108,10 +137,15 @@ class TestIrrealityCurve:
             assert_curve_matches(cfg, "d2", thetas)
 
     def test_out_of_range_and_nan_theta_rejected(self):
+        # a grid end outside [0, pi] fails with the message ProtocolConfig gives
         cfg = ProtocolConfig(theta=0.0, alice_config="Cx")
-        for grid in ([0.1, 4.0], [-0.5, 0.1], [0.1, float("nan")]):
-            with pytest.raises(ConfigurationError):
+        cases = [([0.1, 4.0], 4.0), ([-0.5, 0.1], -0.5), ([0.1, float("nan")], float("nan"))]
+        for grid, bad in cases:
+            with pytest.raises(ConfigurationError) as from_curve:
                 irreality_curve(cfg, "d1", grid)
+            with pytest.raises(ConfigurationError) as from_config:
+                ProtocolConfig(theta=bad, alice_config="Cx")
+            assert str(from_curve.value) == str(from_config.value) == f"theta {bad} outside [0, pi]"
 
 
 class TestOmegaState:
