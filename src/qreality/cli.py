@@ -39,7 +39,6 @@ from .mzi import (
 )
 from .tomography import (
     MAX_COUNT,
-    MAX_POISSON_COUNT,
     load_dataset,
     monte_carlo_irreality,
     project_to_physical,
@@ -57,14 +56,13 @@ RHO_SCHEMA = "qreality.rho-real.v1"
 # Measured peaks: a sweep row takes about 1.5 KB, 2.2 KB with --tomo (two
 # rows per grid point with --config both; the tracemalloc peaks of sweep at
 # --grid 2 000 and 10 000 differ by 24 MB), an mzi phase about 0.28 KB and
-# a Monte Carlo resample of the 3-qubit omega state about 8.2 KB (the peaks
-# of monte_carlo_irreality at 2 000 and 10 000 resamples differ by 65 MB).
+# a Monte Carlo resample of the 3-qubit omega state about 9.9 KB (the peaks
+# of monte_carlo_irreality at 2 000 and 10 000 resamples differ by 79 MB).
 # So --grid at its limit needs about 0.3 GB for a sweep (0.45 GB with
-# --tomo) and 28 MB for mzi, and --resamples at its limit about 0.8 GB.
+# --tomo) and 28 MB for mzi, and --resamples at its limit about 1.0 GB.
 MAX_GRID = 100_000
 MAX_RESAMPLES = 100_000
 INT64_LIMIT = "the largest int64 count"
-POISSON_LIMIT = "the largest count numpy's Poisson resampling accepts"
 
 OMEGA_STATES = {
     "omega1z": ("b", "Cz"),
@@ -157,7 +155,6 @@ def cmd_sweep(parser, args) -> int:
     if args.tomo:
         _check_range(parser, "--resamples", args.resamples, 2, MAX_RESAMPLES, "to bound memory")
         _check_range(parser, "--shots", args.shots, 1, MAX_COUNT, INT64_LIMIT)
-        _check_range(parser, "--shots", args.shots, 1, MAX_POISSON_COUNT, POISSON_LIMIT)
         if args.seed < 0:  # numpy's generators take no negative seed
             parser.error("--seed must be at least 0")
     configs = ("Cz", "Cx") if args.config == "both" else (args.config,)

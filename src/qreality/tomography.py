@@ -3,13 +3,15 @@
 The measurement scheme is the full set of 3^n Pauli-basis settings, each a
 tuple of basis letters (Z, X or Y per qubit) that records all 2^n joint
 outcomes.  Counts are drawn multinomially from the (3^n, 2^n) table of Born
-probabilities, row k for setting k.  Linear inversion over the Pauli basis
-is one fixed linear map from the 3^n x 2^n frequencies to the 4^n matrix
-entries, built once per n <= MAX_QUBITS, so a stack of estimates takes one
-matrix product; physicality is restored by clipping negative eigenvalues and
-redistributing the deficit.  Every stochastic step takes an explicit seed and
-is bit-reproducible: one generator seeded by the caller draws all counts of
-a call, the whole stack of Monte Carlo resamples included.
+probabilities, row k for setting k, and the Monte Carlo bootstrap redraws
+each row the same way, at its observed total and observed frequencies.
+Linear inversion over the Pauli basis is one fixed linear map from the
+3^n x 2^n frequencies to the 4^n matrix entries, built once per
+n <= MAX_QUBITS, so a stack of estimates takes one matrix product;
+physicality is restored by clipping negative eigenvalues and redistributing
+the deficit.  Every stochastic step takes an explicit seed and is
+bit-reproducible: one generator seeded by the caller draws all counts of a
+call, the whole stack of Monte Carlo resamples included.
 
 The single-qubit eigenbases are the Pauli table of :mod:`qreality.core`.
 A :class:`TomographyDataset` carries the register its counts were taken on:
@@ -38,10 +40,6 @@ SETTING_BASES = ("Z", "X", "Y")
 MAX_QUBITS = 4  # the dense inversion map takes 5.3 MB here, 24x more per qubit
 
 MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are stored as int64
-
-# numpy's Poisson draw rejects lam above int64 max - 10 sqrt(int64 max), so
-# the Monte Carlo resampling takes observed counts up to this value.
-MAX_POISSON_COUNT = int(MAX_COUNT - 10 * np.sqrt(MAX_COUNT))
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -306,23 +304,22 @@ def monte_carlo_irreality(
     The estimate is the irreality of the state reconstructed from the
     observed counts (plug-in), on ``data.register``, which names the qubit
     ``observable`` reads.  The standard deviation is over ``n_resamples``
-    Poisson resamples of those counts (parametric bootstrap), all drawn from
-    one generator seeded with ``seed``.  The observed counts and the
+    parametric bootstrap resamples: each setting's row is redrawn as a
+    multinomial at its observed total and observed frequencies, all from one
+    generator seeded with ``seed``.  The observed frequencies and the
     resamples form one stack, which is reconstructed, projected to physical
     states and measured at once.
     """
     n_resamples, seed = _index("n_resamples", n_resamples), _seed(seed)
     if n_resamples < 2:
         raise ValueError("n_resamples must be at least 2")
-    stack = np.empty((1 + n_resamples, *data.counts.shape), dtype=np.int64)
-    stack[0] = data.counts
-    stack[1:] = np.random.default_rng(seed).poisson(data.counts, size=stack[1:].shape)
-    # Row totals are summed in float64, since int64 sums wrap near MAX_COUNT.
-    # A degenerate resample row (only possible at tiny counts) keeps the
-    # observed row rather than dividing by zero.
-    empty = np.nonzero(stack.sum(axis=-1, dtype=float) == 0)
-    stack[empty] = data.counts[empty[1]]
-    freqs = stack / stack.sum(axis=-1, keepdims=True, dtype=float)
+    # exact in int64: no row total exceeds shots_per_setting
+    totals = data.counts.sum(axis=-1, keepdims=True)
+    observed = data.counts / totals
+    draws = np.random.default_rng(seed).multinomial(
+        totals[:, 0], observed, size=(n_resamples, len(totals))
+    )
+    freqs = np.concatenate([observed[None], draws / totals])
     rho, eigenvalues = _project(reconstruct_from_frequencies(freqs))
     values = _irreality_values(rho, data.register, observable, eigenvalues)
     return float(values[0]), float(values[1:].std(ddof=1))

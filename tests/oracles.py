@@ -206,20 +206,25 @@ def simulate_counts_per_setting(rho, shots, seed):
     return np.stack(rows)
 
 
-def one_qubit_datasets(rho, shots):
+def one_qubit_datasets(state, shots):
     """Every one-qubit dataset at ``shots`` per setting, with its exact probability.
 
-    Returns the ((shots + 1)^3, 3, 2) counts, rows in "ZXY" order, and
-    their weights.  A setting's outcome-0 count k has the binomial weight
-    C(shots, k) p^k (1 - p)^(shots - k), p = <v_0| rho |v_0> for the
-    setting's first eigenvector; the three settings draw independently, so
-    a dataset's weight is the product of its three, and the weights sum to 1.
+    ``state`` is a 2x2 density matrix, or the outcome-0 probabilities of the
+    three settings in "ZXY" order; a matrix's are p = <v_0| rho |v_0> for
+    each setting's first eigenvector.  Returns the ((shots + 1)^3, 3, 2)
+    counts, rows in "ZXY" order, and their weights.  A setting's outcome-0
+    count k has the binomial weight C(shots, k) p^k (1 - p)^(shots - k); the
+    three settings draw independently, so a dataset's weight is the product
+    of its three, and the weights sum to 1.
     """
+    state = np.asarray(state)
+    if state.shape == (2, 2):
+        v0s = [EIGENBASIS[basis][:, 0] for basis in "ZXY"]
+        state = [np.vdot(v0, state @ v0).real for v0 in v0s]
     ks = range(shots + 1)
     binomials = []
-    for basis in "ZXY":
-        v0 = EIGENBASIS[basis][:, 0]
-        p = float(np.clip(np.vdot(v0, rho @ v0).real, 0.0, 1.0))
+    for p in state:
+        p = float(np.clip(p, 0.0, 1.0))
         binomials.append([math.comb(shots, k) * p**k * (1.0 - p) ** (shots - k) for k in ks])
     zero_counts = np.stack(np.meshgrid(ks, ks, ks, indexing="ij"), axis=-1).reshape(-1, 3)
     counts = np.stack([zero_counts, shots - zero_counts], axis=-1)
@@ -284,12 +289,14 @@ def simplex_projection(values):
 
 
 def monte_carlo_irreality_reference(counts, n, axis, basis, n_resamples, seed):
-    """Per-resample Monte Carlo irreality; returns (estimate, std, substituted rows).
+    """Per-resample Monte Carlo irreality; returns (estimate, std).
 
     ``counts`` rows follow the product order of "ZXY" per qubit; ``basis``
     columns are the measured qubit's eigenvectors.  The estimate is the
-    irreality of the observed counts; the std is over the resamples, drawn
-    one after another from a single generator seeded with ``seed``.
+    irreality of the observed counts; the std is over the resamples, each
+    of which redraws every setting's row as a multinomial at its observed
+    total and observed frequencies, one row after another from a single
+    generator seeded with ``seed``.
     """
     counts = np.asarray(counts)
 
@@ -300,15 +307,13 @@ def monte_carlo_irreality_reference(counts, n, axis, basis, n_resamples, seed):
 
     rng = np.random.default_rng(seed)
     values = []
-    substituted = 0
     for _ in range(n_resamples):
-        resampled = rng.poisson(counts)
-        for s in range(len(resampled)):
-            if resampled[s].sum() == 0:
-                resampled[s] = counts[s]
-                substituted += 1
-        values.append(irreality_of(resampled))
-    return irreality_of(counts), float(np.std(values, ddof=1)), substituted
+        resampled = []
+        for row in counts:
+            total = row.sum()
+            resampled.append(rng.multinomial(int(total), row / total))
+        values.append(irreality_of(np.array(resampled)))
+    return irreality_of(counts), float(np.std(values, ddof=1))
 
 
 def stage_state(cfg, stage):

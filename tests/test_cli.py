@@ -20,7 +20,7 @@ from qreality.cli import (
     MAX_GRID, MAX_RESAMPLES, OMEGA_STATES, _reprs, _write_csv, build_parser, main,
 )
 from qreality.eraser import OMEGA_REGISTER, TARGETS, ProtocolConfig, irreality_curve, omega_state
-from qreality.tomography import MAX_POISSON_COUNT, load_dataset, reconstruct
+from qreality.tomography import MAX_COUNT, load_dataset, reconstruct
 
 from oracles import binary_entropy_exact, random_density
 
@@ -363,16 +363,11 @@ class TestSweep:
             assert row["irreality_analytic"] != ""
             assert (row["irreality_tomo_std"] != "") == tomo
 
-    def test_shots_at_poisson_limit_runs(self, tmp_path):
+    def test_shots_at_int64_limit_runs(self, tmp_path):
         args = ["sweep", "--tomo", "--grid", "1", "--resamples", "2", "--out-dir", str(tmp_path)]
-        assert run(args + ["--shots", str(MAX_POISSON_COUNT)]) == 0
+        assert run(args + ["--shots", "9223372036854775807"]) == 0
         _, rows = read_csv(tmp_path / "sweep.csv")
         assert all(row["irreality_tomo_std"] != "" for row in rows)
-
-    def test_shots_beyond_poisson_limit_is_usage_error(self, tmp_path, capsys):
-        args = ["sweep", "--tomo", "--grid", "1", "--resamples", "2", "--out-dir", str(tmp_path)]
-        assert run(args + ["--shots", str(MAX_POISSON_COUNT + 1)]) == 2
-        assert f"--shots must be at most {MAX_POISSON_COUNT}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, flag, limit",
@@ -701,11 +696,13 @@ class TestTomo:
         assert len(lines) == 1
         assert lines[0].startswith("error: shots_per_setting: ")
 
+    @pytest.mark.parametrize("shots", [MAX_COUNT + 1, 10**20])
     @pytest.mark.parametrize("command", [["sweep", "--tomo"], ["tomo", "--simulate"]])
-    def test_shots_flag_beyond_int64_is_usage_error(self, tmp_path, capsys, command):
-        argv = command + ["--shots", str(10**20), "--out-dir", str(tmp_path)]
-        assert run(argv) == 2
+    def test_shots_flag_beyond_int64_is_usage_error(self, tmp_path, capsys, command, shots):
+        out = tmp_path / "run"
+        assert run(command + ["--shots", str(shots), "--out-dir", str(out)]) == 2
         assert "--shots must be at most 9223372036854775807" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, code",
@@ -1020,7 +1017,11 @@ GOLDEN_MZI_CSV = {
     ("--open", "--extended", "--decohere"): "444e223588fe0f0c1e69232420fcd116f7cd9013308876a454d36427251e1b72",
 }
 GOLDEN_SWEEP_CSV = "145eb768b796764e4b0813b5034d84f78d9c65c02babc624bb2e4d7669cd0c36"
-GOLDEN_TOMO_SWEEP_CSV = "b54b03aa63f6f52ee4e7de5632ed46e26fa22f624f16c37722e7feab41dda1ac"
+GOLDEN_TOMO_SWEEP_CSV = "0819d03f19824d7eb22c89bd5c2708d7336601a2c8064e02e6f7a99765781a76"
+# that sweep's irreality_tomo_mean fields, joined by newlines: the plug-in
+# estimate reads only the observed counts, so no change to the resampling
+# moves it
+GOLDEN_TOMO_SWEEP_MEAN = "b21c3fb949f676d53a6649b93d2e6bbe9eb9134832e52a3ace43499a655cd766"
 GOLDEN_TOMO_SIMULATE = {
     "report.json": "4428a2326e4eaa9462487afd4ceee73ff02b4d11c20a1f735279f11c0ad5d5db",
     "density_matrix_real.csv": "665d9ef3945b264a5b08542031c24466dfff84c3cf359e78c75b0ff278299c5f",
@@ -1056,6 +1057,13 @@ class TestGoldenOutputs:
         argv = ["sweep", "--tomo", "--grid", "3", "--resamples", "20", "--out-dir", str(tmp_path)]
         assert run(argv) == 0
         assert sha256_of(tmp_path / "sweep.csv") == GOLDEN_TOMO_SWEEP_CSV
+
+    def test_tomo_sweep_mean_column(self, tmp_path):
+        argv = ["sweep", "--tomo", "--grid", "3", "--resamples", "20", "--out-dir", str(tmp_path)]
+        assert run(argv) == 0
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        means = "\n".join(row["irreality_tomo_mean"] for row in rows)
+        assert hashlib.sha256(means.encode()).hexdigest() == GOLDEN_TOMO_SWEEP_MEAN
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_TOMO_SIMULATE))
     def test_simulated_tomo_outputs(self, tmp_path, name):

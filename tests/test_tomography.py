@@ -320,25 +320,34 @@ class TestMonteCarlo:
         observable = ObservableSpec.pauli(f"q{n - 1}", kind)
         basis = np.eye(2) if kind == "Z" else np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         mean, std = monte_carlo_irreality(data, observable, 12, seed=31)
-        ref_mean, ref_std, _ = monte_carlo_irreality_reference(
+        ref_mean, ref_std = monte_carlo_irreality_reference(
             data.counts, n, n - 1, basis, 12, seed=31
         )
         assert abs(mean - ref_mean) < 1e-12
         assert abs(std - ref_std) < 1e-12
 
-    def test_matches_oracle_with_degenerate_resamples(self):
+    def test_matches_oracle_at_one_shot_per_setting(self):
         reg = QubitRegister(("p", "q"))
         bell = PureState(reg, np.array([1, 0, 0, 1]) / np.sqrt(2)).to_density()
         data = simulate_counts(bell, 1, seed=32)
         observable = ObservableSpec.pauli("p", "X")
         basis = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         mean, std = monte_carlo_irreality(data, observable, 20, seed=33)
-        ref_mean, ref_std, substituted = monte_carlo_irreality_reference(
+        ref_mean, ref_std = monte_carlo_irreality_reference(
             data.counts, 2, 0, basis, 20, seed=33
         )
-        assert substituted > 0
         assert abs(mean - ref_mean) < 1e-12
         assert abs(std - ref_std) < 1e-12
+        # a row of one shot redraws itself, so no resample row is empty and
+        # every resample is the observed dataset
+        assert ref_std == 0.0
+
+    def test_counts_at_the_int64_limit_resample(self):
+        # the largest row total a dataset admits; |0> leaves no spread in Z
+        half = MAX_COUNT // 2
+        counts = np.array([[MAX_COUNT, 0], [half, half], [half, half]])
+        data = TomographyDataset(Q1, MAX_COUNT, 0, counts)
+        assert monte_carlo_irreality(data, ObservableSpec.pauli("q", "Z"), 100, 1) == (0.0, 0.0)
 
     def test_numpy_integer_arguments_accepted(self):
         data = simulate_counts(omega2z(), np.int64(100), np.uint32(8))
@@ -394,9 +403,9 @@ class TestMonteCarlo:
                 monte_carlo_irreality(data, obs, 10, seed)
 
     def test_row_totals_near_the_count_limit_do_not_wrap(self):
-        # Poisson resamples of rows totalling nearly 2^63 - 1 overshoot the
-        # int64 range about half the time; summed in int64, such a total
-        # wraps negative and flips its row's frequencies
+        # rows totalling nearly 2^63 - 1 are redrawn at their own totals; a
+        # total that wrapped negative in int64 would flip its row's
+        # frequencies
         reg = QubitRegister(("q", "r"))
         psi = PureState(reg, [np.cos(0.4), 0.0, 0.0, np.sin(0.4)]).to_density().entries
         probs = born_probabilities(DensityMatrix(reg, 0.9 * psi + 0.1 * np.eye(4) / 4))
@@ -468,11 +477,17 @@ ONE_QUBIT_STATES = {
 }
 
 
-def exact_plug_in(psi, shots):
-    """Every one-qubit dataset of ``psi`` at ``shots`` per setting: its
-    frequencies, its exact probability, and its plug-in Z irreality through
-    the stacked library path that monte_carlo_irreality runs."""
-    counts, weights = one_qubit_datasets(np.outer(psi, psi.conj()), shots)
+def density(psi):
+    return np.outer(psi, psi.conj())
+
+
+def exact_plug_in(state, shots):
+    """Every one-qubit dataset at ``shots`` per setting drawn from ``state``,
+    a density matrix or three per-setting probabilities (see
+    one_qubit_datasets): its frequencies, its exact probability, and its
+    plug-in Z irreality through the stacked library path that
+    monte_carlo_irreality runs."""
+    counts, weights = one_qubit_datasets(state, shots)
     freqs = counts / counts.sum(axis=-1, keepdims=True, dtype=float)
     states, eigenvalues = _project(reconstruct_from_frequencies(freqs))
     values = _irreality_values(states, Q1, ObservableSpec.pauli("q", "Z"), eigenvalues)
@@ -485,7 +500,7 @@ class TestExactOneQubitMean:
 
     @pytest.mark.parametrize("state", sorted(ONE_QUBIT_STATES))
     def test_stacked_path_matches_brute_force(self, state):
-        freqs, weights, values = exact_plug_in(ONE_QUBIT_STATES[state], 10)
+        freqs, weights, values = exact_plug_in(density(ONE_QUBIT_STATES[state]), 10)
         assert len(values) == 11**3
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         brute = []
@@ -502,7 +517,7 @@ class TestExactOneQubitMean:
     )
     def test_exact_bias_at_twenty_shots(self, state, bias, std):
         psi = ONE_QUBIT_STATES[state]
-        _, weights, values = exact_plug_in(psi, 20)
+        _, weights, values = exact_plug_in(density(psi), 20)
         mean = weights @ values
         assert mean - binary_entropy_exact(psi[0] ** 2) == pytest.approx(bias, abs=5e-4)
         assert np.sqrt(weights @ (values - mean) ** 2) == pytest.approx(std, abs=5e-4)
@@ -510,16 +525,41 @@ class TestExactOneQubitMean:
     @pytest.mark.parametrize("state", sorted(ONE_QUBIT_STATES))
     def test_seed_averaged_estimate_within_clt_bound(self, state):
         psi = ONE_QUBIT_STATES[state]
-        _, weights, values = exact_plug_in(psi, 20)
+        _, weights, values = exact_plug_in(density(psi), 20)
         mean = weights @ values
         std = np.sqrt(weights @ (values - mean) ** 2)
-        rho = DensityMatrix(Q1, np.outer(psi, psi.conj()))
+        rho = DensityMatrix(Q1, density(psi))
         obs = ObservableSpec.pauli("q", "Z")
         estimates = [
             monte_carlo_irreality(simulate_counts(rho, 20, seed), obs, 2, seed)[0]
             for seed in range(400)
         ]
         assert abs(np.mean(estimates) - mean) <= 4 * std / np.sqrt(len(estimates))
+
+
+class TestExactOneQubitBootstrap:
+    """The bootstrap of a one-qubit dataset at s shots per setting redraws
+    each setting at its observed frequencies, so it has (s+1)^3 outcomes,
+    and the std that monte_carlo_irreality reports estimates their exact std."""
+
+    @pytest.mark.parametrize("state", sorted(ONE_QUBIT_STATES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_reported_std_matches_the_enumerated_std(self, state, seed):
+        rho = DensityMatrix(Q1, density(ONE_QUBIT_STATES[state]))
+        data = simulate_counts(rho, 8, seed)
+        _, weights, values = exact_plug_in(data.counts[:, 0] / 8, 8)
+        assert len(values) == 729
+        mean = weights @ values
+        var = weights @ (values - mean) ** 2
+        fourth = weights @ (values - mean) ** 4
+        assert var > 0
+        # the sample variance of R draws has variance
+        # (mu4 - sigma^4 (R - 3) / (R - 1)) / R; the delta method halves
+        # its relative error for the sample std
+        r = 4000
+        std_error = np.sqrt((fourth - var**2 * (r - 3) / (r - 1)) / r) / (2 * np.sqrt(var))
+        _, std = monte_carlo_irreality(data, ObservableSpec.pauli("q", "Z"), r, seed + 10)
+        assert abs(std - np.sqrt(var)) <= 5 * std_error
 
 
 def simulated_reconstruction(rho, shots, seed):
