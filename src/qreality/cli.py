@@ -55,11 +55,13 @@ RHO_SCHEMA = "qreality.rho-real.v1"
 
 # Measured peaks: a sweep row takes about 1.5 KB, 2.2 KB with --tomo (two
 # rows per grid point with --config both; the tracemalloc peaks of sweep at
-# --grid 2 000 and 10 000 differ by 24 MB), an mzi phase about 0.28 KB and
-# a Monte Carlo resample of the 3-qubit omega state about 9.9 KB (the peaks
-# of monte_carlo_irreality at 2 000 and 10 000 resamples differ by 79 MB).
+# --grid 2 000 and 10 000 differ by 24 MB) and an mzi phase about 0.28 KB.
 # So --grid at its limit needs about 0.3 GB for a sweep (0.45 GB with
-# --tomo) and 28 MB for mzi, and --resamples at its limit about 1.0 GB.
+# --tomo) and 28 MB for mzi.  The Monte Carlo stack is processed in blocks,
+# so a resample of the 3-qubit omega state keeps only its 8-byte irreality:
+# the tracemalloc peak of monte_carlo_irreality reads 0.41 MiB at 100
+# resamples and 1.8 MiB at 100 000.  --resamples bounds run time instead,
+# about 5 s per tomographic row at its limit.
 MAX_GRID = 100_000
 MAX_RESAMPLES = 100_000
 INT64_LIMIT = "the largest int64 count"
@@ -153,7 +155,8 @@ def _check_range(parser, flag: str, value: int, low: int, high: int, why: str) -
 def cmd_sweep(parser, args) -> int:
     grid = _theta_grid(parser, args)
     if args.tomo:
-        _check_range(parser, "--resamples", args.resamples, 2, MAX_RESAMPLES, "to bound memory")
+        why = "to bound run time (about 5 s per tomographic row)"
+        _check_range(parser, "--resamples", args.resamples, 2, MAX_RESAMPLES, why)
         _check_range(parser, "--shots", args.shots, 1, MAX_COUNT, INT64_LIMIT)
         if args.seed < 0:  # numpy's generators take no negative seed
             parser.error("--seed must be at least 0")

@@ -378,9 +378,14 @@ class TestSweep:
         ],
     )
     def test_size_beyond_limit_is_usage_error(self, tmp_path, capsys, argv, flag, limit):
+        # the bootstrap's memory does not grow with --resamples; its run time does
+        why = {
+            "--grid": "to bound memory",
+            "--resamples": "to bound run time (about 5 s per tomographic row)",
+        }[flag]
         assert run(argv + [str(limit + 1), "--out-dir", str(tmp_path)]) == 2
         lines = capsys.readouterr().err.strip().splitlines()
-        assert lines[-1] == f"qreality: error: {flag} must be at most {limit}, to bound memory"
+        assert lines[-1] == f"qreality: error: {flag} must be at most {limit}, {why}"
         assert not tmp_path.joinpath("sweep.csv").exists()
 
 
@@ -1022,6 +1027,10 @@ GOLDEN_TOMO_SWEEP_CSV = "0819d03f19824d7eb22c89bd5c2708d7336601a2c8064e02e6f7a99
 # estimate reads only the observed counts, so no change to the resampling
 # moves it
 GOLDEN_TOMO_SWEEP_MEAN = "b21c3fb949f676d53a6649b93d2e6bbe9eb9134832e52a3ace43499a655cd766"
+# a sweep whose every row bootstraps 1 + 128 stack rows, which fixed 64-row
+# blocks would split as 64 + 64 + 1: numpy inverts a one-row block by a
+# matrix-vector product, which moves bytes
+GOLDEN_TOMO_SWEEP_128_CSV = "476e2fe6b6ef7a30eb190d937a084e73be89412b802e8dd6028a0c42a34d098a"
 GOLDEN_TOMO_SIMULATE = {
     "report.json": "4428a2326e4eaa9462487afd4ceee73ff02b4d11c20a1f735279f11c0ad5d5db",
     "density_matrix_real.csv": "665d9ef3945b264a5b08542031c24466dfff84c3cf359e78c75b0ff278299c5f",
@@ -1064,6 +1073,11 @@ class TestGoldenOutputs:
         _, rows = read_csv(tmp_path / "sweep.csv")
         means = "\n".join(row["irreality_tomo_mean"] for row in rows)
         assert hashlib.sha256(means.encode()).hexdigest() == GOLDEN_TOMO_SWEEP_MEAN
+
+    def test_tomo_sweep_csv_at_128_resamples(self, tmp_path):
+        argv = ["sweep", "--tomo", "--target", "d1", "--grid", "2", "--resamples", "128"]
+        assert run(argv + ["--seed", "5", "--out-dir", str(tmp_path)]) == 0
+        assert sha256_of(tmp_path / "sweep.csv") == GOLDEN_TOMO_SWEEP_128_CSV
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_TOMO_SIMULATE))
     def test_simulated_tomo_outputs(self, tmp_path, name):

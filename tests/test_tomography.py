@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,8 @@ class TestReconstruction:
             stack = rng.dirichlet(np.ones(2**n), size=(2, 5, 3**n))
             batched = reconstruct_from_frequencies(stack)
             assert batched.shape == (2, 5, 2**n, 2**n)
+            # Hermitian to the bit, so _project takes linear estimates as they are
+            np.testing.assert_array_equal(batched, batched.conj().swapaxes(-1, -2))
             for idx in np.ndindex(2, 5):
                 np.testing.assert_allclose(
                     batched[idx], reconstruct_from_frequencies(stack[idx]), atol=1e-15
@@ -319,12 +322,15 @@ class TestMonteCarlo:
         data = simulate_counts(rho, 400, seed=30 + n)
         observable = ObservableSpec.pauli(f"q{n - 1}", kind)
         basis = np.eye(2) if kind == "Z" else np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        mean, std = monte_carlo_irreality(data, observable, 12, seed=31)
-        ref_mean, ref_std = monte_carlo_irreality_reference(
-            data.counts, n, n - 1, basis, 12, seed=31
-        )
-        assert abs(mean - ref_mean) < 1e-12
-        assert abs(std - ref_std) < 1e-12
+        # 63, 64 and 65 resamples put the 1 + R stack rows on both sides of a
+        # block boundary; fixed 64-row blocks would split 128 as 64 + 64 + 1
+        for n_resamples in (12, 63, 64, 65, 128):
+            mean, std = monte_carlo_irreality(data, observable, n_resamples, seed=31)
+            ref_mean, ref_std = monte_carlo_irreality_reference(
+                data.counts, n, n - 1, basis, n_resamples, seed=31
+            )
+            assert abs(mean - ref_mean) < 1e-12, n_resamples
+            assert abs(std - ref_std) < 1e-12, n_resamples
 
     def test_matches_oracle_at_one_shot_per_setting(self):
         reg = QubitRegister(("p", "q"))
@@ -341,6 +347,22 @@ class TestMonteCarlo:
         # a row of one shot redraws itself, so no resample row is empty and
         # every resample is the observed dataset
         assert ref_std == 0.0
+
+    def test_peak_memory_does_not_grow_with_the_resample_stack(self):
+        # beyond one block of the stack, a resample keeps only its 8-byte
+        # irreality (a whole stack would hold about 9.7 KiB per resample)
+        data = simulate_counts(omega2x(), 10_000, seed=3)
+        obs = ObservableSpec.pauli("d1", "Z")
+        monte_carlo_irreality(data, obs, 100, 1)  # fills the inversion cache
+        peaks = {}
+        for n_resamples in (1_000, 10_000):
+            tracemalloc.start()
+            try:
+                monte_carlo_irreality(data, obs, n_resamples, 1)
+                peaks[n_resamples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10_000] - peaks[1_000] <= 8 * 9_000 + 2**20
 
     def test_counts_at_the_int64_limit_resample(self):
         # the largest row total a dataset admits; |0> leaves no spread in Z
