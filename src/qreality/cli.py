@@ -32,6 +32,7 @@ from .eraser import (
 from .mzi import (
     VISIBILITY_GRID,
     MziConfig,
+    _phase_grid,
     _visibility,
     detector_probabilities,
     extended_output_analysis,
@@ -61,7 +62,10 @@ RHO_SCHEMA = "qreality.rho-real.v1"
 # so a resample of the 3-qubit omega state keeps only its 8-byte irreality:
 # the tracemalloc peak of monte_carlo_irreality reads 0.41 MiB at 100
 # resamples and 1.8 MiB at 100 000.  --resamples bounds run time instead,
-# about 5 s per tomographic row at its limit.
+# about 5 s per tomographic row at its limit.  An mzi run leaves its phase
+# grid and the grid's phi text cached for the next run (tracemalloc: 7.9 MiB
+# retained at --grid 100 000, 24.6 KiB at 256), so the text cache keeps one
+# grid size.
 MAX_GRID = 100_000
 MAX_RESAMPLES = 100_000
 INT64_LIMIT = "the largest int64 count"
@@ -122,11 +126,20 @@ def _reprs(column: np.ndarray, defined: np.ndarray | None = None) -> list[str]:
     if defined is not None and not defined.any():
         return [""] * len(column)
     values = np.ascontiguousarray(column, dtype=np.float64)
+    if len(values) == 1:  # one field: skip np.unique's fixed cost
+        return [repr(values.item())]
     _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
     fields = np.array(list(map(repr, values[first].tolist())), dtype=object)[inverse]
     if defined is not None:
         fields[~defined] = ""
     return fields.tolist()
+
+
+@functools.lru_cache(maxsize=1)
+def _phase_fields(size: int) -> tuple[str, ...]:
+    """The phi column of ``mzi --grid size``, formatted once per size; the
+    cache keeps one size (see MAX_GRID for its memory)."""
+    return tuple(_reprs(_phase_grid(size)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -138,6 +151,7 @@ def _theta_grid(parser, args) -> np.ndarray:
     lo, hi = args.theta_min, args.theta_max
     if args.degrees:
         lo, hi = np.radians(lo), np.radians(hi)
+    lo, hi = lo + 0.0, hi + 0.0  # -0.0 is the theta = 0 row, so it writes 0.0
     _check_range(parser, "--grid", args.grid, 1, MAX_GRID, "to bound memory")
     if not (0.0 <= lo <= hi <= np.pi + 1e-12):
         parser.error("theta range must satisfy 0 <= min <= max <= pi")
@@ -294,14 +308,14 @@ def cmd_mzi(parser, args) -> int:
     _check_range(parser, "--grid", args.grid, 1, MAX_GRID, "to bound memory")
     if not np.isfinite(args.phi):
         parser.error("--phi must be a finite number")
+    phi = args.phi + 0.0  # -0.0 is the phi = 0 device, so it writes the phi = 0 bytes
     cfg = MziConfig(
         phi=0.0,
         closed=not args.open,
         extended=args.extended,
         decohere_after_first_bs=args.decohere,
     )
-    phis = np.linspace(0.0, 2 * np.pi, args.grid, endpoint=False)
-    probs = detector_probabilities(cfg, phis)
+    probs = detector_probabilities(cfg, _phase_grid(args.grid))
 
     # on visibility's own grid the p0 column already holds its samples
     vis = _visibility(probs[:, 0]) if args.grid == VISIBILITY_GRID else visibility(cfg)
@@ -313,9 +327,9 @@ def cmd_mzi(parser, args) -> int:
         "grid": args.grid,
     }
     if cfg.extended:
-        analysis = extended_output_analysis(dataclasses.replace(cfg, phi=args.phi))
+        analysis = extended_output_analysis(dataclasses.replace(cfg, phi=phi))
         summary["extended_analysis"] = {
-            "phi": args.phi,
+            "phi": phi,
             "selection_probability": analysis.selection_probability,
             "entanglement_entropy": analysis.entanglement_entropy,
             "mutual_information": analysis.mutual_information,
@@ -326,7 +340,7 @@ def cmd_mzi(parser, args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     columns = {
-        "phi": _reprs(phis),
+        "phi": _phase_fields(args.grid),
         "p0": _reprs(probs[:, 0]),
         "p1": _reprs(probs[:, 1]),
     }
@@ -337,7 +351,7 @@ def cmd_mzi(parser, args) -> int:
         "extended": cfg.extended,
         "decohere": cfg.decohere_after_first_bs,
         "grid": args.grid,
-        "phi": args.phi,
+        "phi": phi,
     }
     _write_manifest(out_dir, "mzi", config_dict, None)
     print(f"visibility: {summary['visibility']:.9f}")

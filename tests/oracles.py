@@ -232,28 +232,41 @@ def one_qubit_datasets(state, shots):
     return counts, weights
 
 
-def pauli_inversion(freqs, n):
-    """Linear inversion with one loop per Pauli string.
-
-    ``freqs`` rows follow the product order of "ZXY" per qubit.  Each
-    expectation is the mean over the settings that measure every qubit of
-    the string's support in the string's own basis.
-    """
+@functools.lru_cache(maxsize=8)
+def _pauli_strings(n):
+    """Per non-identity Pauli string on ``n`` qubits: its kron-product
+    operator, the settings that measure every qubit of its support in the
+    string's own basis (indices in the product order of "ZXY" per qubit),
+    and its sign on each outcome.  Built once per ``n``."""
     settings = list(itertools.product("ZXY", repeat=n))
-    dim = 2**n
-    rho = np.eye(dim, dtype=complex)
+    table = []
     for string in itertools.product("IXYZ", repeat=n):
         support = [q for q in range(n) if string[q] != "I"]
         if not support:
             continue
-        values = []
-        for s, bases in enumerate(settings):
-            if all(bases[q] == string[q] for q in support):
-                signs = [
-                    (-1) ** sum(bits_of(o, n)[q] for q in support) for o in range(dim)
-                ]
-                values.append(float(np.dot(freqs[s], signs)))
-        rho += np.mean(values) * kron_all([PAULI[ch] for ch in string])
+        matching = [
+            s for s, bases in enumerate(settings) if all(bases[q] == string[q] for q in support)
+        ]
+        signs = np.array([(-1) ** sum(bits_of(o, n)[q] for q in support) for o in range(2**n)], float)
+        table.append((kron_all([PAULI[ch] for ch in string]), matching, signs))
+    return tuple(table)
+
+
+def pauli_inversion(freqs, n):
+    """Linear inversion with one loop per Pauli string.
+
+    ``freqs`` is one dataset's (3^n, 2^n) rows, in the product order of
+    "ZXY" per qubit, or a (..., 3^n, 2^n) stack of them; the estimates come
+    back as (..., 2^n, 2^n).  Each expectation is the mean over the settings
+    that measure every qubit of the string's support in the string's own
+    basis.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    dim = 2**n
+    rho = np.zeros((*freqs.shape[:-2], dim, dim), dtype=complex) + np.eye(dim)
+    for op, matching, signs in _pauli_strings(n):
+        expectation = np.mean([freqs[..., s, :] @ signs for s in matching], axis=0)
+        rho = rho + expectation[..., None, None] * op
     return rho / dim
 
 
@@ -300,20 +313,17 @@ def monte_carlo_irreality_reference(counts, n, axis, basis, n_resamples, seed):
     """
     counts = np.asarray(counts)
 
-    def irreality_of(rows):
-        freqs = rows / rows.sum(axis=1, keepdims=True)
-        rho = sgs_clip(pauli_inversion(freqs, n))
+    def irreality_of(rho):
+        rho = sgs_clip(rho)
         return entropy_bits(dephase_projector_sum(rho, axis, basis, n)) - entropy_bits(rho)
 
     rng = np.random.default_rng(seed)
-    values = []
+    stack = [counts]
     for _ in range(n_resamples):
-        resampled = []
-        for row in counts:
-            total = row.sum()
-            resampled.append(rng.multinomial(int(total), row / total))
-        values.append(irreality_of(np.array(resampled)))
-    return irreality_of(counts), float(np.std(values, ddof=1))
+        stack.append([rng.multinomial(int(row.sum()), row / row.sum()) for row in counts])
+    stack = np.array(stack)
+    values = [irreality_of(rho) for rho in pauli_inversion(stack / stack.sum(axis=-1, keepdims=True), n)]
+    return values[0], float(np.std(values[1:], ddof=1))
 
 
 def stage_state(cfg, stage):

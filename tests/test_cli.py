@@ -287,6 +287,21 @@ class TestSweep:
         _, rows = read_csv(out / "sweep.csv")
         assert float(rows[-1]["theta"]) == pytest.approx(np.pi / 2, abs=1e-12)
 
+    @pytest.mark.parametrize("degrees", [[], ["--degrees"]])
+    @pytest.mark.parametrize("tomo", [[], ["--tomo", "--resamples", "2", "--shots", "100"]])
+    def test_negative_zero_theta_range_is_the_zero_run(self, tmp_path, degrees, tomo):
+        # -0.0 is the theta = 0 row, so it writes the theta = 0 bytes
+        argv = ["sweep", "--grid", "2", *degrees, *tomo]
+        bounds = {"neg": "-0.0", "pos": "0.0"}
+        for name, bound in bounds.items():
+            out = str(tmp_path / name)
+            assert run(argv + ["--theta-min", bound, "--theta-max", bound, "--out-dir", out]) == 0
+        for name in ("sweep.csv", "summary.json"):
+            assert (tmp_path / "neg" / name).read_bytes() == (tmp_path / "pos" / name).read_bytes()
+        assert "-0.0" not in (tmp_path / "neg" / "sweep.csv").read_text()
+        manifest = json.loads((tmp_path / "neg" / "manifest.json").read_text())
+        assert not np.signbit([manifest["config"]["theta_min"], manifest["config"]["theta_max"]]).any()
+
     def test_tomo_columns_and_determinism(self, tmp_path):
         args = [
             "sweep",
@@ -875,6 +890,44 @@ class TestMzi:
         assert '"entanglement_entropy": 0.0,' in text
         assert "-0.0" not in text
 
+    @pytest.mark.parametrize("flags", [["--extended"], ["--open", "--extended", "--decohere"]])
+    def test_negative_zero_phi_is_the_zero_run(self, tmp_path, flags):
+        # -0.0 is the phi = 0 device, so it writes the phi = 0 bytes
+        for name, phi in {"neg": "-0.0", "pos": "0.0"}.items():
+            assert run(["mzi", *flags, "--phi", phi, "--out-dir", str(tmp_path / name)]) == 0
+        for name in ("mzi.csv", "summary.json"):
+            assert (tmp_path / "neg" / name).read_bytes() == (tmp_path / "pos" / name).read_bytes()
+        manifest = json.loads((tmp_path / "neg" / "manifest.json").read_text())
+        assert not np.signbit(manifest["config"]["phi"])
+
+    def test_grid_sizes_in_one_process_match_fresh_processes(self, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        # the phase grid and its text are cached per size; switching sizes
+        # in one process must write what a fresh process writes
+        src = str(Path(qreality.cli.__file__).resolve().parents[1])
+        fresh = {}
+        for grid in ("255", "256"):
+            out = tmp_path / f"fresh{grid}"
+            argv = ["-m", "qreality", "mzi", "--extended", "--grid", grid, "--out-dir", str(out)]
+            proc = subprocess.run([sys.executable, *argv], env={**os.environ, "PYTHONPATH": src})
+            assert proc.returncode == 0
+            fresh[grid] = out
+        for k, grid in enumerate(("255", "256", "255")):
+            out = tmp_path / str(k)
+            assert run(["mzi", "--extended", "--grid", grid, "--out-dir", str(out)]) == 0
+            for name in ("mzi.csv", "summary.json"):
+                assert (out / name).read_bytes() == (fresh[grid] / name).read_bytes(), (k, name)
+
+    def test_phase_text_cache_is_bounded_and_immutable(self, tmp_path):
+        assert run(["mzi", "--grid", "8", "--out-dir", str(tmp_path)]) == 0
+        assert qreality.cli._phase_fields.cache_info().maxsize == 1
+        fields = qreality.cli._phase_fields(8)
+        assert isinstance(fields, tuple)
+        assert list(fields) == [repr(v) for v in np.linspace(0, 2 * np.pi, 8, endpoint=False).tolist()]
+
     @pytest.mark.parametrize("flags", [[], ["--extended", "--decohere"]])
     def test_default_grid_is_evaluated_once(self, tmp_path, monkeypatch, flags):
         calls = []
@@ -973,6 +1026,9 @@ class TestFloatFormatter:
         "repeated": [0.25, 0.5, 0.25, 0.25, 0.5],
         "all distinct": np.linspace(0.0, 2 * np.pi, 64, endpoint=False),
         "single row": [0.1],
+        "single negative zero": [-0.0],
+        "single nan payload": np.array([0x7FF8000000000001]).view(np.float64),
+        "single inf": [float("inf")],
     }
 
     @pytest.mark.parametrize("name", sorted(COLUMNS))

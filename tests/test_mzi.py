@@ -16,7 +16,7 @@ from qreality import (
     visibility,
 )
 from qreality.core import _partial_trace_entries, purity
-from qreality.measures import _eigenvalue_entropies
+from qreality.measures import _bipartite_entropies, _eigenvalue_entropies
 
 from oracles import extended_report_reference
 
@@ -29,6 +29,7 @@ EXTENDED_CONFIGS = [
 REPORT_PHIS = [
     0.0, np.pi / 2, np.pi, 2 * np.pi - 1e-9, *np.random.default_rng(1414).uniform(0, 2 * np.pi, 5)
 ]
+MARKER_PHIS = [*REPORT_PHIS, -0.0, 1e308, *np.linspace(0, 2 * np.pi, 50, endpoint=False)]
 
 
 def phi_plus(phi):
@@ -114,6 +115,20 @@ class TestDetectorProbabilities:
         (p0, p1), = detector_probabilities(MziConfig(phi=np.pi / 2), [np.pi / 2])
         assert p0 == pytest.approx(0.5, abs=1e-12)
 
+    def test_float_array_list_and_int_array_give_one_result(self):
+        ints = np.arange(-3, 9)
+        floats = ints.astype(float)
+        floats.flags.writeable = False  # as the shared phase grid is
+        for cfg in (MziConfig(phi=0.0), MziConfig(phi=0.0, closed=False, extended=True)):
+            want = detector_probabilities(cfg, floats.tolist()).tobytes()
+            assert detector_probabilities(cfg, floats).tobytes() == want
+            assert detector_probabilities(cfg, ints).tobytes() == want
+
+    @pytest.mark.parametrize("grid", [np.array([]), np.array([0.5, np.nan]), np.array([np.inf])])
+    def test_empty_or_non_finite_float_array_is_rejected(self, grid):
+        with pytest.raises(ConfigurationError):
+            detector_probabilities(MziConfig(phi=0.0), grid)
+
     def test_half_period_complement(self):
         cfg = MziConfig(phi=0.0)
         for phi in np.linspace(0, np.pi, 16):
@@ -122,6 +137,15 @@ class TestDetectorProbabilities:
 
 
 class TestVisibility:
+    def test_shared_phase_grid_is_bounded_and_read_only(self):
+        grid = qreality.mzi._phase_grid(qreality.mzi.VISIBILITY_GRID)
+        assert qreality.mzi._phase_grid.cache_info().maxsize == 2
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+        want = np.linspace(0, 2 * np.pi, qreality.mzi.VISIBILITY_GRID, endpoint=False)
+        assert grid.tobytes() == want.tobytes()
+
     def test_closed_is_unity(self):
         assert visibility(MziConfig(phi=0.0)) == pytest.approx(1.0, abs=1e-9)
 
@@ -251,30 +275,34 @@ class TestExtendedOutputAgainstChain:
     @pytest.mark.parametrize("flags", EXTENDED_CONFIGS)
     @pytest.mark.parametrize("detector", [0, 1])
     def test_entropies_read_the_validated_spectrum(self, flags, detector):
-        # bit for bit the formulas with every spectrum recomputed by eigvalsh
+        # bit for bit the formulas with every spectrum recomputed by eigvalsh,
+        # and bit for bit the marginal entropies of _bipartite_entropies
         def entropy(mat):
             return float(_eigenvalue_entropies(np.linalg.eigvalsh(mat)))
 
-        for phi in REPORT_PHIS:
+        for phi in MARKER_PHIS:
             report = extended_output_analysis(
                 MziConfig(phi=float(phi), extended=True, **flags), detector=detector
             )
             rho = report.postselected_state
-            s_d1, s_d2 = (
+            s_d1, s_d2, s_pair = _bipartite_entropies(rho, (("d1",), ("d2",)))
+            recomputed = [
                 entropy(_partial_trace_entries(rho.entries, MARKER_REG, (label,))[1])
                 for label in ("d1", "d2")
-            )
+            ]
+            recomputed.append(entropy(rho.entries))
+            assert np.array(recomputed).tobytes() == np.array([s_d1, s_d2, s_pair]).tobytes()
             ee = s_d1 if purity(rho) >= 1.0 - 1e-8 else 0.0
-            want = np.array([ee, s_d1 + s_d2 - entropy(rho.entries)])
+            want = np.array([ee, s_d1 + s_d2 - s_pair])
             got = np.array([report.entanglement_entropy, report.mutual_information])
-            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == want.tobytes(), phi
 
-    def test_four_eigvalsh_calls_per_call(self, eigvalsh_calls):
+    def test_three_eigvalsh_calls_per_call(self, eigvalsh_calls):
         for flags in EXTENDED_CONFIGS:  # fill the per-flag caches first
             extended_output_analysis(MziConfig(phi=0.0, extended=True, **flags))
         for flags in EXTENDED_CONFIGS:
             eigvalsh_calls.clear()
             extended_output_analysis(MziConfig(phi=0.9, extended=True, **flags))
-            # validation, S(d1), S(d2) and the partial transpose; S(d1 d2)
-            # reads the spectrum that validation kept
-            assert eigvalsh_calls == [(4, 4), (2, 2), (2, 2), (4, 4)]
+            # validation, one stack for S(d1) and S(d2), and the partial
+            # transpose; S(d1 d2) reads the spectrum that validation kept
+            assert eigvalsh_calls == [(4, 4), (2, 2, 2), (4, 4)]
