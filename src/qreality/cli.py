@@ -32,7 +32,6 @@ from .eraser import (
 from .mzi import (
     VISIBILITY_GRID,
     MziConfig,
-    _phase_grid,
     _visibility,
     detector_probabilities,
     extended_output_analysis,
@@ -62,10 +61,9 @@ RHO_SCHEMA = "qreality.rho-real.v1"
 # so a resample of the 3-qubit omega state keeps only its 8-byte irreality:
 # the tracemalloc peak of monte_carlo_irreality reads 0.41 MiB at 100
 # resamples and 1.8 MiB at 100 000.  --resamples bounds run time instead,
-# about 5 s per tomographic row at its limit.  An mzi run leaves its phase
-# grid and the grid's phi text cached for the next run (tracemalloc: 7.9 MiB
-# retained at --grid 100 000, 24.6 KiB at 256), so the text cache keeps one
-# grid size.
+# about 5 s per tomographic row at its limit.  An mzi run leaves its grid's
+# phi text cached for the next run (tracemalloc: 7.1 MiB retained at --grid
+# 100 000, 22.1 KiB at 256), so that cache keeps one grid size.
 MAX_GRID = 100_000
 MAX_RESAMPLES = 100_000
 INT64_LIMIT = "the largest int64 count"
@@ -109,11 +107,10 @@ def _write_csv(path: Path, schema: str, columns: dict) -> None:
     CRLF, as the csv module's default dialect writes them.  No field the CLI
     writes holds a comma, a quote or a line break, so none needs quoting.
     """
-    lines = [f"# schema: {schema}\n", ",".join(columns), "\r\n"]
-    for row in zip(*columns.values(), strict=True):
-        lines += (",".join(row), "\r\n")
+    rows = map(",".join, zip(*columns.values(), strict=True))
+    text = "\r\n".join([f"# schema: {schema}\n" + ",".join(columns), *rows, ""])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write(text)
 
 
 def _reprs(column: np.ndarray, defined: np.ndarray | None = None) -> list[str]:
@@ -135,11 +132,16 @@ def _reprs(column: np.ndarray, defined: np.ndarray | None = None) -> list[str]:
     return fields.tolist()
 
 
+def _phases(size: int) -> np.ndarray:
+    """The phase grid of ``mzi --grid size``: ``size`` points on [0, 2*pi)."""
+    return np.linspace(0.0, 2 * np.pi, size, endpoint=False)
+
+
 @functools.lru_cache(maxsize=1)
 def _phase_fields(size: int) -> tuple[str, ...]:
     """The phi column of ``mzi --grid size``, formatted once per size; the
     cache keeps one size (see MAX_GRID for its memory)."""
-    return tuple(_reprs(_phase_grid(size)))
+    return tuple(_reprs(_phases(size)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -315,7 +317,7 @@ def cmd_mzi(parser, args) -> int:
         extended=args.extended,
         decohere_after_first_bs=args.decohere,
     )
-    probs = detector_probabilities(cfg, _phase_grid(args.grid))
+    probs = detector_probabilities(cfg, _phases(args.grid))
 
     # on visibility's own grid the p0 column already holds its samples
     vis = _visibility(probs[:, 0]) if args.grid == VISIBILITY_GRID else visibility(cfg)

@@ -139,11 +139,14 @@ def mutual_information(state: State, partition) -> float:
 
 def _bipartite_entropies(rho: DensityMatrix, partition):
     """S(A), S(B) and S(AB) of a validated state, S(AB) from its stored
-    spectrum; ``partition`` is (A, B), a checked bipartition of its register."""
-    part_a, part_b = partition
-    _, rho_a = _partial_trace_entries(rho.entries, rho.register, part_a)
-    _, rho_b = _partial_trace_entries(rho.entries, rho.register, part_b)
-    return _entropy(rho_a), _entropy(rho_b), float(_eigenvalue_entropies(rho.eigenvalues))
+    spectrum; ``partition`` is (A, B), a checked bipartition of its register.
+    Marginals of one size share one stacked eigvalsh."""
+    rho_a, rho_b = (_partial_trace_entries(rho.entries, rho.register, p)[1] for p in partition)
+    if rho_a.shape == rho_b.shape:
+        s_a, s_b = _eigenvalue_entropies(np.linalg.eigvalsh(np.stack([rho_a, rho_b]))).tolist()
+    else:
+        s_a, s_b = _entropy(rho_a), _entropy(rho_b)
+    return s_a, s_b, float(_eigenvalue_entropies(rho.eigenvalues))
 
 
 def entanglement_entropy(state: State, partition) -> float:

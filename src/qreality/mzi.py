@@ -35,7 +35,7 @@ from .core import (
     purity,
     tensor,
 )
-from .measures import MIXEDNESS_TOLERANCE, _eigenvalue_entropies, _partial_transpose, irreality
+from .measures import MIXEDNESS_TOLERANCE, _bipartite_entropies, _partial_transpose, irreality
 
 STAGES = ("s0", "s1", "s2", "s3")
 
@@ -85,15 +85,6 @@ def _markers() -> PureState:
 def _input_state(extended: bool) -> PureState:
     probe = PureState(QubitRegister(("Q",)), [1.0, 0.0])
     return tensor(probe, _markers()) if extended else probe
-
-
-@functools.lru_cache(maxsize=2)
-def _phase_grid(size: int) -> np.ndarray:
-    """``size`` phases evenly spaced on [0, 2*pi), read-only; built once per
-    size, and the cache holds VISIBILITY_GRID and one other size."""
-    grid = np.linspace(0.0, 2 * np.pi, size, endpoint=False)
-    grid.flags.writeable = False
-    return grid
 
 
 @functools.lru_cache(maxsize=4)
@@ -167,10 +158,9 @@ def detector_probabilities(cfg: MziConfig, phi_grid) -> np.ndarray:
     so the whole grid is diag(V rho_Q V^+) with V = BS P(phi) (closed) or
     P(phi) (open), and rho_Q is the probe at s2 for phi = 0.
     """
-    if type(phi_grid) is np.ndarray and phi_grid.dtype == np.float64 and phi_grid.ndim == 1:
-        phis = phi_grid  # already the float vector the conversion below builds
-    else:
-        phis = np.array([float(p) for p in np.atleast_1d(phi_grid)])
+    phis = np.atleast_1d(np.asarray(phi_grid, dtype=np.float64))  # no copy of a float64 grid
+    if phis.ndim != 1:
+        raise ConfigurationError("phi grid must be one-dimensional")
     if not phis.size:
         raise ConfigurationError("phi grid must be nonempty")
     if not np.isfinite(phis).all():
@@ -183,7 +173,8 @@ def detector_probabilities(cfg: MziConfig, phi_grid) -> np.ndarray:
 
 def visibility(cfg: MziConfig) -> float:
     """(max - min) / (max + min) of p0 over VISIBILITY_GRID phases on [0, 2*pi)."""
-    return _visibility(detector_probabilities(cfg, _phase_grid(VISIBILITY_GRID))[:, 0])
+    grid = np.linspace(0.0, 2 * np.pi, VISIBILITY_GRID, endpoint=False)
+    return _visibility(detector_probabilities(cfg, grid)[:, 0])
 
 
 def _visibility(p0: np.ndarray) -> float:
@@ -224,9 +215,8 @@ def extended_output_analysis(cfg: MziConfig, *, detector: int = 0) -> ExtendedOu
     phi = 0.  Its trace is the selection probability, 1/2 for either
     detector since the markers record the path.  The normalized block is
     validated once, as ``postselected_state``; S(d1 d2) reads the spectrum
-    that validation kept, S(d1) and S(d2) one stacked spectrum of the two
-    marginals traced off its entries, and the positive-partial-transpose
-    test (tolerance 1e-10) its entries.
+    that validation kept, and S(d1), S(d2) and the positive-partial-transpose
+    test (tolerance 1e-10) read its entries.
     """
     if not cfg.extended:
         raise ConfigurationError("extended_output_analysis needs extended=True")
@@ -243,11 +233,7 @@ def extended_output_analysis(cfg: MziConfig, *, detector: int = 0) -> ExtendedOu
     prob = float(np.real(np.trace(block)))
     rho_markers = DensityMatrix(_MARKERS, (block + block.conj().T) / 2 / prob)
 
-    pair = rho_markers.entries.reshape(2, 2, 2, 2)  # axes d1, d2, d1', d2'
-    # the validated state is exactly Hermitian, and so are both marginals
-    marginals = np.stack([np.einsum("ijkj->ik", pair), np.einsum("ijik->jk", pair)])
-    s_d1, s_d2 = _eigenvalue_entropies(np.linalg.eigvalsh(marginals)).tolist()
-    s_pair = float(_eigenvalue_entropies(rho_markers.eigenvalues))
+    s_d1, s_d2, s_pair = _bipartite_entropies(rho_markers, (("d1",), ("d2",)))
     # a mixed marker output carries no pure-state entanglement entropy
     ee = s_d1 if purity(rho_markers) >= 1.0 - MIXEDNESS_TOLERANCE else 0.0
     transposed = _partial_transpose(rho_markers.entries, 2, (1,))

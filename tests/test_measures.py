@@ -308,13 +308,15 @@ class TestStoredSpectrum:
             psi = PureState(reg, random_pure(rng, 3))
             want = entropy_recomputed(psi.to_density().entries)
             assert bits(von_neumann_entropy(psi)) == bits(want)
-            part = (("p", "r"), ("q",))
-            s_a, s_b = (
-                entropy_recomputed(_partial_trace_entries(rho.entries, reg, keep)[1])
-                for keep in part
-            )
-            want = s_a + s_b - entropy_recomputed(rho.entries)
-            assert bits(mutual_information(rho, part)) == bits(want)
+            pair = DensityMatrix(QubitRegister(("p", "q")), random_density(rng, 2, rank=1 + k % 4))
+            # unequal marginals, and equal ones that share a stacked eigvalsh
+            for state, part in ((rho, (("p", "r"), ("q",))), (pair, (("q",), ("p",)))):
+                marginals = (
+                    _partial_trace_entries(state.entries, state.register, keep)[1] for keep in part
+                )
+                s_a, s_b = map(entropy_recomputed, marginals)
+                want = s_a + s_b - entropy_recomputed(state.entries)
+                assert bits(mutual_information(state, part)) == bits(want)
 
     def test_no_second_decomposition_of_the_state(self, rng, eigvalsh_calls):
         reg = QubitRegister(("p", "q"))
@@ -332,7 +334,8 @@ class TestStoredSpectrum:
         von_neumann_entropy(rho)
         assert eigvalsh_calls == []
         mutual_information(rho, (("p",), ("q",)))
-        assert eigvalsh_calls == [(2, 2), (2, 2)]
+        # both one-qubit marginals in one stack; S(pq) reads the stored spectrum
+        assert eigvalsh_calls == [(2, 2, 2)]
 
 
 class TestPartialTranspose:

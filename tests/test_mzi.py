@@ -118,14 +118,16 @@ class TestDetectorProbabilities:
     def test_float_array_list_and_int_array_give_one_result(self):
         ints = np.arange(-3, 9)
         floats = ints.astype(float)
-        floats.flags.writeable = False  # as the shared phase grid is
+        floats.flags.writeable = False  # a read-only grid is used as it is
         for cfg in (MziConfig(phi=0.0), MziConfig(phi=0.0, closed=False, extended=True)):
             want = detector_probabilities(cfg, floats.tolist()).tobytes()
             assert detector_probabilities(cfg, floats).tobytes() == want
             assert detector_probabilities(cfg, ints).tobytes() == want
 
-    @pytest.mark.parametrize("grid", [np.array([]), np.array([0.5, np.nan]), np.array([np.inf])])
-    def test_empty_or_non_finite_float_array_is_rejected(self, grid):
+    @pytest.mark.parametrize(
+        "grid", [np.array([]), np.array([0.5, np.nan]), np.array([np.inf]), np.zeros((2, 2))]
+    )
+    def test_empty_non_finite_or_2d_float_array_is_rejected(self, grid):
         with pytest.raises(ConfigurationError):
             detector_probabilities(MziConfig(phi=0.0), grid)
 
@@ -137,15 +139,6 @@ class TestDetectorProbabilities:
 
 
 class TestVisibility:
-    def test_shared_phase_grid_is_bounded_and_read_only(self):
-        grid = qreality.mzi._phase_grid(qreality.mzi.VISIBILITY_GRID)
-        assert qreality.mzi._phase_grid.cache_info().maxsize == 2
-        assert not grid.flags.writeable
-        with pytest.raises(ValueError):
-            grid[0] = 1.0
-        want = np.linspace(0, 2 * np.pi, qreality.mzi.VISIBILITY_GRID, endpoint=False)
-        assert grid.tobytes() == want.tobytes()
-
     def test_closed_is_unity(self):
         assert visibility(MziConfig(phi=0.0)) == pytest.approx(1.0, abs=1e-9)
 
