@@ -905,7 +905,7 @@ class TestMzi:
         import sys
         from pathlib import Path
 
-        # the phase grid and its text are cached per size; switching sizes
+        # the phi text is cached for one grid size; switching sizes
         # in one process must write what a fresh process writes
         src = str(Path(qreality.cli.__file__).resolve().parents[1])
         fresh = {}
