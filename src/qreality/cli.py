@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import DensityMatrix, ObservableSpec, QubitRegister, _pauli_z, fidelity, purity
+from .core import DensityMatrix, ObservableSpec, QubitRegister, fidelity, purity
 from .eraser import (
     OMEGA_REGISTER,
     ProtocolConfig,
@@ -32,6 +32,7 @@ from .eraser import (
 from .mzi import (
     VISIBILITY_GRID,
     MziConfig,
+    _phases,
     _visibility,
     detector_probabilities,
     extended_output_analysis,
@@ -132,11 +133,6 @@ def _reprs(column: np.ndarray, defined: np.ndarray | None = None) -> list[str]:
     return fields.tolist()
 
 
-def _phases(size: int) -> np.ndarray:
-    """The phase grid of ``mzi --grid size``: ``size`` points on [0, 2*pi)."""
-    return np.linspace(0.0, 2 * np.pi, size, endpoint=False)
-
-
 @functools.lru_cache(maxsize=1)
 def _phase_fields(size: int) -> tuple[str, ...]:
     """The phi column of ``mzi --grid size``, formatted once per size; the
@@ -183,7 +179,7 @@ def cmd_sweep(parser, args) -> int:
     defined = probs > 0.0
     tomo_mean, tomo_std = np.full((2, len(thetas)), np.nan)
     if args.tomo:
-        z_target = _pauli_z(args.target)
+        z_target = ObservableSpec.pauli(args.target, "Z")
         child_seeds = np.random.SeedSequence(args.seed).generate_state(2 * len(thetas))
         for i, (counts_seed, resample_seed) in enumerate(child_seeds.reshape(-1, 2).tolist()):
             if not defined[i]:

@@ -20,7 +20,6 @@ values can be shared across threads without synchronization.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -246,12 +245,6 @@ class ObservableSpec:
         if kind not in _EIGENBASES:
             raise ValueError(f"unknown Pauli kind {kind!r}")
         return cls(subsystem, _EIGENBASES[kind])
-
-
-@functools.lru_cache(maxsize=32)
-def _pauli_z(subsystem: str) -> ObservableSpec:
-    """The Z observable on ``subsystem``, built and validated once per label."""
-    return ObservableSpec.pauli(subsystem, "Z")
 
 
 def _as_density(state: State) -> DensityMatrix:

@@ -61,7 +61,9 @@ def eraser_register() -> QubitRegister:
 
 
 def _check_theta(theta) -> None:
-    """The pair angle must lie in [0, pi], to 1e-12; NaN fails."""
+    """The pair angle must be a real number in [0, pi], to 1e-12; NaN fails."""
+    if not isinstance(theta, numbers.Real):
+        raise ConfigurationError(f"theta {theta!r} is not a real number")
     if not (-1e-12 <= theta <= np.pi + 1e-12):
         raise ConfigurationError(f"theta {theta} outside [0, pi]")
 
@@ -88,6 +90,8 @@ class ProtocolConfig:
             raise ConfigurationError(f"alice_config must be one of {ALICE_CONFIGS}")
         if self.alice_branch not in BRANCH_SIGNS:
             raise ConfigurationError(f"alice_branch must be one of {BRANCH_SIGNS}")
+        if not hasattr(self.bd_settings, "__len__") or len(self.bd_settings) != 4:
+            raise ConfigurationError("bd_settings must hold exactly four real amplitudes")
         for amplitude in self.bd_settings:
             if not isinstance(amplitude, numbers.Real):
                 raise ConfigurationError(
@@ -210,18 +214,15 @@ def _basis_kets(bd_settings: tuple, stage: int) -> np.ndarray:
     return kets
 
 
-@functools.lru_cache(maxsize=len(ALICE_CONFIGS) * len(BRANCH_SIGNS))
 def _alice_outcome(alice_config: str, alice_branch: str) -> np.ndarray:
-    """Alice's outcome vector on (A, a), from the Pauli eigenbases, read-only.
+    """Alice's outcome vector on (A, a), from the Pauli eigenbases.
 
     Her polarization is projected on the ``alice_branch`` eigenvector of Z
-    (Cz) or X (Cx) and her path on |0>.  Built once per configuration and
-    branch.
+    (Cz) or X (Cx) and her path on |0>: the Kronecker product of the two,
+    bit for bit.
     """
     alice_basis = _EIGENBASES["Z" if alice_config == "Cz" else "X"]
-    outcome = np.kron(alice_basis[:, BRANCH_SIGNS.index(alice_branch)], [1.0, 0.0])
-    outcome.flags.writeable = False
-    return outcome
+    return (alice_basis[:, BRANCH_SIGNS.index(alice_branch), None] * np.array([1.0, 0.0])).ravel()
 
 
 def _omega_stack(cfg, configs: tuple, target: str, thetas: np.ndarray, *, bob_sign="plus"):
@@ -304,7 +305,10 @@ def irreality_curve(
     other settings).  Returns one column per quantity; undefined rows are
     described on :class:`IrrealityCurve`.
     """
-    thetas = np.array([float(t) for t in theta_grid])
+    try:
+        thetas = np.array([float(t) for t in theta_grid])
+    except (TypeError, ValueError):
+        raise ConfigurationError("theta grid must be a flat sequence of real numbers") from None
     if not thetas.size:
         raise ConfigurationError("theta grid must be nonempty")
     return _irreality_curves(cfg_template, (cfg_template.alice_config,), target, thetas)

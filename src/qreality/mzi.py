@@ -18,6 +18,7 @@ a merely classically correlated marker pair.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +26,13 @@ import numpy as np
 from .core import (
     ConfigurationError,
     DensityMatrix,
+    ObservableSpec,
     PureState,
     QubitRegister,
     State,
     _as_density,
-    _pauli_z,
+    _partial_trace_entries,
     apply_unitary,
-    partial_trace,
     purity,
     tensor,
 )
@@ -60,12 +61,16 @@ class MziConfig:
     decohere_after_first_bs: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.phi, numbers.Real):
+            raise ConfigurationError(f"phi {self.phi!r} is not a real number")
         if not np.isfinite(self.phi):
             raise ConfigurationError("phi must be finite")
 
 
-def _phase_shifter(phi: float) -> np.ndarray:
-    return np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=complex)
+def _phases(size: int) -> np.ndarray:
+    """``size`` phases evenly spaced on [0, 2*pi): the grid of :func:`visibility`
+    and of ``mzi --grid size``."""
+    return np.linspace(0.0, 2 * np.pi, size, endpoint=False)
 
 
 def _marker_write() -> np.ndarray:
@@ -104,7 +109,7 @@ def _s1_state(extended: bool, decohere: bool) -> State:
 @functools.lru_cache(maxsize=2)
 def _s1_probe_irreality(decohere: bool) -> float:
     """Irreality of sigma_z on the probe at s1, which depends on the decohere flag alone."""
-    return irreality(_s1_state(False, decohere), _pauli_z("Q")).irreality
+    return irreality(_s1_state(False, decohere), ObservableSpec.pauli("Q", "Z")).irreality
 
 
 @functools.lru_cache(maxsize=4)
@@ -113,12 +118,6 @@ def _s2_density(extended: bool, decohere: bool) -> DensityMatrix:
     density matrix; built once per flag pair."""
     cfg = MziConfig(phi=0.0, extended=extended, decohere_after_first_bs=decohere)
     return _as_density(mzi_state(cfg, "s2"))
-
-
-@functools.lru_cache(maxsize=4)
-def _probe_marginal(extended: bool, decohere: bool) -> DensityMatrix:
-    """rho_Q of :func:`_s2_density`; built once per flag pair."""
-    return partial_trace(_s2_density(extended, decohere), ("Q",))
 
 
 def mzi_state(cfg: MziConfig, stage: str) -> State:
@@ -140,7 +139,7 @@ def mzi_state(cfg: MziConfig, stage: str) -> State:
         return state
 
     state = apply_unitary(state, _MIRROR, ("Q",))
-    state = apply_unitary(state, _phase_shifter(cfg.phi), ("Q",))
+    state = apply_unitary(state, np.diag([1, np.exp(1j * cfg.phi)]), ("Q",))  # phase shifter
     if stage == "s2":
         return state
 
@@ -165,16 +164,16 @@ def detector_probabilities(cfg: MziConfig, phi_grid) -> np.ndarray:
         raise ConfigurationError("phi grid must be nonempty")
     if not np.isfinite(phis).all():
         raise ConfigurationError("phi must be finite")
-    rho_q = _probe_marginal(bool(cfg.extended), bool(cfg.decohere_after_first_bs))
+    s2 = _s2_density(bool(cfg.extended), bool(cfg.decohere_after_first_bs))
+    rho_q = _partial_trace_entries(s2.entries, s2.register, ("Q",))[1]
     shift = np.stack([np.ones_like(phis), np.exp(1j * phis)], axis=-1)  # diag of P(phi)
     bs2 = _BS if cfg.closed else np.eye(2)  # the second beam splitter, if present
-    return np.einsum("ki,gi,ij,gj,kj->gk", bs2, shift, rho_q.entries, shift.conj(), bs2.conj()).real
+    return np.einsum("ki,gi,ij,gj,kj->gk", bs2, shift, rho_q, shift.conj(), bs2.conj()).real
 
 
 def visibility(cfg: MziConfig) -> float:
     """(max - min) / (max + min) of p0 over VISIBILITY_GRID phases on [0, 2*pi)."""
-    grid = np.linspace(0.0, 2 * np.pi, VISIBILITY_GRID, endpoint=False)
-    return _visibility(detector_probabilities(cfg, grid)[:, 0])
+    return _visibility(detector_probabilities(cfg, _phases(VISIBILITY_GRID))[:, 0])
 
 
 def _visibility(p0: np.ndarray) -> float:

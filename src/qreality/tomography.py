@@ -212,7 +212,7 @@ def simulate_counts(
     return TomographyDataset(rho.register, shots, seed, counts)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=MAX_QUBITS)
 def _inversion_map(n_qubits: int) -> np.ndarray:
     """The (3^n * 2^n, 2 * 4^n) real matrix taking flattened frequencies to
     matrix entries, as interleaved real and imaginary parts.

@@ -104,6 +104,32 @@ class TestBuildPsi0:
         with pytest.raises(ConfigurationError, match="not a real number"):
             ProtocolConfig(theta=0.5, alice_config="Cz", bd_settings=tuple(settings))
 
+    @pytest.mark.parametrize("theta", ["a", None, 1j, np.complex128(0.5)])
+    def test_theta_that_is_not_a_real_number_is_rejected(self, theta):
+        with pytest.raises(ConfigurationError, match=r"^theta .* is not a real number$"):
+            ProtocolConfig(theta=theta, alice_config="Cz")
+
+    @pytest.mark.parametrize(
+        "bd_settings", [None, 1.0, (), (0.0, 1.0), (0.0, 1.0, 1.0, 0.0, 0.0)]
+    )
+    def test_bd_settings_of_other_than_four_values_rejected(self, bd_settings):
+        message = r"^bd_settings must hold exactly four real amplitudes"
+        with pytest.raises(ConfigurationError, match=message):
+            ProtocolConfig(theta=0.5, alice_config="Cz", bd_settings=bd_settings)
+
+    @pytest.mark.parametrize(
+        "bd_settings", [[0.0, 1.0, 1.0, 0.0], np.array([0.6, 0.8, 1.0, 0.0]), (0, 1, 1, 0)]
+    )
+    def test_four_real_amplitudes_in_any_sequence_accepted(self, bd_settings):
+        cfg = ProtocolConfig(theta=0.5, alice_config="Cz", bd_settings=bd_settings)
+        assert cfg.bd_settings is bd_settings
+
+    def test_range_and_normalization_messages_unchanged(self):
+        with pytest.raises(ConfigurationError, match=r"^theta 4\.0 outside \[0, pi\]$"):
+            ProtocolConfig(theta=4.0, alice_config="Cz")
+        with pytest.raises(ConfigurationError, match=r"^displacer 1 amplitudes .* not normalized$"):
+            ProtocolConfig(theta=0.5, alice_config="Cz", bd_settings=(0.5, 0.5, 1.0, 0.0))
+
 
 class TestEvolveToPsi1:
     def test_theta_zero(self):
@@ -382,6 +408,25 @@ class TestIrrealityCurve:
         cfg = ProtocolConfig(theta=0.0, alice_config="Cx")
         with pytest.raises(ConfigurationError):
             irreality_curve(cfg, "d1", [])
+
+    @pytest.mark.parametrize(
+        "grid", [0.5, [[0.1, 0.2]], [0.1, 1j], ["a"], np.zeros((2, 2))]
+    )
+    def test_unreadable_grid_rejected(self, grid):
+        cfg = ProtocolConfig(theta=0.0, alice_config="Cx")
+        with pytest.raises(ConfigurationError, match="^theta grid must be a flat sequence"):
+            irreality_curve(cfg, "d1", grid)
+
+    def test_list_tuple_range_generator_and_array_give_one_result(self):
+        cfg = ProtocolConfig(theta=0.0, alice_config="Cx")
+        want = irreality_curve(cfg, "d1", [0.0, 1.0, 2.0, 3.0])
+        grids = [
+            (0.0, 1.0, 2.0, 3.0), range(4), (float(t) for t in range(4)),
+            np.arange(4.0), np.arange(4),
+        ]
+        for grid in grids:
+            got = irreality_curve(cfg, "d1", grid)
+            assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 
     def test_unknown_target_rejected(self):
         cfg = ProtocolConfig(theta=0.0, alice_config="Cx")

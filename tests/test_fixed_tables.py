@@ -1,29 +1,36 @@
-"""Per-process tables of the protocol's fixed pieces.
+"""Per-process tables of the protocol's fixed pieces, and the cheap pieces
+rebuilt on each call.
 
-The evolved basis kets, Alice's outcome vectors, the Z observables with
-their eigenbases, the eigenvector matrices of the Pauli measurement settings
-stacked per register size, and the MZI s1 state and probe marginal are each
+The evolved basis kets, the eigenvector matrices of the Pauli measurement
+settings stacked per register size, and the MZI s1 and s2 states are each
 built once and served from a bounded ``functools`` cache.  Every table entry
 must equal, bit for bit, an uncached build through the reference path, be
 read-only, and the tables must stay within their size bound however many
-keys pass through them.
+keys pass through them; every ``functools`` cache in the package declares a
+finite bound.  Alice's outcome vectors, the Z observables and the MZI probe
+marginal cost a few microseconds to build, so they are rebuilt on each call
+and must match the reference build bit for bit.
 """
 
 import dataclasses
 import functools
+import importlib
+import inspect
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
 
+import qreality
+import qreality.cli
 from qreality import ObservableSpec, mzi_state, partial_trace
-from qreality.core import _EIGENBASES, _as_density, _pauli_z
+from qreality.core import _EIGENBASES, _as_density, _partial_trace_entries
 from qreality.eraser import (
     ALICE_CONFIGS, BRANCH_SIGNS, ProtocolConfig, _alice_outcome, _basis_kets, irreality_curve,
-    omega_state,
 )
 from qreality.mzi import (
-    MziConfig, _probe_marginal, _s1_state, _s2_density, detector_probabilities,
+    MziConfig, _phases, _s1_state, _s2_density, detector_probabilities,
 )
 from qreality.tomography import _setting_matrices, all_settings
 
@@ -82,41 +89,19 @@ class TestAliceOutcome:
     @pytest.mark.parametrize("config", ALICE_CONFIGS)
     @pytest.mark.parametrize("branch", BRANCH_SIGNS)
     def test_matches_kron_of_eigenvector(self, config, branch):
-        cfg = ProtocolConfig(theta=0.0, alice_config=config, alice_branch=branch)
-        irreality_curve(cfg, "d1", [0.2, 1.3])
-        cached = _alice_outcome(config, branch)
-        assert _alice_outcome(config, branch) is cached
-
-        # Alice's polarization on her branch's eigenvector, her path on |0>
+        # Alice's polarization on her branch's eigenvector, her path on |0>;
+        # -0.0 entries included, so compare bits, not values
         column = _EIGENBASES["Z" if config == "Cz" else "X"][:, BRANCH_SIGNS.index(branch)]
-        assert_bits_equal(cached, np.kron(column, [1.0, 0.0]))
-        assert_read_only(cached)
-
-    def test_bounded_over_every_configuration_and_branch(self):
-        for config, branch, theta in itertools.product(ALICE_CONFIGS, BRANCH_SIGNS, (0.3, 1.2)):
-            cfg = ProtocolConfig(theta=theta, alice_config=config, alice_branch=branch)
-            irreality_curve(cfg, "b", [theta])
-            omega_state(cfg, "d2")
-        info = _alice_outcome.cache_info()
-        assert info.currsize <= info.maxsize == len(ALICE_CONFIGS) * len(BRANCH_SIGNS)
+        assert_bits_equal(_alice_outcome(config, branch), np.kron(column, [1.0, 0.0]))
 
 
 class TestZObservable:
     @pytest.mark.parametrize("label", ["b", "d1", "d2", "Q"])
     def test_matches_pauli_and_is_read_only(self, label):
-        cached = _pauli_z(label)
-        assert _pauli_z(label) is cached
-        want = ObservableSpec.pauli(label, "Z")
-        assert cached.subsystem == label
-        assert_bits_equal(cached.basis, want.basis)
-        assert_bits_equal(cached.basis, np.eye(2, dtype=complex))
-        assert_read_only(cached.basis)
-
-    def test_bounded_over_many_labels(self):
-        for k in range(1000):
-            _pauli_z(f"label{k}")
-        info = _pauli_z.cache_info()
-        assert info.currsize <= info.maxsize
+        z = ObservableSpec.pauli(label, "Z")
+        assert z.subsystem == label
+        assert_bits_equal(z.basis, np.eye(2, dtype=complex))
+        assert_read_only(z.basis)
 
 
 class TestEigenvectorMatrices:
@@ -153,21 +138,18 @@ class TestMziTables:
             phi=0.0, closed=closed, extended=extended, decohere_after_first_bs=decohere
         )
         detector_probabilities(cfg, [0.0, 1.0])
-        cached = _probe_marginal(extended, decohere)
-        assert _probe_marginal(extended, decohere) is cached
         s2 = _s2_density(extended, decohere)
         assert _s2_density(extended, decohere) is s2
         s1 = _s1_state(extended, decohere)
+        # the probe marginal as detector_probabilities reads it
+        rho_q = _partial_trace_entries(s2.entries, s2.register, ("Q",))[1]
 
-        _probe_marginal.cache_clear()
         _s2_density.cache_clear()
         _s1_state.cache_clear()
         fresh_s2 = mzi_state(cfg, "s2")
         assert_bits_equal(s2.entries, _as_density(fresh_s2).entries)
         assert_read_only(s2.entries)
-        want = partial_trace(fresh_s2, ("Q",))
-        assert_bits_equal(cached.entries, want.entries)
-        assert_read_only(cached.entries)
+        assert_bits_equal(rho_q, partial_trace(fresh_s2, ("Q",)).entries)
         fresh_s1 = mzi_state(cfg, "s1")
         array = "entries" if decohere else "amplitudes"
         assert_bits_equal(getattr(s1, array), getattr(fresh_s1, array))
@@ -180,6 +162,31 @@ class TestMziTables:
             )
             detector_probabilities(cfg, [0.3])
             mzi_state(cfg, "s1")
-        assert _probe_marginal.cache_info().currsize <= 4
         assert _s2_density.cache_info().currsize <= 4
         assert _s1_state.cache_info().currsize <= 4
+
+    @pytest.mark.parametrize("size", [1, 255, 256, 257])
+    def test_the_cli_shares_the_one_phase_grid(self, size):
+        assert qreality.cli._phases is _phases
+        want = np.linspace(0.0, 2 * np.pi, size, endpoint=False)
+        assert_bits_equal(_phases(size), want)
+
+
+def _lru_caches():
+    """Every ``functools.lru_cache`` wrapper at module or class level in qreality."""
+    for info in pkgutil.iter_modules(qreality.__path__):
+        if info.name == "__main__":  # running it would start the CLI
+            continue
+        module = importlib.import_module(f"qreality.{info.name}")
+        scopes = [module, *(c for c in vars(module).values() if inspect.isclass(c))]
+        for scope in scopes:
+            for name, value in vars(scope).items():
+                if hasattr(value, "cache_parameters"):
+                    yield f"{module.__name__}.{name}", value
+
+
+def test_every_cache_declares_a_finite_bound():
+    caches = dict(_lru_caches())
+    assert "qreality.tomography._inversion_map" in caches
+    unbounded = [name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None]
+    assert unbounded == []

@@ -93,6 +93,22 @@ class TestStages:
             assert p0 == pytest.approx(base[0], abs=1e-12)
 
 
+class TestMziConfig:
+    @pytest.mark.parametrize("phi", [1j, 0.5 + 0j, np.complex128(0.0), None, "0.5"])
+    def test_phi_that_is_not_a_real_number_is_rejected(self, phi):
+        with pytest.raises(ConfigurationError, match=r"^phi .* is not a real number$"):
+            MziConfig(phi=phi, extended=True)
+
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phi_is_rejected(self, phi):
+        with pytest.raises(ConfigurationError, match="^phi must be finite$"):
+            MziConfig(phi=phi)
+
+    @pytest.mark.parametrize("phi", [0, 1.3, -0.0, np.float64(0.4), np.float32(0.5), np.int64(2)])
+    def test_real_phi_is_accepted(self, phi):
+        assert MziConfig(phi=phi, extended=True).phi is phi
+
+
 class TestDetectorProbabilities:
     def test_closed_interference_fringe(self):
         grid = np.linspace(0, 2 * np.pi, 32, endpoint=False)
