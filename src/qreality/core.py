@@ -91,6 +91,13 @@ def _hermitian(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
+def _label_list(labels: Iterable[str]) -> tuple[str, ...]:
+    """``labels`` as a tuple; a bare string is a LabelError, not a list of its characters."""
+    if isinstance(labels, str):
+        raise LabelError(f"expected a sequence of labels, got the string {labels!r}")
+    return tuple(labels)
+
+
 @dataclass(frozen=True)
 class QubitRegister:
     """Ordered collection of named qubits.
@@ -129,7 +136,7 @@ class QubitRegister:
 
     def subregister(self, labels: Iterable[str]) -> "QubitRegister":
         """Sub-register containing ``labels``, kept in this register's order."""
-        wanted = set(labels)
+        wanted = set(_label_list(labels))
         missing = wanted - set(self.labels)
         if missing:
             raise LabelError(f"labels {sorted(missing)} not in register {self.labels}")
@@ -241,10 +248,10 @@ class ObservableSpec:
 
     @classmethod
     def pauli(cls, subsystem: str, kind: str) -> "ObservableSpec":
-        kind = kind.upper()
-        if kind not in _EIGENBASES:
-            raise ValueError(f"unknown Pauli kind {kind!r}")
-        return cls(subsystem, _EIGENBASES[kind])
+        key = kind.upper() if isinstance(kind, str) else kind
+        if not isinstance(key, str) or key not in _EIGENBASES:
+            raise ValueError(f"unknown Pauli kind {key!r}")
+        return cls(subsystem, _EIGENBASES[key])
 
 
 def _as_density(state: State) -> DensityMatrix:
@@ -277,7 +284,7 @@ def _partial_trace_entries(mat: np.ndarray, register: QubitRegister, keep: Itera
     matrix is re-Hermitized, and ``mat`` itself comes back when ``keep``
     covers the register.
     """
-    keep = tuple(keep)
+    keep = _label_list(keep)
     if not keep:
         raise LabelError("keep set must be nonempty")
     sub = register.subregister(keep)
@@ -343,6 +350,38 @@ def _outcome_vector(outcome, m: int) -> np.ndarray:
     return vec
 
 
+def _label_axes(register: QubitRegister, on: Iterable[str]) -> tuple[tuple, tuple]:
+    """The distinct labels ``on`` as a tuple, and their axes in ``register``."""
+    on = _label_list(on)
+    axes = register.axes(on)
+    if len(set(on)) != len(on):
+        raise LabelError(f"labels {on} are not distinct")
+    return on, axes
+
+
+def _contract(tensor: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Contract the last len(axes) axes of ``op`` with ``axes`` of ``tensor``.
+
+    The leading axes of ``op`` (one per contracted axis for a gate, none for
+    an outcome bra) take the places of the contracted axes; without them the
+    contracted axes are gone and the others keep their order.
+    """
+    k = op.ndim - len(axes)
+    moved = np.tensordot(op, tensor, axes=(list(range(k, op.ndim)), list(axes)))
+    return np.moveaxis(moved, list(range(k)), list(axes[:k]))
+
+
+def _act(state: State, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """The tensor of ``op`` acting on the qubits at ``axes``: on a ket's
+    amplitudes, or on a density matrix's rows and then, with ``op.conj()``,
+    its columns."""
+    n = state.register.n_qubits
+    if isinstance(state, PureState):
+        return _contract(state.amplitudes.reshape((2,) * n), op, axes)
+    rows = _contract(state.entries.reshape((2,) * (2 * n)), op, axes)
+    return _contract(rows, op.conj(), [rows.ndim - n + a for a in axes])
+
+
 def post_select(state: State, outcome, on: Iterable[str]) -> tuple[State, float]:
     """Condition on a rank-1 outcome over the ``on`` labels and renormalize.
 
@@ -352,40 +391,19 @@ def post_select(state: State, outcome, on: Iterable[str]) -> tuple[State, float]
     below the fixed ``ZERO_PROBABILITY_THRESHOLD`` (1e-12) raise
     :class:`ZeroProbabilityError`.
     """
-    on = tuple(on)
     reg = state.register
-    axes = reg.axes(on)
-    if len(set(on)) != len(on):
-        raise LabelError("post-selection labels must be distinct")
+    on, axes = _label_axes(reg, on)
     if len(on) >= reg.n_qubits:
         raise LabelError("post-selection must leave at least one label")
     m = len(on)
-    n = reg.n_qubits
     vec = _outcome_vector(outcome, m)
-    out_t = vec.reshape((2,) * m)
     rest = QubitRegister(tuple(lb for lb in reg.labels if lb not in on))
-
+    res = _act(state, vec.conj().reshape((2,) * m), axes)
     if isinstance(state, PureState):
-        psi_t = state.amplitudes.reshape((2,) * n)
-        res = np.tensordot(out_t.conj(), psi_t, axes=(list(range(m)), list(axes)))
+        res = res.ravel()
         prob = float(np.real(np.vdot(res, res)))
     else:
-        rho_t = state.entries.reshape((2,) * (2 * n))
-        row_sub = list(range(n))
-        col_sub = [n + i for i in range(n)]
-        out_rows = [row_sub[a] for a in axes]
-        out_cols = [col_sub[a] for a in axes]
-        keep_rows = [row_sub[i] for i in range(n) if i not in axes]
-        keep_cols = [col_sub[i] for i in range(n) if i not in axes]
-        res = np.einsum(
-            rho_t,
-            row_sub + col_sub,
-            out_t.conj(),
-            out_rows,
-            out_t,
-            out_cols,
-            keep_rows + keep_cols,
-        ).reshape(rest.dimension, rest.dimension)
+        res = res.reshape(rest.dimension, rest.dimension)
         prob = float(np.real(np.trace(res)))
     if prob < ZERO_PROBABILITY_THRESHOLD:
         raise ZeroProbabilityError(
@@ -393,17 +411,14 @@ def post_select(state: State, outcome, on: Iterable[str]) -> tuple[State, float]
             f"below threshold {ZERO_PROBABILITY_THRESHOLD:.0e}"
         )
     if isinstance(state, PureState):
-        return PureState(rest, res.ravel() / np.sqrt(prob)), prob
+        return PureState(rest, res / np.sqrt(prob)), prob
     return DensityMatrix(rest, (res + res.conj().T) / 2 / prob), prob
 
 
 def apply_unitary(state: State, u: np.ndarray, on: Iterable[str]) -> State:
     """Apply a unitary acting on the ``on`` labels (listed order = matrix order)."""
-    on = tuple(on)
     reg = state.register
-    axes = reg.axes(on)
-    if len(set(on)) != len(on):
-        raise LabelError("unitary labels must be distinct")
+    on, axes = _label_axes(reg, on)
     m = len(on)
     u = _finite(np.asarray(u, dtype=complex))
     dim = 2**m
@@ -411,23 +426,21 @@ def apply_unitary(state: State, u: np.ndarray, on: Iterable[str]) -> State:
         raise ValueError(f"unitary shape {u.shape} does not match {m} qubits")
     if not _is_unitary(u):
         raise ValueError("matrix is not unitary within tolerance")
-    u_t = u.reshape((2,) * (2 * m))
-    contract = list(range(m, 2 * m))
-
-    def transform(tensor, axes_here, mat_t):
-        moved = np.tensordot(mat_t, tensor, axes=(contract, list(axes_here)))
-        return np.moveaxis(moved, list(range(m)), list(axes_here))
-
-    n = reg.n_qubits
+    t = _act(state, u.reshape((2,) * (2 * m)), axes)
     if isinstance(state, PureState):
-        psi_t = transform(state.amplitudes.reshape((2,) * n), axes, u_t)
-        return PureState(reg, psi_t.ravel())
-    t = state.entries.reshape((2,) * (2 * n))
-    t = transform(t, axes, u_t)
-    t = transform(t, tuple(a + n for a in axes), u_t.conj())
+        return PureState(reg, t.ravel())
     mat = t.reshape(reg.dimension, reg.dimension)
-    mat = (mat + mat.conj().T) / 2
-    return DensityMatrix(reg, mat)
+    return DensityMatrix(reg, (mat + mat.conj().T) / 2)
+
+
+def _controlled(block0: np.ndarray, block1: np.ndarray) -> np.ndarray:
+    """Gate on (control, *targets): ``block0`` acts on the targets when the
+    control reads 0, ``block1`` when it reads 1."""
+    dim = len(block0)
+    gate = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    gate[:dim, :dim] = block0
+    gate[dim:, dim:] = block1
+    return gate
 
 
 def purity(state: State) -> float:

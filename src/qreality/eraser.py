@@ -42,6 +42,7 @@ from .core import (
     PureState,
     QubitRegister,
     ZeroProbabilityError,
+    _controlled,
     apply_unitary,
 )
 from .measures import _eigenvalue_entropies
@@ -115,24 +116,14 @@ def build_psi0(cfg: ProtocolConfig) -> PureState:
     return PureState(reg, amps)
 
 
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+_EYE2 = np.eye(2, dtype=complex)
+_FLIP = np.array([[0, 1], [1, 0]], dtype=complex)
+_CNOT = _controlled(_EYE2, _FLIP)
 
 
 def evolve_to_psi1(psi0: PureState) -> PureState:
     """Sagnac entry: the polarizing beam splitter writes B onto the path b."""
     return apply_unitary(psi0, _CNOT, ("B", "b"))
-
-
-def _displacer_block(rotation: np.ndarray, flip_when: int) -> np.ndarray:
-    """Wave-plate rotation on B followed by a marker flip conditioned on B."""
-    eye2 = np.eye(2, dtype=complex)
-    flip = np.array([[0, 1], [1, 0]], dtype=complex)
-    controlled_flip = np.zeros((4, 4), dtype=complex)
-    controlled_flip[:2, :2] = flip if flip_when == 0 else eye2
-    controlled_flip[2:, 2:] = flip if flip_when == 1 else eye2
-    return controlled_flip @ np.kron(rotation, eye2)
 
 
 def apply_beam_displacers(psi1: PureState, cfg: ProtocolConfig) -> PureState:
@@ -147,19 +138,12 @@ def apply_beam_displacers(psi1: PureState, cfg: ProtocolConfig) -> PureState:
     gamma1, delta1, gamma2, delta2 = cfg.bd_settings
     rot1 = np.array([[delta1, -gamma1], [gamma1, delta1]], dtype=complex)
     rot2 = np.array([[gamma2, delta2], [-delta2, gamma2]], dtype=complex)
-    u1 = _displacer_block(rot1, flip_when=0)
-    u2 = _displacer_block(rot2, flip_when=1)
+    # on (B, marker): rotate B, then flip the marker when B = 0 (d1) or B = 1 (d2)
+    u1 = _controlled(_FLIP, _EYE2) @ np.kron(rot1, _EYE2)
+    u2 = _controlled(_EYE2, _FLIP) @ np.kron(rot2, _EYE2)
     eye4 = np.eye(4, dtype=complex)
-
-    controlled_1 = np.zeros((8, 8), dtype=complex)
-    controlled_1[:4, :4] = u1
-    controlled_1[4:, 4:] = eye4
-    state = apply_unitary(psi1, controlled_1, ("b", "B", "d1"))
-
-    controlled_2 = np.zeros((8, 8), dtype=complex)
-    controlled_2[:4, :4] = eye4
-    controlled_2[4:, 4:] = u2
-    return apply_unitary(state, controlled_2, ("b", "B", "d2"))
+    state = apply_unitary(psi1, _controlled(u1, eye4), ("b", "B", "d1"))
+    return apply_unitary(state, _controlled(eye4, u2), ("b", "B", "d2"))
 
 
 class IrrealityCurve(NamedTuple):

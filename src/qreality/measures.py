@@ -30,6 +30,7 @@ from .core import (
     _dephased_blocks,
     _finite,
     _hermitian,
+    _label_list,
     _partial_trace_entries,
     purity,
 )
@@ -69,8 +70,12 @@ def _entropy(mat: np.ndarray) -> float:
 
 def binary_entropy(p: float) -> float:
     """H(p) = -p log2 p - (1-p) log2 (1-p) for 0 <= p <= 1, with the 0 log 0 = 0
-    convention; ValueError for any other p, NaN included."""
-    if not 0.0 <= p <= 1.0:
+    convention; ValueError for any other p, NaN and non-numbers included."""
+    try:
+        inside = 0.0 <= p <= 1.0
+    except TypeError:  # a string, None or a complex number orders against no float
+        inside = False
+    if not inside:
         raise ValueError(f"binary entropy needs 0 <= p <= 1, got {p}")
     # 0.0 minus the sum, so that H(0) = H(1) = +0.0 rather than -0.0
     return float(0.0 - sum(q * np.log2(q) for q in (p, 1.0 - p) if q > 0.0))
@@ -121,7 +126,7 @@ def _irreality_values(
 
 
 def _split_partition(state: State, partition) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    part_a, part_b = tuple(partition[0]), tuple(partition[1])
+    part_a, part_b = _label_list(partition[0]), _label_list(partition[1])
     labels = state.register.labels
     if sorted(part_a + part_b) != sorted(labels) or set(part_a) & set(part_b):
         raise LabelError(

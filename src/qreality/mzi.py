@@ -31,6 +31,7 @@ from .core import (
     QubitRegister,
     State,
     _as_density,
+    _controlled,
     _partial_trace_entries,
     apply_unitary,
     purity,
@@ -42,6 +43,10 @@ STAGES = ("s0", "s1", "s2", "s3")
 
 _BS = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
 _MIRROR = np.array([[0, 1j], [1j, 0]], dtype=complex)
+_FLIP = np.array([[0, 1], [1, 0]], dtype=complex)
+_EYE2 = np.eye(2, dtype=complex)
+# the arm-dependent marker flip: Q=0 writes d1, Q=1 writes d2
+_MARKER_WRITE = _controlled(np.kron(_FLIP, _EYE2), np.kron(_EYE2, _FLIP))
 
 _PPT_TOL = 1e-10
 _MARKERS = QubitRegister(("d1", "d2"))
@@ -73,16 +78,6 @@ def _phases(size: int) -> np.ndarray:
     return np.linspace(0.0, 2 * np.pi, size, endpoint=False)
 
 
-def _marker_write() -> np.ndarray:
-    """Arm-dependent marker flip: Q=0 writes d1, Q=1 writes d2."""
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    eye2 = np.eye(2, dtype=complex)
-    gate = np.zeros((8, 8), dtype=complex)
-    gate[:4, :4] = np.kron(x, eye2)
-    gate[4:, 4:] = np.kron(eye2, x)
-    return gate
-
-
 def _markers() -> PureState:
     return PureState.from_bits(_MARKERS, "11")
 
@@ -92,24 +87,11 @@ def _input_state(extended: bool) -> PureState:
     return tensor(probe, _markers()) if extended else probe
 
 
-@functools.lru_cache(maxsize=4)
-def _s1_state(extended: bool, decohere: bool) -> State:
-    """The device at s1, before any phase; built once per flag pair."""
-    if decohere:
-        state = DensityMatrix.maximally_mixed(QubitRegister(("Q",)))
-        if extended:
-            state = tensor(state, _markers())
-    else:
-        state = apply_unitary(_input_state(extended), _BS, ("Q",))
-    if extended:
-        state = apply_unitary(state, _marker_write(), ("Q", "d1", "d2"))
-    return state
-
-
 @functools.lru_cache(maxsize=2)
 def _s1_probe_irreality(decohere: bool) -> float:
     """Irreality of sigma_z on the probe at s1, which depends on the decohere flag alone."""
-    return irreality(_s1_state(False, decohere), ObservableSpec.pauli("Q", "Z")).irreality
+    cfg = MziConfig(phi=0.0, decohere_after_first_bs=decohere)
+    return irreality(mzi_state(cfg, "s1"), ObservableSpec.pauli("Q", "Z")).irreality
 
 
 @functools.lru_cache(maxsize=4)
@@ -134,7 +116,14 @@ def mzi_state(cfg: MziConfig, stage: str) -> State:
     if stage == "s0":
         return _input_state(cfg.extended)
 
-    state = _s1_state(bool(cfg.extended), bool(cfg.decohere_after_first_bs))
+    if cfg.decohere_after_first_bs:
+        state = DensityMatrix.maximally_mixed(QubitRegister(("Q",)))
+        if cfg.extended:
+            state = tensor(state, _markers())
+    else:
+        state = apply_unitary(_input_state(cfg.extended), _BS, ("Q",))
+    if cfg.extended:
+        state = apply_unitary(state, _MARKER_WRITE, ("Q", "d1", "d2"))
     if stage == "s1":
         return state
 
@@ -157,7 +146,10 @@ def detector_probabilities(cfg: MziConfig, phi_grid) -> np.ndarray:
     so the whole grid is diag(V rho_Q V^+) with V = BS P(phi) (closed) or
     P(phi) (open), and rho_Q is the probe at s2 for phi = 0.
     """
-    phis = np.atleast_1d(np.asarray(phi_grid, dtype=np.float64))  # no copy of a float64 grid
+    phis = np.atleast_1d(np.asarray(phi_grid))
+    if phis.dtype.kind not in "biuf":  # a cast would drop an imaginary part or parse text
+        raise ConfigurationError("phi grid must be a flat sequence of real numbers")
+    phis = phis.astype(np.float64, copy=False)  # no copy of a float64 grid
     if phis.ndim != 1:
         raise ConfigurationError("phi grid must be one-dimensional")
     if not phis.size:

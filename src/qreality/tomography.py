@@ -129,14 +129,27 @@ class TomographyDataset:
         if not isinstance(self.register, QubitRegister):
             raise DatasetFormatError(f"register: expected QubitRegister, got {_shown(self.register)}")
         _check_header(self.n_qubits, self.shots_per_setting, self.seed)
-        counts = np.array(self.counts)
         shape = (3**self.n_qubits, 2**self.n_qubits)
+        try:
+            counts = np.array(self.counts)
+        except ValueError:  # rows of unequal length
+            raise DatasetFormatError(
+                f"counts: a ragged table, expected {shape[0]} settings x {shape[1]} outcomes"
+            ) from None
         if counts.shape != shape:
             raise DatasetFormatError(
                 f"counts shape {counts.shape} does not match "
                 f"{shape[0]} settings x {shape[1]} outcomes"
             )
         if not np.issubdtype(counts.dtype, np.integer):
+            values = np.array(self.counts, dtype=object).ravel()
+            if all(type(c) is int for c in values):  # one lies beyond the int64 range
+                if max(values) > MAX_COUNT:
+                    raise DatasetFormatError(
+                        f"counts: a count of {_shown(max(values))} exceeds "
+                        f"the int64 maximum {MAX_COUNT}"
+                    )
+                raise DatasetFormatError("counts must be nonnegative")
             raise DatasetFormatError(f"counts must be integers, got dtype {counts.dtype}")
         if np.any(counts < 0):
             raise DatasetFormatError("counts must be nonnegative")

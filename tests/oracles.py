@@ -370,26 +370,37 @@ def detector_probabilities_per_phi(cfg, phis):
 
 MZI_BS = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
 MZI_MIRROR = np.array([[0, 1j], [1j, 0]], dtype=complex)
+# Q = 0 flips d1, Q = 1 flips d2
+MZI_MARKER_WRITE = (
+    kron_all([np.diag([1, 0]), PAULI["X"], PAULI["I"]])
+    + kron_all([np.diag([0, 1]), PAULI["I"], PAULI["X"]])
+)
 
 
-def extended_report_reference(cfg, detector):
-    """The fields of ``extended_output_analysis`` by the single-state chain.
-
-    From the device at s1, built here gate by gate, three ``apply_unitary``
-    calls (mirrors, phase shifter, second beam splitter; two when open),
-    ``post_select`` on the probe, then ``partial_trace`` and
-    ``von_neumann_entropy``; the PPT test on an index-loop partial transpose.
-    """
+def mzi_s1_reference(cfg):
+    """The device at s1, gate by gate: the probe after the first beam splitter
+    (maximally mixed when decohered) and, when extended, the marker pair |11>
+    after the marker write."""
     probe_reg = QubitRegister(("Q",))
     if cfg.decohere_after_first_bs:
         probe = DensityMatrix.maximally_mixed(probe_reg)
     else:
         probe = apply_unitary(PureState(probe_reg, [1.0, 0.0]), MZI_BS, ("Q",))
-    x = PAULI["X"]
-    # Q = 0 flips d1, Q = 1 flips d2
-    write = kron_all([np.diag([1, 0]), x, PAULI["I"]]) + kron_all([np.diag([0, 1]), PAULI["I"], x])
+    if not cfg.extended:
+        return probe
     markers = PureState.from_bits(QubitRegister(("d1", "d2")), "11")
-    state = apply_unitary(tensor(probe, markers), write, ("Q", "d1", "d2"))
+    return apply_unitary(tensor(probe, markers), MZI_MARKER_WRITE, ("Q", "d1", "d2"))
+
+
+def extended_report_reference(cfg, detector):
+    """The fields of ``extended_output_analysis`` by the single-state chain.
+
+    From the device at s1 (:func:`mzi_s1_reference`), three ``apply_unitary``
+    calls (mirrors, phase shifter, second beam splitter; two when open),
+    ``post_select`` on the probe, then ``partial_trace`` and
+    ``von_neumann_entropy``; the PPT test on an index-loop partial transpose.
+    """
+    state = mzi_s1_reference(cfg)
     phase = np.diag([1.0, np.exp(1j * cfg.phi)])
     for gate in (MZI_MIRROR, phase, MZI_BS)[: 3 if cfg.closed else 2]:
         state = apply_unitary(state, gate, ("Q",))
@@ -398,6 +409,7 @@ def extended_report_reference(cfg, detector):
     s_d1 = von_neumann_entropy(partial_trace(rho, ("d1",)))
     s_d2 = von_neumann_entropy(partial_trace(rho, ("d2",)))
     transposed = partial_transpose_index_swap(rho.entries, 2, [1])
+    probe = mzi_s1_reference(dataclasses.replace(cfg, extended=False))
     return {
         "postselected_state": rho,
         "selection_probability": prob,

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -389,6 +390,56 @@ class TestApplyUnitary:
         cnot = np.eye(4)[[0, 1, 3, 2]]
         with pytest.raises(LabelError, match="distinct"):
             apply_unitary(state, cnot, ("q", "q"))
+
+
+def _ordered_label_lists(labels):
+    """Every ordered list of one or two distinct labels."""
+    return [on for k in (1, 2) for on in itertools.permutations(labels, k)]
+
+
+class TestKetAndDensityPathsAgree:
+    """A gate or an outcome acts on a density matrix as on the ket it came from."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_apply_unitary(self, rng, n):
+        psi = PureState(QubitRegister(tuple("pqrs"[:n])), random_pure(rng, n))
+        for on in _ordered_label_lists(psi.register.labels):
+            u = random_unitary(rng, 2 ** len(on))
+            want = apply_unitary(psi, u, on).to_density()
+            got = apply_unitary(psi.to_density(), u, on)
+            np.testing.assert_allclose(got.entries, want.entries, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_post_select(self, rng, n):
+        psi = PureState(QubitRegister(tuple("pqrs"[:n])), random_pure(rng, n))
+        for on in _ordered_label_lists(psi.register.labels):
+            outcome = random_pure(rng, len(on))
+            ket, p_ket = post_select(psi, outcome, on)
+            rho, p_rho = post_select(psi.to_density(), outcome, on)
+            assert rho.register == ket.register
+            assert abs(p_rho - p_ket) <= 1e-15
+            np.testing.assert_allclose(
+                rho.entries, ket.to_density().entries, rtol=0, atol=1e-14
+            )
+
+
+# a bare string is a sequence of characters: "d1" would be the labels d and 1
+BARE_STRING_CALLS = {
+    "apply_unitary": lambda state: apply_unitary(state, np.eye(4), "d1"),
+    "post_select": lambda state: post_select(state, [1, 0, 0, 0], "AB"),
+    "partial_trace": lambda state: partial_trace(state, "d1"),
+    "subregister": lambda state: state.register.subregister("d1"),
+}
+
+
+@pytest.mark.parametrize("call", BARE_STRING_CALLS.values(), ids=BARE_STRING_CALLS.keys())
+@pytest.mark.parametrize("density", [False, True])
+def test_bare_string_label_list_rejected(call, density):
+    state = PureState.from_bits(QubitRegister(("A", "B", "d1")), "000")
+    if density:
+        state = state.to_density()
+    with pytest.raises(LabelError, match="got the string '(d1|AB)'$"):
+        call(state)
 
 
 class TestPurityFidelity:

@@ -2,14 +2,15 @@
 rebuilt on each call.
 
 The evolved basis kets, the eigenvector matrices of the Pauli measurement
-settings stacked per register size, and the MZI s1 and s2 states are each
-built once and served from a bounded ``functools`` cache.  Every table entry
-must equal, bit for bit, an uncached build through the reference path, be
-read-only, and the tables must stay within their size bound however many
-keys pass through them; every ``functools`` cache in the package declares a
-finite bound.  Alice's outcome vectors, the Z observables and the MZI probe
-marginal cost a few microseconds to build, so they are rebuilt on each call
-and must match the reference build bit for bit.
+settings stacked per register size, and the MZI s2 state are each built once
+and served from a bounded ``functools`` cache.  Every table entry must equal,
+bit for bit, an uncached build through the reference path, be read-only,
+and the tables must stay within their size bound however many keys pass
+through them; every ``functools`` cache in the package declares a finite
+bound.  Alice's outcome vectors, the Z observables, the MZI s1 state and the
+MZI probe marginal are rebuilt on each call and must match the reference
+build bit for bit, as must the controlled gates that ``core._controlled``
+lays out.
 """
 
 import dataclasses
@@ -25,16 +26,17 @@ import pytest
 import qreality
 import qreality.cli
 from qreality import ObservableSpec, mzi_state, partial_trace
-from qreality.core import _EIGENBASES, _as_density, _partial_trace_entries
+from qreality.core import _EIGENBASES, _as_density, _controlled, _partial_trace_entries
 from qreality.eraser import (
-    ALICE_CONFIGS, BRANCH_SIGNS, ProtocolConfig, _alice_outcome, _basis_kets, irreality_curve,
+    _CNOT, ALICE_CONFIGS, BRANCH_SIGNS, ProtocolConfig, _alice_outcome, _basis_kets,
+    irreality_curve,
 )
 from qreality.mzi import (
-    MziConfig, _phases, _s1_state, _s2_density, detector_probabilities,
+    _MARKER_WRITE, MziConfig, _phases, _s2_density, detector_probabilities,
 )
 from qreality.tomography import _setting_matrices, all_settings
 
-from oracles import stage_state
+from oracles import MZI_MARKER_WRITE, PAULI, mzi_s1_reference, stage_state
 
 # (gamma1, delta1, gamma2, delta2): the default and two rotated displacer pairs
 BD_SETTINGS = [
@@ -122,9 +124,10 @@ class TestEigenvectorMatrices:
         assert_bits_equal(_setting_matrices(1)[all_settings(1).index((kind,))], EIGENBASES[kind])
         assert_bits_equal(ObservableSpec.pauli("q", kind.lower()).basis, EIGENBASES[kind])
 
-    def test_unknown_pauli_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown Pauli kind 'W'"):
-            ObservableSpec.pauli("q", "w")
+    @pytest.mark.parametrize("kind, shown", [("w", "'W'"), (5, "5"), (None, "None")])
+    def test_unknown_pauli_kind_rejected(self, kind, shown):
+        with pytest.raises(ValueError, match=f"^unknown Pauli kind {shown}$"):
+            ObservableSpec.pauli("q", kind)
 
     def test_float_register_size_still_rejected(self):
         with pytest.raises(TypeError):
@@ -140,19 +143,18 @@ class TestMziTables:
         detector_probabilities(cfg, [0.0, 1.0])
         s2 = _s2_density(extended, decohere)
         assert _s2_density(extended, decohere) is s2
-        s1 = _s1_state(extended, decohere)
         # the probe marginal as detector_probabilities reads it
         rho_q = _partial_trace_entries(s2.entries, s2.register, ("Q",))[1]
 
         _s2_density.cache_clear()
-        _s1_state.cache_clear()
         fresh_s2 = mzi_state(cfg, "s2")
         assert_bits_equal(s2.entries, _as_density(fresh_s2).entries)
         assert_read_only(s2.entries)
         assert_bits_equal(rho_q, partial_trace(fresh_s2, ("Q",)).entries)
-        fresh_s1 = mzi_state(cfg, "s1")
+        s1, want = mzi_state(cfg, "s1"), mzi_s1_reference(cfg)
+        assert s1.register == want.register
         array = "entries" if decohere else "amplitudes"
-        assert_bits_equal(getattr(s1, array), getattr(fresh_s1, array))
+        assert_bits_equal(getattr(s1, array), getattr(want, array))
         assert_read_only(getattr(s1, array))
 
     def test_tables_stay_at_four_flag_pairs(self):
@@ -161,15 +163,27 @@ class TestMziTables:
                 phi=0.3, closed=closed, extended=extended, decohere_after_first_bs=decohere
             )
             detector_probabilities(cfg, [0.3])
-            mzi_state(cfg, "s1")
         assert _s2_density.cache_info().currsize <= 4
-        assert _s1_state.cache_info().currsize <= 4
 
     @pytest.mark.parametrize("size", [1, 255, 256, 257])
     def test_the_cli_shares_the_one_phase_grid(self, size):
         assert qreality.cli._phases is _phases
         want = np.linspace(0.0, 2 * np.pi, size, endpoint=False)
         assert_bits_equal(_phases(size), want)
+
+
+class TestControlledGates:
+    def test_cnot_matches_the_literal(self):
+        literal = np.array(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+        )
+        assert_bits_equal(_controlled(PAULI["I"], PAULI["X"]), literal)
+        assert_bits_equal(_CNOT, literal)
+
+    def test_marker_write_matches_the_kron_sum(self):
+        x, eye = PAULI["X"], PAULI["I"]
+        assert_bits_equal(_controlled(np.kron(x, eye), np.kron(eye, x)), MZI_MARKER_WRITE)
+        assert_bits_equal(_MARKER_WRITE, MZI_MARKER_WRITE)
 
 
 def _lru_caches():

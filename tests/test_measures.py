@@ -140,11 +140,14 @@ class TestEntropy:
         assert binary_entropy(0.75) == pytest.approx(binary_entropy_exact(0.75), abs=1e-12)
 
     @pytest.mark.parametrize(
-        "p", [1.5, -0.2, 1.0 + 1e-15, -5e-324, float("nan"), float("inf"), float("-inf")]
+        "p",
+        [1.5, -0.2, 1.0 + 1e-15, -5e-324, float("nan"), float("inf"), float("-inf"),
+         "a", None, 0.5j],
     )
     def test_binary_entropy_rejects_p_outside_the_unit_interval(self, p):
-        # the formula alone gives -0.877 at 1.5, -0.316 at -0.2 and 0.0 at NaN
-        with pytest.raises(ValueError):
+        # the formula alone gives -0.877 at 1.5, -0.316 at -0.2 and 0.0 at NaN;
+        # a string, None or a complex number does not compare with 0 and 1
+        with pytest.raises(ValueError, match="^binary entropy needs 0 <= p <= 1"):
             binary_entropy(p)
 
     def test_binary_entropy_endpoints_are_positive_zero(self):
@@ -261,6 +264,13 @@ class TestMutualInformation:
         rho = DensityMatrix.maximally_mixed(reg)
         with pytest.raises(LabelError):
             mutual_information(rho, (("p",), ("q",)))
+
+    @pytest.mark.parametrize("measure", [mutual_information, entanglement_entropy])
+    def test_bare_string_part_rejected(self, measure):
+        # read as its characters, "pq" would be the part (p, q)
+        psi = PureState.from_bits(QubitRegister(("p", "q", "r")), "000")
+        with pytest.raises(LabelError, match="got the string 'pq'$"):
+            measure(psi, ("pq", ("r",)))
 
 
 def bits(*values) -> bytes:

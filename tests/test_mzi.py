@@ -139,6 +139,21 @@ class TestDetectorProbabilities:
             want = detector_probabilities(cfg, floats.tolist()).tobytes()
             assert detector_probabilities(cfg, floats).tobytes() == want
             assert detector_probabilities(cfg, ints).tobytes() == want
+            bools = [True, False, True]
+            assert (
+                detector_probabilities(cfg, bools).tobytes()
+                == detector_probabilities(cfg, [1.0, 0.0, 1.0]).tobytes()
+            )
+
+    @pytest.mark.parametrize(
+        "grid",
+        [np.array([np.pi + 5j, 0.0]), np.array(["1.5"]), [1 + 1j], "ab", [0.5, None]],
+        ids=["complex-array", "string-array", "complex-list", "string", "none-entry"],
+    )
+    def test_grid_of_non_real_numbers_is_rejected(self, grid):
+        # a cast to float64 would drop the imaginary part or parse the text
+        with pytest.raises(ConfigurationError, match="^phi grid must be a flat sequence of real"):
+            detector_probabilities(MziConfig(phi=0.0), grid)
 
     @pytest.mark.parametrize(
         "grid", [np.array([]), np.array([0.5, np.nan]), np.array([np.inf]), np.zeros((2, 2))]

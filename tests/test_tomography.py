@@ -727,6 +727,13 @@ class TestDatasetIO:
              "^a setting has zero total counts$"),
             (Q1, 10, 0, [[6, 5], [5, 5], [5, 5]], DatasetFormatError, "^counts: a row total of 11"),
             (Q1, 10, 0, [[5, 5], [5, 5]], DatasetFormatError, "^counts shape"),
+            (Q1, 10, 0, [[1, 0], [1], [1, 0]], DatasetFormatError,
+             "^counts: a ragged table, expected 3 settings x 2 outcomes$"),
+            (Q1, 10, 0, [[2**70, 0]] * 3, DatasetFormatError,
+             f"^counts: a count of {2**70} exceeds the int64 maximum {2**63 - 1}$"),
+            (Q1, 10, 0, [[2**63, 0]] * 3, DatasetFormatError,
+             f"^counts: a count of {2**63} exceeds the int64 maximum {2**63 - 1}$"),
+            (Q1, 10, 0, [[-(2**70), 0]] * 3, DatasetFormatError, "^counts must be nonnegative$"),
             (QubitRegister(tuple("abcde")), 10, 0, np.ones((3**5, 2**5), dtype=np.int64),
              DatasetFormatError, "^n_qubits: 5 exceeds the maximum of 4$"),
             (Q1, True, 0, [[1, 0]] * 3, DatasetFormatError, "^shots_per_setting: expected"),
@@ -740,7 +747,8 @@ class TestDatasetIO:
         ],
         ids=[
             "negative-shots-string-seed", "int64-wrap", "zero-row", "overfull-row",
-            "missing-row", "five-qubits", "bool-shots", "float-shots", "bool-seed", "float-seed",
+            "missing-row", "ragged-rows", "count-beyond-int64", "count-just-beyond-int64",
+            "negative-count-beyond-int64", "five-qubits", "bool-shots", "float-shots", "bool-seed", "float-seed",
             "qubit-count-register", "label-tuple-register",
         ],
     )
