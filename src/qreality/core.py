@@ -20,6 +20,7 @@ values can be shared across threads without synchronization.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -98,6 +99,33 @@ def _label_list(labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def _real(value, name: str):
+    """``value`` itself, or ConfigurationError unless it is a ``numbers.Real``."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} {value!r} is not a real number")
+    return value
+
+
+def _grid(values, name: str) -> np.ndarray:
+    """``values`` as a nonempty 1-D float64 array, or ConfigurationError.
+
+    A list, tuple, range, generator or 1-D array of bools, ints or floats is
+    read; a float64 array comes back uncopied.  Text, complex numbers, a bare
+    number and nested or ragged input are rejected, never cast: a cast would
+    parse the text or drop the imaginary part.
+    """
+    if not isinstance(values, (np.ndarray, str, bytes)):
+        try:
+            values = np.array(list(values))
+        except (TypeError, ValueError):  # not iterable, or ragged: fails the check below
+            pass
+    if not isinstance(values, np.ndarray) or values.ndim != 1 or values.dtype.kind not in "biuf":
+        raise ConfigurationError(f"{name} grid must be a flat sequence of real numbers")
+    if not values.size:
+        raise ConfigurationError(f"{name} grid must be nonempty")
+    return values.astype(np.float64, copy=False)
+
+
 @dataclass(frozen=True)
 class QubitRegister:
     """Ordered collection of named qubits.
@@ -132,7 +160,7 @@ class QubitRegister:
             raise LabelError(f"label {label!r} not in register {self.labels}") from None
 
     def axes(self, labels: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.axis(lb) for lb in labels)
+        return tuple(self.axis(lb) for lb in _label_list(labels))
 
     def subregister(self, labels: Iterable[str]) -> "QubitRegister":
         """Sub-register containing ``labels``, kept in this register's order."""
@@ -143,15 +171,20 @@ class QubitRegister:
         return QubitRegister(tuple(lb for lb in self.labels if lb in wanted))
 
     def index_of(self, bits: str | Sequence[int]) -> int:
-        """Basis index of a bit assignment given in register order."""
+        """Basis index of a bit assignment given in register order.
+
+        Each bit is 0 or 1 as an int, a bool or a character; anything else,
+        a float included, is a ValueError rather than a truncation.
+        """
         if len(bits) != self.n_qubits:
             raise ValueError(f"expected {self.n_qubits} bits, got {len(bits)}")
         idx = 0
         for b in bits:
-            b = int(b)
-            if b not in (0, 1):
+            if isinstance(b, str):
+                b = {"0": 0, "1": 1}.get(b)
+            if not isinstance(b, (numbers.Integral, np.bool_)) or b not in (0, 1):
                 raise ValueError("bits must be 0 or 1")
-            idx = (idx << 1) | b
+            idx = (idx << 1) | int(b)
         return idx
 
 

@@ -28,7 +28,6 @@ displacer alignment), so all protocol amplitudes are real.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -43,6 +42,8 @@ from .core import (
     QubitRegister,
     ZeroProbabilityError,
     _controlled,
+    _grid,
+    _real,
     apply_unitary,
 )
 from .measures import _eigenvalue_entropies
@@ -63,9 +64,7 @@ def eraser_register() -> QubitRegister:
 
 def _check_theta(theta) -> None:
     """The pair angle must be a real number in [0, pi], to 1e-12; NaN fails."""
-    if not isinstance(theta, numbers.Real):
-        raise ConfigurationError(f"theta {theta!r} is not a real number")
-    if not (-1e-12 <= theta <= np.pi + 1e-12):
+    if not (-1e-12 <= _real(theta, "theta") <= np.pi + 1e-12):
         raise ConfigurationError(f"theta {theta} outside [0, pi]")
 
 
@@ -94,10 +93,7 @@ class ProtocolConfig:
         if not hasattr(self.bd_settings, "__len__") or len(self.bd_settings) != 4:
             raise ConfigurationError("bd_settings must hold exactly four real amplitudes")
         for amplitude in self.bd_settings:
-            if not isinstance(amplitude, numbers.Real):
-                raise ConfigurationError(
-                    f"displacer amplitude {amplitude!r} is not a real number"
-                )
+            _real(amplitude, "displacer amplitude")
         gamma1, delta1, gamma2, delta2 = self.bd_settings
         for k, (delta, gamma) in enumerate(((delta1, gamma1), (delta2, gamma2)), start=1):
             if not abs(delta**2 + gamma**2 - 1.0) <= _BD_NORM_ATOL:  # NaN fails too
@@ -289,10 +285,5 @@ def irreality_curve(
     other settings).  Returns one column per quantity; undefined rows are
     described on :class:`IrrealityCurve`.
     """
-    try:
-        thetas = np.array([float(t) for t in theta_grid])
-    except (TypeError, ValueError):
-        raise ConfigurationError("theta grid must be a flat sequence of real numbers") from None
-    if not thetas.size:
-        raise ConfigurationError("theta grid must be nonempty")
+    thetas = _grid(theta_grid, "theta")
     return _irreality_curves(cfg_template, (cfg_template.alice_config,), target, thetas)

@@ -18,7 +18,6 @@ a merely classically correlated marker pair.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,9 @@ from .core import (
     State,
     _as_density,
     _controlled,
+    _grid,
     _partial_trace_entries,
+    _real,
     apply_unitary,
     purity,
     tensor,
@@ -66,9 +67,7 @@ class MziConfig:
     decohere_after_first_bs: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.phi, numbers.Real):
-            raise ConfigurationError(f"phi {self.phi!r} is not a real number")
-        if not np.isfinite(self.phi):
+        if not np.isfinite(_real(self.phi, "phi")):
             raise ConfigurationError("phi must be finite")
 
 
@@ -146,14 +145,7 @@ def detector_probabilities(cfg: MziConfig, phi_grid) -> np.ndarray:
     so the whole grid is diag(V rho_Q V^+) with V = BS P(phi) (closed) or
     P(phi) (open), and rho_Q is the probe at s2 for phi = 0.
     """
-    phis = np.atleast_1d(np.asarray(phi_grid))
-    if phis.dtype.kind not in "biuf":  # a cast would drop an imaginary part or parse text
-        raise ConfigurationError("phi grid must be a flat sequence of real numbers")
-    phis = phis.astype(np.float64, copy=False)  # no copy of a float64 grid
-    if phis.ndim != 1:
-        raise ConfigurationError("phi grid must be one-dimensional")
-    if not phis.size:
-        raise ConfigurationError("phi grid must be nonempty")
+    phis = _grid(phi_grid, "phi")
     if not np.isfinite(phis).all():
         raise ConfigurationError("phi must be finite")
     s2 = _s2_density(bool(cfg.extended), bool(cfg.decohere_after_first_bs))

@@ -59,6 +59,27 @@ class TestRegister:
         with pytest.raises(LabelError):
             reg.axis("c")
 
+    # int() would truncate 0.5 to 0 and 1.9 to 1
+    @pytest.mark.parametrize(
+        "bits",
+        [[0.5, 1], [1.9, 0], [1.0, 0], "0x", [2, 0], [None, 0]],
+        ids=["half", "one-point-nine", "float-one", "letter", "two", "none"],
+    )
+    def test_bits_must_be_zero_or_one(self, bits):
+        reg = QubitRegister(("A", "B"))
+        with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
+            reg.index_of(bits)
+        with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
+            PureState.from_bits(reg, bits)
+
+    @pytest.mark.parametrize(
+        "bits",
+        ["10", [1, 0], (True, False), ["1", "0"], np.array([1, 0]), np.array([True, False])],
+        ids=["string", "ints", "bools", "characters", "int-array", "bool-array"],
+    )
+    def test_every_spelling_of_a_bit_gives_one_index(self, bits):
+        assert QubitRegister(("A", "B")).index_of(bits) == 2
+
     # a bare string is a sequence of characters: "d1" would be the register (d, 1)
     @pytest.mark.parametrize("labels", ["d1", ("a", 1), (b"a",), (None,)])
     def test_labels_must_be_a_sequence_of_strings(self, labels):
@@ -429,6 +450,7 @@ BARE_STRING_CALLS = {
     "post_select": lambda state: post_select(state, [1, 0, 0, 0], "AB"),
     "partial_trace": lambda state: partial_trace(state, "d1"),
     "subregister": lambda state: state.register.subregister("d1"),
+    "axes": lambda state: state.register.axes("AB"),
 }
 
 

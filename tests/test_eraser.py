@@ -410,7 +410,11 @@ class TestIrrealityCurve:
             irreality_curve(cfg, "d1", [])
 
     @pytest.mark.parametrize(
-        "grid", [0.5, [[0.1, 0.2]], [0.1, 1j], ["a"], np.zeros((2, 2))]
+        "grid",
+        [
+            0.5, [[0.1, 0.2]], [0.1, 1j], ["a"], np.zeros((2, 2)),
+            "01", ["0.5"], np.array(["0.5"]), np.array([0.5 + 2j]), [[0.0], 1.0],
+        ],
     )
     def test_unreadable_grid_rejected(self, grid):
         cfg = ProtocolConfig(theta=0.0, alice_config="Cx")

@@ -147,8 +147,14 @@ class TestDetectorProbabilities:
 
     @pytest.mark.parametrize(
         "grid",
-        [np.array([np.pi + 5j, 0.0]), np.array(["1.5"]), [1 + 1j], "ab", [0.5, None]],
-        ids=["complex-array", "string-array", "complex-list", "string", "none-entry"],
+        [
+            np.array([np.pi + 5j, 0.0]), np.array(["1.5"]), [1 + 1j], "ab", [0.5, None],
+            "01", ["0.5"], 0.5, [[0.0], 1.0], [[0.1, 0.2]],
+        ],
+        ids=[
+            "complex-array", "string-array", "complex-list", "string", "none-entry",
+            "digit-string", "string-list", "bare-number", "ragged", "nested",
+        ],
     )
     def test_grid_of_non_real_numbers_is_rejected(self, grid):
         # a cast to float64 would drop the imaginary part or parse the text
