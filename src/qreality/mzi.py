@@ -203,7 +203,9 @@ def extended_output_analysis(cfg: MziConfig, *, detector: int = 0) -> ExtendedOu
     """
     if not cfg.extended:
         raise ConfigurationError("extended_output_analysis needs extended=True")
-    if detector not in (0, 1):
+    # an integer index: a bool or a float equal to 0 or 1 is not one
+    is_index = isinstance(detector, (int, np.integer)) and not isinstance(detector, bool)
+    if not (is_index and detector in (0, 1)):
         raise ConfigurationError("detector must be 0 or 1")
 
     decohere = bool(cfg.decohere_after_first_bs)

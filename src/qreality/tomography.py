@@ -387,14 +387,15 @@ def reconstruct(data: TomographyDataset) -> ReconstructionResult:
     """Linear estimate, its physical projection and diagnostics.
 
     The one reconstruction pipeline for simulated and file datasets alike.
-    The physical state is on ``data.register``.
+    The physical state is on ``data.register``.  The linear estimate is
+    Hermitian to the bit (see :func:`_project`), so it is not Hermitized.
     """
     freqs = data.counts / data.counts.sum(axis=-1, keepdims=True)
     rho_linear = reconstruct_from_frequencies(freqs)
-    eigs = np.linalg.eigvalsh((rho_linear + rho_linear.conj().T) / 2)
+    eigs = np.linalg.eigvalsh(rho_linear)
     return ReconstructionResult(
         rho_linear=rho_linear,
-        rho_physical=project_to_physical(rho_linear, data.register),
+        rho_physical=DensityMatrix(data.register, _project(rho_linear)[0]),
         diagnostics={
             "min_eigenvalue_linear": float(eigs.min()),
             "clipped_negative_mass": float(abs(eigs[eigs < 0].sum())),  # 0.0, not -0.0

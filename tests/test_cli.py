@@ -6,6 +6,9 @@ import itertools
 import json
 import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from qreality.eraser import OMEGA_REGISTER, TARGETS, ProtocolConfig, irreality_c
 from qreality.tomography import MAX_COUNT, load_dataset, reconstruct
 
 from oracles import binary_entropy_exact, random_density
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -200,6 +205,14 @@ class TestSweep:
         assert run(args) == 0
         want = expected_sweep_csv(target, branch, grid, (10_000, 20, 42) if tomo else None)
         assert (tmp_path / "sweep.csv").read_bytes() == want
+        if not tomo:  # a --tomo row's seeds depend on its place in the whole file
+            # below the schema line and the header, `--config both` is the Cz
+            # file's rows followed by the Cx file's rows
+            parts = []
+            for config in ("Cz", "Cx"):
+                assert run(args + ["--config", config, "--out-dir", str(tmp_path / config)]) == 0
+                parts.append((tmp_path / config / "sweep.csv").read_bytes().split(b"\n", 2)[2])
+            assert want.split(b"\n", 2)[2] == b"".join(parts)
 
     def test_nan_in_defined_row_is_written_as_nan(self, tmp_path, monkeypatch):
         # a field is empty only for an undefined row or without --tomo; a
@@ -517,6 +530,8 @@ class TestTomo:
         matrices = [json.loads((d / "density_matrix.json").read_text()) for d in (sim, file)]
         for part in ("real", "imag"):
             assert matrices[0][part] == matrices[1][part]
+        # a file names no qubits, so its matrix is on q0 ... q2
+        assert [m["labels"] for m in matrices] == [["b", "d1", "d2"], ["q0", "q1", "q2"]]
         reports = [json.loads((d / "report.json").read_text()) for d in (sim, file)]
         assert reports[0]["diagnostics"] == reports[1]["diagnostics"]
         assert reports[0]["purity"] == reports[1]["purity"]
@@ -901,10 +916,6 @@ class TestMzi:
         assert not np.signbit(manifest["config"]["phi"])
 
     def test_grid_sizes_in_one_process_match_fresh_processes(self, tmp_path):
-        import subprocess
-        import sys
-        from pathlib import Path
-
         # the phi text is cached for one grid size; switching sizes
         # in one process must write what a fresh process writes
         src = str(Path(qreality.cli.__file__).resolve().parents[1])
@@ -1061,36 +1072,140 @@ class TestFloatFormatter:
         assert len(calls) == 3
 
 
-# sha256 of the files each command writes; the columnar writer and the float
-# formatter must leave every byte unchanged.  The hashes pin the bits of
-# numpy's cos/exp and of its einsum summation order, so they hold only for
-# the numpy version and machine they were recorded on.  Elsewhere the CI
-# workflow's byte-identical reruns are the check.
+# sha256 of every file each command writes except manifest.json, which holds
+# a timestamp.  This table is the check that outputs are byte-identical: a
+# change that moves bytes updates its rows and records the old hash, the new
+# hash and the reason in CHANGES.md.  The hashes pin the bits of numpy's
+# cos/exp and of its einsum summation order, so they hold only for the numpy
+# version and machine they were recorded on.  Elsewhere
+# TestFreshProcess::test_run_exits_clean_and_matches_in_process, which
+# compares a fresh process's files with an in-process run's, is the check.
 GOLDEN_NUMPY, GOLDEN_MACHINE = "2.4.6", "x86_64"
-GOLDEN_MZI_CSV = {
-    ("--closed",): "5d2666bf7014d99d62e7d7dd70713e6edbf6c0495afb68b5c63ff22c1b1cdab6",
-    ("--closed", "--decohere"): "291467bedf39322b5d0658e5cd2ff6e469b2fa5cb380b597a95495897c39c1bc",
-    ("--closed", "--extended"): "1cb0b3089490956063f3353fa23378d52ba49f2df99833646804538890e70b3c",
-    ("--closed", "--extended", "--decohere"): "291467bedf39322b5d0658e5cd2ff6e469b2fa5cb380b597a95495897c39c1bc",
-    ("--open",): "ce73ac6b76d175793a398bcbe0a1476bbe2ec873b78f5ebf65934db06b65c017",
-    ("--open", "--decohere"): "444e223588fe0f0c1e69232420fcd116f7cd9013308876a454d36427251e1b72",
-    ("--open", "--extended"): "ce73ac6b76d175793a398bcbe0a1476bbe2ec873b78f5ebf65934db06b65c017",
-    ("--open", "--extended", "--decohere"): "444e223588fe0f0c1e69232420fcd116f7cd9013308876a454d36427251e1b72",
+GOLDEN_OUTPUTS = {
+    ("mzi", "--closed"): {
+        "mzi.csv": "5d2666bf7014d99d62e7d7dd70713e6edbf6c0495afb68b5c63ff22c1b1cdab6",
+        "summary.json": "493167d75cffc74b4b2a5f97139281e770d9ee86140376d5fae158ccc3f12a1a",
+    },
+    ("mzi", "--closed", "--decohere"): {
+        "mzi.csv": "291467bedf39322b5d0658e5cd2ff6e469b2fa5cb380b597a95495897c39c1bc",
+        "summary.json": "e77e86839131b32cca0e5057c965c296f230728fa2661ebe278f14d17d3f9f4b",
+    },
+    ("mzi", "--closed", "--extended"): {
+        "mzi.csv": "1cb0b3089490956063f3353fa23378d52ba49f2df99833646804538890e70b3c",
+        "summary.json": "24913680ba67adb8b9f2c50e8180d4e0cc3b149ddbe7e7d86cfe40931a2a4b9d",
+    },
+    ("mzi", "--closed", "--extended", "--decohere"): {
+        "mzi.csv": "291467bedf39322b5d0658e5cd2ff6e469b2fa5cb380b597a95495897c39c1bc",
+        "summary.json": "1cd6962da2d3e2e9dfa87dfe62ac3a78ea5915ccec96ba28ff40d4667e540012",
+    },
+    ("mzi", "--open"): {
+        "mzi.csv": "ce73ac6b76d175793a398bcbe0a1476bbe2ec873b78f5ebf65934db06b65c017",
+        "summary.json": "ad10c17204568a818386d29ef600d440a4f6f5a5034bc61cbf1e4e57f97d6f4a",
+    },
+    ("mzi", "--open", "--decohere"): {
+        "mzi.csv": "444e223588fe0f0c1e69232420fcd116f7cd9013308876a454d36427251e1b72",
+        "summary.json": "24e81eb1648fa4ecacbdef375c8c40aa5a43c354ccb78b0609a143afefa4e3b5",
+    },
+    ("mzi", "--open", "--extended"): {
+        "mzi.csv": "ce73ac6b76d175793a398bcbe0a1476bbe2ec873b78f5ebf65934db06b65c017",
+        "summary.json": "04d6d890367b38c279d7a4d88a85d768d97201be1b26cbdda300af4fb18eb72f",
+    },
+    ("mzi", "--open", "--extended", "--decohere"): {
+        "mzi.csv": "444e223588fe0f0c1e69232420fcd116f7cd9013308876a454d36427251e1b72",
+        "summary.json": "fe1f94814d48a3900d15b729a198818a0c89b7e6f4fc2d05ed4339f799573470",
+    },
+    # the phase grid at one point and on either side of 256
+    ("mzi", "--closed", "--extended", "--grid", "1"): {
+        "mzi.csv": "d2c02d15432fe80306a4c33057fd1b7bc0cc02e843503b0b35d1e0a5b4c14ea8",
+        "summary.json": "26628b3f105c0014060a285ed0c1298b6d5d81d1448b89e104e338c8c07cd824",
+    },
+    ("mzi", "--closed", "--extended", "--grid", "255"): {
+        "mzi.csv": "c5118d39b8f10cb63e49141db1b0c7c039d92e4fc5792fe8fdcaaa5b437cc1b8",
+        "summary.json": "b0713d2d44951b752dd7dad3a30339eec4f5c594ea805e2e18e46471c7817ad8",
+    },
+    ("mzi", "--closed", "--extended", "--grid", "257"): {
+        "mzi.csv": "20156aaf9d2e6d8390a8d1fb81b840ac8d1eaab8395bba4f749f51a3c48cf11a",
+        "summary.json": "cf5799aaeee32a7dd3e0e5a4b8c68f2a20a04f9fd06baa94cc4484b0058f9744",
+    },
+    ("mzi", "--open", "--grid", "1"): {
+        "mzi.csv": "45283284b765eaa0b92555c22c70834cf6ad3cd647ae98013e585553b2951217",
+        "summary.json": "8de506b09b8f9af243f148a914afc3f67e96e7177daac7b0546bd02de0121942",
+    },
+    ("mzi", "--open", "--grid", "255"): {
+        "mzi.csv": "f726f67f88f643095eb4f85b99a233ac5f7ff4ff7dba4db5bd3ac3323efcec6d",
+        "summary.json": "9153757131dd223472e6cd9923795899979d93015311ea86f94a1ee7fe7bf6f5",
+    },
+    ("mzi", "--open", "--grid", "257"): {
+        "mzi.csv": "ce79ce6836839732bfc35b852318d87cf7ffdc2c0f7104cd5e8aada6e36ba3a9",
+        "summary.json": "7bee844a37835d93065730a60dbabbbebe8d74eb3dd5484ea9ec81f4559910f2",
+    },
+    # the marker analysis away from phi = 0; mzi.csv does not depend on --phi
+    ("mzi", "--closed", "--extended", "--phi", "1.3"): {
+        "mzi.csv": "1cb0b3089490956063f3353fa23378d52ba49f2df99833646804538890e70b3c",
+        "summary.json": "0c42a7f1e8dc586024c76af2b9390c04f3f4ea899134029786a215101b6fb093",
+    },
+    ("sweep",): {
+        "summary.json": "a839c7a7982bb4d21200305b47aa12fc22dccd66194d95773b9a0b8badc6f9cd",
+        "sweep.csv": "145eb768b796764e4b0813b5034d84f78d9c65c02babc624bb2e4d7669cd0c36",
+    },
+    ("sweep", "--tomo", "--grid", "3", "--resamples", "20"): {
+        "summary.json": "7545d299bbddff2efe2944f25dfe179a8f74cd17e4395fff56de94ada8734b07",
+        "sweep.csv": "0819d03f19824d7eb22c89bd5c2708d7336601a2c8064e02e6f7a99765781a76",
+    },
+    # every row bootstraps 1 + 128 stack rows, which fixed 64-row blocks would
+    # split as 64 + 64 + 1: numpy inverts a one-row block by a matrix-vector
+    # product, which moves bytes
+    ("sweep", "--tomo", "--target", "d1", "--grid", "2", "--resamples", "128", "--seed", "5"): {
+        "summary.json": "9ef1d9a39244d8cbdefe783edda8d25f4ff32515fe9ae7043ba67f6d2a31a595",
+        "sweep.csv": "476e2fe6b6ef7a30eb190d937a084e73be89412b802e8dd6028a0c42a34d098a",
+    },
+    ("sweep", "--target", "b", "--grid", "17"): {
+        "summary.json": "3317140286980dcf3638c2a56c15398c868f5df35e21a19827e74086f476ed4d",
+        "sweep.csv": "bfe505445e026aa588b19ddae2c993b1d4c3c1c942dc2ceec7b70a58cb44ac78",
+    },
+    ("sweep", "--target", "d1", "--grid", "17"): {
+        "summary.json": "961fb4a449abe82086655d7b4cb301a9223a92dee0e3cc78259bbac238f1a706",
+        "sweep.csv": "1c30b63aa9928e8e940e54f57d995182e9a16803faa31b1d3b1655b34382e119",
+    },
+    ("sweep", "--target", "d2", "--grid", "17"): {
+        "summary.json": "aa1e83f42239951ac890158d75cd96ccc52f55190095a43075a43a90eff9321a",
+        "sweep.csv": "022b4518478baf0fb63c1337f765548c0c35f526c6edc7e71fc2e254f5630ddf",
+    },
+    # both theta ends, so each config has an undefined Cz row
+    ("sweep", "--config", "both", "--branch", "minus", "--theta-max", "3.141592653589793"): {
+        "summary.json": "73ead7d16a15d8e40d947d1a4ff34375d44858942e51c74bba511604af27526d",
+        "sweep.csv": "c424362e854be2699ac2b3536ab677d6b6a4eb753b20c348ed35095bdbe58605",
+    },
+    ("sweep", "--tomo", "--grid", "3"): {
+        "summary.json": "c3a313ea31d84e35b4e5edcd697ee62aa457bfa5b91e641b2eb22f7bc37d2621",
+        "sweep.csv": "21d70fb99a05f70660a4e2a47c4854291c86a23718fbbae804f264368498d612",
+    },
+    # the default state is omega2x
+    ("tomo", "--simulate", "--shots", "1000"): {
+        "density_matrix.json": "29a24acde67060a19cedbef532c6d141ea823656240ddc200be2c823ab4332a4",
+        "density_matrix_real.csv": "665d9ef3945b264a5b08542031c24466dfff84c3cf359e78c75b0ff278299c5f",
+        "report.json": "4428a2326e4eaa9462487afd4ceee73ff02b4d11c20a1f735279f11c0ad5d5db",
+    },
+    ("tomo", "--simulate", "--state", "omega1x", "--shots", "1000"): {
+        "density_matrix.json": "397422c12a53dbab3feee2372277b95408cf52d9af9254dfee6fa27f308335aa",
+        "density_matrix_real.csv": "60deed34f2697b5a466dfb077a3a3d0a1bfe06d53b1d887fb65a8a4c14a9939f",
+        "report.json": "b0e802f5955fd0e191afefd7bebc28916861cd22a694152a97777afcb0f90d94",
+    },
+    ("tomo", "--simulate", "--state", "omega1z", "--shots", "1000"): {
+        "density_matrix.json": "5b4edf973cdedb63c4a0f96ef7b2e07e1632b94bff02ecb03a8b4351da835b3a",
+        "density_matrix_real.csv": "f8b6a1449dd4e1bc02a5ece29fcf8e8cf80fbba029ebb11996421fcc850e1095",
+        "report.json": "264206667659ef37f0ef0bd0d74d51af9bc3b8095a7db2b21c8a428f20fb0e57",
+    },
+    ("tomo", "--simulate", "--state", "omega2z", "--shots", "1000"): {
+        "density_matrix.json": "aaff01ca6afbb6f171a84137601cf4f7a45ee75fee740555b5ccc81586971b6e",
+        "density_matrix_real.csv": "68dbad02c28d83049e4c822bce9cf5e8cc069401d6bef7aadee77bbfe830de24",
+        "report.json": "b6dd88147a02cee3339fcc9d0301c6eccbd11fc2c122bea4eb87a88a3f52933e",
+    },
 }
-GOLDEN_SWEEP_CSV = "145eb768b796764e4b0813b5034d84f78d9c65c02babc624bb2e4d7669cd0c36"
-GOLDEN_TOMO_SWEEP_CSV = "0819d03f19824d7eb22c89bd5c2708d7336601a2c8064e02e6f7a99765781a76"
-# that sweep's irreality_tomo_mean fields, joined by newlines: the plug-in
-# estimate reads only the observed counts, so no change to the resampling
-# moves it
+# the irreality_tomo_mean fields of `sweep --tomo --grid 3 --resamples 20`,
+# joined by newlines: the plug-in estimate reads only the observed counts, so
+# no change to the resampling moves it
 GOLDEN_TOMO_SWEEP_MEAN = "b21c3fb949f676d53a6649b93d2e6bbe9eb9134832e52a3ace43499a655cd766"
-# a sweep whose every row bootstraps 1 + 128 stack rows, which fixed 64-row
-# blocks would split as 64 + 64 + 1: numpy inverts a one-row block by a
-# matrix-vector product, which moves bytes
-GOLDEN_TOMO_SWEEP_128_CSV = "476e2fe6b6ef7a30eb190d937a084e73be89412b802e8dd6028a0c42a34d098a"
-GOLDEN_TOMO_SIMULATE = {
-    "report.json": "4428a2326e4eaa9462487afd4ceee73ff02b4d11c20a1f735279f11c0ad5d5db",
-    "density_matrix_real.csv": "665d9ef3945b264a5b08542031c24466dfff84c3cf359e78c75b0ff278299c5f",
-}
 # the dataset file of omega2x at theta = pi/2, 1000 shots, seed 7, and what
 # `tomo` writes from it; report.json holds the file's path, so it is left out
 GOLDEN_DATASET_FILE = "1634e845b6efb132e4dcc0b9f958b0c98446e5c6ecd4b0ea763524721fc5d990"
@@ -1104,24 +1219,21 @@ def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def outputs_of(out_dir):
+    """Each file ``out_dir`` holds, but manifest.json, by name."""
+    return {p.name: p for p in sorted(out_dir.iterdir()) if p.name != "manifest.json"}
+
+
 @pytest.mark.skipif(
     (np.__version__, platform.machine()) != (GOLDEN_NUMPY, GOLDEN_MACHINE),
     reason=f"golden hashes were recorded with numpy {GOLDEN_NUMPY} on {GOLDEN_MACHINE}",
 )
 class TestGoldenOutputs:
-    @pytest.mark.parametrize("flags", sorted(GOLDEN_MZI_CSV))
-    def test_mzi_csv(self, tmp_path, flags):
-        assert run(["mzi", *flags, "--out-dir", str(tmp_path)]) == 0
-        assert sha256_of(tmp_path / "mzi.csv") == GOLDEN_MZI_CSV[flags]
-
-    def test_default_sweep_csv(self, tmp_path):
-        assert run(["sweep", "--out-dir", str(tmp_path)]) == 0
-        assert sha256_of(tmp_path / "sweep.csv") == GOLDEN_SWEEP_CSV
-
-    def test_tomo_sweep_csv(self, tmp_path):
-        argv = ["sweep", "--tomo", "--grid", "3", "--resamples", "20", "--out-dir", str(tmp_path)]
-        assert run(argv) == 0
-        assert sha256_of(tmp_path / "sweep.csv") == GOLDEN_TOMO_SWEEP_CSV
+    @pytest.mark.parametrize("argv", GOLDEN_OUTPUTS, ids=" ".join)
+    def test_outputs(self, tmp_path, argv):
+        assert run([*argv, "--out-dir", str(tmp_path)]) == 0
+        written = {name: sha256_of(path) for name, path in outputs_of(tmp_path).items()}
+        assert written == GOLDEN_OUTPUTS[argv]
 
     def test_tomo_sweep_mean_column(self, tmp_path):
         argv = ["sweep", "--tomo", "--grid", "3", "--resamples", "20", "--out-dir", str(tmp_path)]
@@ -1129,16 +1241,6 @@ class TestGoldenOutputs:
         _, rows = read_csv(tmp_path / "sweep.csv")
         means = "\n".join(row["irreality_tomo_mean"] for row in rows)
         assert hashlib.sha256(means.encode()).hexdigest() == GOLDEN_TOMO_SWEEP_MEAN
-
-    def test_tomo_sweep_csv_at_128_resamples(self, tmp_path):
-        argv = ["sweep", "--tomo", "--target", "d1", "--grid", "2", "--resamples", "128"]
-        assert run(argv + ["--seed", "5", "--out-dir", str(tmp_path)]) == 0
-        assert sha256_of(tmp_path / "sweep.csv") == GOLDEN_TOMO_SWEEP_128_CSV
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN_TOMO_SIMULATE))
-    def test_simulated_tomo_outputs(self, tmp_path, name):
-        assert run(["tomo", "--simulate", "--shots", "1000", "--out-dir", str(tmp_path)]) == 0
-        assert sha256_of(tmp_path / name) == GOLDEN_TOMO_SIMULATE[name]
 
     def test_dataset_file_and_its_tomo_outputs(self, tmp_path):
         cfg = ProtocolConfig(theta=float(np.pi / 2), alice_config="Cx")
@@ -1151,6 +1253,55 @@ class TestGoldenOutputs:
         assert {name: sha256_of(out / name) for name in GOLDEN_TOMO_FILE} == GOLDEN_TOMO_FILE
 
 
+# the demos, the self-test and one run of each subcommand, as a user runs
+# them; the subcommands write to out/ under the working directory, and
+# `tomo ../counts.json` reads the 3-qubit dataset the test saves
+FRESH_PROCESS_RUNS = [
+    ("demos/irreality_vs_theta.py",),
+    ("demos/mzi_walkthrough.py",),
+    ("demos/tomography_pipeline.py",),
+    ("-m", "qreality", "selftest"),
+    ("-m", "qreality", "sweep", "--theta-max", repr(np.pi), "--out-dir", "out"),
+    ("-m", "qreality", "sweep", "--tomo", "--grid", "3", "--resamples", "20", "--out-dir", "out"),
+    ("-m", "qreality", "tomo", "--simulate", "--shots", "1000", "--out-dir", "out"),
+    ("-m", "qreality", "tomo", "../counts.json", "--out-dir", "out"),
+    ("-m", "qreality", "mzi", "--closed", "--extended", "--decohere", "--out-dir", "out"),
+]
+
+
+class TestFreshProcess:
+    @pytest.mark.parametrize("argv", FRESH_PROCESS_RUNS, ids=" ".join)
+    def test_run_exits_clean_and_matches_in_process(self, tmp_path, monkeypatch, capsys, argv):
+        # a warning is an error in the fresh process, as it is in-process;
+        # the CLI's stdout and files (but manifest.json) must equal what
+        # cli.main writes in this process, on any numpy and machine
+        mixed = DensityMatrix.maximally_mixed(QubitRegister(("x", "y", "z")))
+        save_dataset(simulate_counts(mixed, 1000, 7), tmp_path / "counts.json")
+        fresh, in_process = tmp_path / "fresh", tmp_path / "in_process"
+        fresh.mkdir()
+        in_process.mkdir()
+        script = [str(REPO / argv[0])] if argv[0].startswith("demos/") else []
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", *script, *argv[len(script):]],
+            cwd=fresh,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        if script:
+            return
+
+        monkeypatch.chdir(in_process)
+        assert run(list(argv[2:])) == 0
+        assert capsys.readouterr() == (proc.stdout, "")
+        if argv[2] != "selftest":
+            fresh_files, in_process_files = (
+                {name: path.read_bytes() for name, path in outputs_of(run_dir / "out").items()}
+                for run_dir in (fresh, in_process)
+            )
+            assert fresh_files == in_process_files
+
 class TestEnvironmentOverrides:
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QREALITY_OUT_DIR", str(tmp_path / "from_env"))
@@ -1158,9 +1309,6 @@ class TestEnvironmentOverrides:
         assert (tmp_path / "from_env" / "sweep.csv").exists()
 
     def test_module_entry_point(self, tmp_path):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "qreality", "mzi", "--open", "--grid", "8",
              "--out-dir", str(tmp_path / "m")],
@@ -1179,12 +1327,6 @@ class TestParserReuse:
             assert (tmp_path / name / "sweep.csv").exists()
 
     def test_reuse_after_errors_matches_fresh_process(self, tmp_path):
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import qreality
-
         assert run(["sweep", "--grid", "0", "--out-dir", str(tmp_path / "x")]) == 2
         assert run(["mzi", "--closed", "--open", "--out-dir", str(tmp_path / "x")]) == 2
         assert run(["--version"]) == 0

@@ -246,6 +246,14 @@ class TestExtendedOutput:
         with pytest.raises(ConfigurationError):
             extended_output_analysis(MziConfig(phi=0.0))
 
+    @pytest.mark.parametrize(
+        "detector", [2, -1, 0.0, 1.0, np.float64(1.0), True, False, "0"], ids=repr
+    )
+    def test_detector_must_be_an_integer_zero_or_one(self, detector):
+        # a float or a bool equal to 0 or 1 is not an index either
+        with pytest.raises(ConfigurationError, match="^detector must be 0 or 1$"):
+            extended_output_analysis(MziConfig(phi=0.0, extended=True), detector=detector)
+
     def test_correspondence_between_irreality_and_entanglement(self):
         # coherent probe at s1 (irreality 1) <=> entangled marker output;
         # decohered probe (irreality 0) <=> PPT-separable marker output

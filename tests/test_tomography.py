@@ -175,16 +175,17 @@ class TestReconstruction:
             )
 
     def test_stack_equals_slice_by_slice(self, rng):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             stack = rng.dirichlet(np.ones(2**n), size=(2, 5, 3**n))
             batched = reconstruct_from_frequencies(stack)
             assert batched.shape == (2, 5, 2**n, 2**n)
-            # Hermitian to the bit, so _project takes linear estimates as they are
+            # Hermitian to the bit, stacked or not, so _project and reconstruct
+            # take linear estimates as they are
             np.testing.assert_array_equal(batched, batched.conj().swapaxes(-1, -2))
             for idx in np.ndindex(2, 5):
-                np.testing.assert_allclose(
-                    batched[idx], reconstruct_from_frequencies(stack[idx]), atol=1e-15
-                )
+                single = reconstruct_from_frequencies(stack[idx])
+                np.testing.assert_array_equal(single, single.conj().T)
+                np.testing.assert_allclose(batched[idx], single, atol=1e-15)
 
     def test_wrong_frequency_shape_rejected(self):
         message = r"^frequencies of shape \(9, 2\) are not \(3\^n, 2\^n\) for an n >= 1$"
