@@ -60,8 +60,8 @@ RHO_SCHEMA = "qreality.rho-real.v1"
 # So --grid at its limit needs about 0.3 GB for a sweep (0.45 GB with
 # --tomo) and 28 MB for mzi.  The Monte Carlo stack is processed in blocks,
 # so a resample of the 3-qubit omega state keeps only its 8-byte irreality:
-# the tracemalloc peak of monte_carlo_irreality reads 0.41 MiB at 100
-# resamples and 1.8 MiB at 100 000.  --resamples bounds run time instead,
+# the tracemalloc peak of monte_carlo_irreality reads 0.46 MiB at 100
+# resamples and 1.75 MiB at 100 000.  --resamples bounds run time instead,
 # about 5 s per tomographic row at its limit.  An mzi run leaves its grid's
 # phi text cached for the next run (tracemalloc: 7.1 MiB retained at --grid
 # 100 000, 22.1 KiB at 256), so that cache keeps one grid size.

@@ -264,6 +264,8 @@ class ObservableSpec:
     ``basis`` is a 2x2 unitary whose columns are the eigenvectors, in the
     order that the dephased blocks of :func:`_dephased_blocks` follow; the
     projector of column k is ``np.outer(basis[:, k], basis[:, k].conj())``.
+    A basis from the read-only eigenbasis table (as :meth:`pauli` passes)
+    is kept as it is; any other is copied, checked and made read-only.
     ``==`` is identity.
     """
 
@@ -271,6 +273,8 @@ class ObservableSpec:
     basis: np.ndarray
 
     def __post_init__(self):
+        if any(self.basis is table for table in _EIGENBASES.values()):
+            return
         basis = _finite(np.array(self.basis, dtype=complex))
         if basis.shape != (2, 2):
             raise InvalidStateError("basis must be a 2x2 unitary")
@@ -464,6 +468,18 @@ def apply_unitary(state: State, u: np.ndarray, on: Iterable[str]) -> State:
         return PureState(reg, t.ravel())
     mat = t.reshape(reg.dimension, reg.dimension)
     return DensityMatrix(reg, (mat + mat.conj().T) / 2)
+
+
+# The Pauli matrices (read-only): the blocks of the controlled gates and
+# the terms of the tomographic inversion map.
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+for _matrix in _PAULI.values():
+    _matrix.flags.writeable = False
 
 
 def _controlled(block0: np.ndarray, block1: np.ndarray) -> np.ndarray:

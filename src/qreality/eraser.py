@@ -35,6 +35,7 @@ import numpy as np
 
 from .core import (
     _EIGENBASES,
+    _PAULI,
     ZERO_PROBABILITY_THRESHOLD,
     ConfigurationError,
     DensityMatrix,
@@ -112,9 +113,7 @@ def build_psi0(cfg: ProtocolConfig) -> PureState:
     return PureState(reg, amps)
 
 
-_EYE2 = np.eye(2, dtype=complex)
-_FLIP = np.array([[0, 1], [1, 0]], dtype=complex)
-_CNOT = _controlled(_EYE2, _FLIP)
+_CNOT = _controlled(_PAULI["I"], _PAULI["X"])
 
 
 def evolve_to_psi1(psi0: PureState) -> PureState:
@@ -135,8 +134,8 @@ def apply_beam_displacers(psi1: PureState, cfg: ProtocolConfig) -> PureState:
     rot1 = np.array([[delta1, -gamma1], [gamma1, delta1]], dtype=complex)
     rot2 = np.array([[gamma2, delta2], [-delta2, gamma2]], dtype=complex)
     # on (B, marker): rotate B, then flip the marker when B = 0 (d1) or B = 1 (d2)
-    u1 = _controlled(_FLIP, _EYE2) @ np.kron(rot1, _EYE2)
-    u2 = _controlled(_EYE2, _FLIP) @ np.kron(rot2, _EYE2)
+    u1 = _controlled(_PAULI["X"], _PAULI["I"]) @ np.kron(rot1, _PAULI["I"])
+    u2 = _controlled(_PAULI["I"], _PAULI["X"]) @ np.kron(rot2, _PAULI["I"])
     eye4 = np.eye(4, dtype=complex)
     state = apply_unitary(psi1, _controlled(u1, eye4), ("b", "B", "d1"))
     return apply_unitary(state, _controlled(eye4, u2), ("b", "B", "d2"))

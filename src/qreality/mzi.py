@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _PAULI,
     ConfigurationError,
     DensityMatrix,
     ObservableSpec,
@@ -44,10 +45,8 @@ STAGES = ("s0", "s1", "s2", "s3")
 
 _BS = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
 _MIRROR = np.array([[0, 1j], [1j, 0]], dtype=complex)
-_FLIP = np.array([[0, 1], [1, 0]], dtype=complex)
-_EYE2 = np.eye(2, dtype=complex)
 # the arm-dependent marker flip: Q=0 writes d1, Q=1 writes d2
-_MARKER_WRITE = _controlled(np.kron(_FLIP, _EYE2), np.kron(_EYE2, _FLIP))
+_MARKER_WRITE = _controlled(np.kron(_PAULI["X"], _PAULI["I"]), np.kron(_PAULI["I"], _PAULI["X"]))
 
 _PPT_TOL = 1e-10
 _MARKERS = QubitRegister(("d1", "d2"))

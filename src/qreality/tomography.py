@@ -13,13 +13,23 @@ the deficit.  Every stochastic step takes an explicit seed and is
 bit-reproducible: one generator seeded by the caller draws all counts of a
 call, the whole stack of Monte Carlo resamples included.
 
-The single-qubit eigenbases are the Pauli table of :mod:`qreality.core`.
-A :class:`TomographyDataset` carries the register its counts were taken on:
-:func:`simulate_counts` records the state's register, and the loader names
-a file's qubits q0 ... q{n-1}.  :func:`reconstruct`, the one pipeline for
-simulated and file data alike, and :func:`monte_carlo_irreality` read it
-from the dataset.  A simulated run's fidelity to its true state is one
+The single-qubit eigenbases and the Pauli matrices are the tables of
+:mod:`qreality.core`.  A :class:`TomographyDataset` carries the register
+its counts were taken on: :func:`simulate_counts` records the state's
+register, and the loader names a file's qubits q0 ... q{n-1}.
+:func:`reconstruct` and :func:`monte_carlo_irreality` read it from the
+dataset.  A simulated run's fidelity to its true state is one
 ``fidelity(result.rho_physical, truth)`` call after :func:`reconstruct`.
+
+Frequencies, inversion and clipping run in one place, the block generator
+:func:`_stack`: row 0 is the observed frequencies, rows 1 ... R their
+bootstrap resamples.  :func:`monte_carlo_irreality` reduces its blocks to
+irreality values, and :func:`reconstruct`, the one pipeline for simulated
+and file data alike, reads the single row of a stack with no resamples.
+Its plug-in irreality and that of :func:`monte_carlo_irreality` differ in
+the last bits (up to about 3e-15): numpy inverts a one-row block by a
+matrix-vector product, and a bootstrap block of 3 to 64 rows by a
+matrix-matrix product, which sums in another order.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _EIGENBASES, DensityMatrix, ObservableSpec, QubitRegister
+from .core import _EIGENBASES, _PAULI, DensityMatrix, ObservableSpec, QubitRegister
 from .measures import _irreality_values
 
 SETTING_BASES = ("Z", "X", "Y")
@@ -40,13 +50,6 @@ SETTING_BASES = ("Z", "X", "Y")
 MAX_QUBITS = 4  # the dense inversion map takes 5.3 MB here, 24x more per qubit
 
 MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are stored as int64
-
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 def _shown(value) -> str:
@@ -325,6 +328,40 @@ def project_to_physical(rho_hat: np.ndarray, register: QubitRegister) -> Density
 _BLOCK = 64
 
 
+def _stack(data: TomographyDataset, n_resamples: int, seed: int):
+    """The observed frequencies of ``data`` and ``n_resamples`` parametric
+    bootstrap resamples of them, reconstructed and projected block by block.
+
+    Row 0 of the stack holds the observed frequencies.  Rows 1 ... R redraw
+    each setting's row as a multinomial at its observed total and observed
+    frequencies, all from one generator seeded with ``seed``.  The 1 + R
+    rows are drawn, inverted and projected in near-equal blocks of at most
+    ``_BLOCK`` rows.  Each block yields its row slice, its (k, d, d) linear
+    estimates, and their projected states and clipped eigenvalues (see
+    :func:`_project`).  With no resamples the stack is the observed row
+    alone and nothing is drawn, so the seed does not matter.
+    """
+    # exact in int64: no row total exceeds shots_per_setting
+    totals = data.counts.sum(axis=-1, keepdims=True)
+    observed = data.counts / totals
+    rng = np.random.default_rng(seed)
+    rows = 1 + n_resamples
+    n_blocks = -(-rows // _BLOCK)
+    # every block of a bootstrap (R >= 2) holds at least rows // n_blocks >= 3
+    # rows: numpy inverts a one-row block by a matrix-vector product, whose
+    # bits differ
+    bounds = [rows * i // n_blocks for i in range(n_blocks + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        first = int(start == 0)  # block 0 opens with the observed row
+        freqs = np.empty((stop - start, *observed.shape))
+        freqs[:first] = observed
+        size = (stop - start - first, len(totals))
+        # the int64 draws are freed before the inversion allocates
+        np.divide(rng.multinomial(totals[:, 0], observed, size=size), totals, out=freqs[first:])
+        linear = reconstruct_from_frequencies(freqs)
+        yield slice(start, stop), linear, *_project(linear)
+
+
 def monte_carlo_irreality(
     data: TomographyDataset,
     observable: ObservableSpec,
@@ -339,33 +376,19 @@ def monte_carlo_irreality(
     parametric bootstrap resamples: each setting's row is redrawn as a
     multinomial at its observed total and observed frequencies, all from one
     generator seeded with ``seed``.  The observed frequencies and the
-    resamples form a stack of 1 + ``n_resamples`` rows, which is drawn,
-    reconstructed, projected to physical states and measured in near-equal
-    blocks of at most 64 rows, so memory grows only by the 8 bytes of each
-    row's irreality.  The result does not depend on the split.
+    resamples form the stack of :func:`_stack`, 1 + ``n_resamples`` rows
+    drawn, reconstructed, projected to physical states and measured in
+    near-equal blocks of at most 64 rows, so memory grows only by the 8
+    bytes of each row's irreality.  The result does not depend on the split.
+    The estimate differs from the irreality of :func:`reconstruct`'s state
+    in the last bits only (see the module docstring).
     """
     n_resamples, seed = _index("n_resamples", n_resamples), _seed(seed)
     if n_resamples < 2:
         raise ValueError("n_resamples must be at least 2")
-    # exact in int64: no row total exceeds shots_per_setting
-    totals = data.counts.sum(axis=-1, keepdims=True)
-    observed = data.counts / totals
-    rng = np.random.default_rng(seed)
-    rows = 1 + n_resamples
-    n_blocks = -(-rows // _BLOCK)
-    # every block holds at least rows // n_blocks >= 3 rows: numpy inverts a
-    # one-row block by a matrix-vector product, whose bits differ
-    bounds = [rows * i // n_blocks for i in range(n_blocks + 1)]
-    values = np.empty(rows)
-    for start, stop in zip(bounds, bounds[1:]):
-        first = int(start == 0)  # block 0 opens with the observed row
-        freqs = np.empty((stop - start, *observed.shape))
-        freqs[:first] = observed
-        draws = rng.multinomial(totals[:, 0], observed, size=(stop - start - first, len(totals)))
-        np.divide(draws, totals, out=freqs[first:])
-        del draws  # before the inversion allocates
-        rho, eigenvalues = _project(reconstruct_from_frequencies(freqs))
-        values[start:stop] = _irreality_values(rho, data.register, observable, eigenvalues)
+    values = np.empty(1 + n_resamples)
+    for rows, _, rho, eigenvalues in _stack(data, n_resamples, seed):
+        values[rows] = _irreality_values(rho, data.register, observable, eigenvalues)
     return float(values[0]), float(values[1:].std(ddof=1))
 
 
@@ -386,16 +409,18 @@ class ReconstructionResult:
 def reconstruct(data: TomographyDataset) -> ReconstructionResult:
     """Linear estimate, its physical projection and diagnostics.
 
-    The one reconstruction pipeline for simulated and file datasets alike.
-    The physical state is on ``data.register``.  The linear estimate is
-    Hermitian to the bit (see :func:`_project`), so it is not Hermitized.
+    The one reconstruction pipeline for simulated and file datasets alike:
+    the one-row stack of :func:`_stack`, the observed frequencies with no
+    resamples.  The physical state is on ``data.register``.  The linear
+    estimate is Hermitian to the bit (see :func:`_project`), so it is not
+    Hermitized.  The diagnostics take their own ``eigvalsh`` of it, whose
+    values differ in the last bits from those of ``_project``'s ``eigh``.
     """
-    freqs = data.counts / data.counts.sum(axis=-1, keepdims=True)
-    rho_linear = reconstruct_from_frequencies(freqs)
-    eigs = np.linalg.eigvalsh(rho_linear)
+    [(_, linear, rho, _)] = _stack(data, 0, 0)
+    eigs = np.linalg.eigvalsh(linear[0])
     return ReconstructionResult(
-        rho_linear=rho_linear,
-        rho_physical=DensityMatrix(data.register, _project(rho_linear)[0]),
+        rho_linear=linear[0],
+        rho_physical=DensityMatrix(data.register, rho[0]),
         diagnostics={
             "min_eigenvalue_linear": float(eigs.min()),
             "clipped_negative_mass": float(abs(eigs[eigs < 0].sum())),  # 0.0, not -0.0

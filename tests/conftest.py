@@ -26,15 +26,26 @@ def rng():
     return np.random.default_rng(20240815)
 
 
-@pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    """Shapes of the arrays passed to ``np.linalg.eigvalsh`` from here on."""
+def _shapes_passed_to(monkeypatch, name):
+    """Shapes of the arrays passed to ``np.linalg.<name>`` from here on."""
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    function = getattr(np.linalg, name)
 
     def counted(a, *args, **kwargs):
         calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+        return function(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Shapes of the arrays passed to ``np.linalg.eigvalsh`` from here on."""
+    return _shapes_passed_to(monkeypatch, "eigvalsh")
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of the arrays passed to ``np.linalg.eigh`` from here on."""
+    return _shapes_passed_to(monkeypatch, "eigh")

@@ -20,6 +20,7 @@ from qreality import (
     purity,
     tensor,
 )
+from qreality.core import _EIGENBASES
 from qreality.eraser import ProtocolConfig, build_psi0, evolve_to_psi1
 
 from oracles import (
@@ -543,3 +544,16 @@ class TestObservableSpec:
         assert obs.basis[0, 0] != 7.0
         with pytest.raises(ValueError):
             obs.basis[0, 0] = 1.0
+
+    @pytest.mark.parametrize("kind", ["Z", "X", "Y", "x"])
+    def test_pauli_keeps_the_read_only_table_entry(self, kind):
+        obs = ObservableSpec.pauli("q", kind)
+        assert obs.basis is _EIGENBASES[kind.upper()]
+        assert not obs.basis.flags.writeable
+
+    def test_basis_equal_to_a_table_entry_is_still_copied_and_checked(self):
+        given = _EIGENBASES["X"].copy()
+        assert ObservableSpec("q", given).basis is not given
+        given[1, 1] = 1.0  # equal columns: not unitary
+        with pytest.raises(InvalidStateError, match="not unitary"):
+            ObservableSpec("q", given)

@@ -15,6 +15,7 @@ from qreality import (
     all_settings,
     born_probabilities,
     fidelity,
+    irreality,
     load_dataset,
     monte_carlo_irreality,
     project_to_physical,
@@ -29,8 +30,10 @@ from qreality.tomography import (
     MAX_COUNT,
     MAX_QUBITS,
     DatasetFormatError,
+    _BLOCK,
     _project,
     _setting_matrices,
+    _stack,
     dataset_from_dict,
     dataset_to_dict,
 )
@@ -491,6 +494,76 @@ class TestMonteCarlo:
             _, std_large = monte_carlo_irreality(data_large, obs, 40, seeds[3])
             ratios.append(std_small / std_large)
         assert 5 <= np.median(ratios) <= 20
+
+
+class TestStack:
+    """The one stack of frequencies, linear estimates and clipped states
+    behind reconstruct (its one-row case) and monte_carlo_irreality."""
+
+    @pytest.mark.parametrize("n_resamples", [2, 63, 64, 65, 127, 128, 1000])
+    def test_blocks_cover_every_row_once(self, n_resamples):
+        data = TomographyDataset(Q1, 10, 0, [[7, 3], [4, 6], [5, 5]])
+        covered = np.zeros(1 + n_resamples, dtype=int)
+        sizes = []
+        for rows, linear, rho, eigenvalues in _stack(data, n_resamples, 5):
+            covered[rows] += 1
+            sizes.append(rows.stop - rows.start)
+            assert len(linear) == len(rho) == len(eigenvalues) == sizes[-1]
+        assert (covered == 1).all()
+        # near-equal blocks of at most _BLOCK rows, and never fewer than 3:
+        # numpy inverts a one-row block by a matrix-vector product
+        assert max(sizes) <= _BLOCK and max(sizes) - min(sizes) <= 1
+        assert min(sizes) >= 3
+
+    def test_zero_resamples_draw_nothing_and_ignore_the_seed(self, monkeypatch):
+        data = simulate_counts(omega2z(), 100, seed=8)
+        default_rng, generators = np.random.default_rng, []
+
+        def recorded(seed):
+            generators.append(default_rng(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recorded)
+        seeds = (0, 1, 2**40)
+        stacks = [list(_stack(data, 0, seed)) for seed in seeds]
+        for [(rows, *arrays)] in stacks:
+            assert rows == slice(0, 1)
+            assert [a.tobytes() for a in arrays] == [a.tobytes() for a in stacks[0][0][1:]]
+        for generator, seed in zip(generators, seeds, strict=True):
+            assert generator.bit_generator.state == default_rng(seed).bit_generator.state
+
+    def test_reconstruct_decomposes_three_times(self, eigh_calls, eigvalsh_calls):
+        data = simulate_counts(omega2z(), 100, seed=8)
+        eigh_calls.clear()
+        eigvalsh_calls.clear()
+        reconstruct(data)
+        # the clipping, then the diagnostics and the state's validation
+        assert eigh_calls == [(1, 8, 8)]
+        assert eigvalsh_calls == [(8, 8), (8, 8)]
+
+    def test_monte_carlo_decomposes_once_per_block(self, eigh_calls, eigvalsh_calls):
+        data = simulate_counts(omega2z(), 100, seed=8)
+        eigh_calls.clear()
+        eigvalsh_calls.clear()
+        monte_carlo_irreality(data, ObservableSpec.pauli("d1", "Z"), 100, 9)
+        # 101 rows in blocks of 50 and 51: the clipping, then the dephased
+        # blocks; S(rho) reads the clipped eigenvalues
+        assert eigh_calls == [(50, 8, 8), (51, 8, 8)]
+        assert eigvalsh_calls == [(50, 2, 4, 4), (51, 2, 4, 4)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_plug_in_estimates_differ_by_rounding_only(self, rng, n):
+        # reconstruct inverts its one row by a matrix-vector product, a
+        # bootstrap block by a matrix-matrix product, so the last bits differ
+        reg = QubitRegister(tuple(f"q{i}" for i in range(n)))
+        obs = ObservableSpec.pauli(f"q{n - 1}", "X")
+        for rank in (1, None):
+            data = simulate_counts(DensityMatrix(reg, random_density(rng, n, rank)), 200, n)
+            plug_in = irreality(reconstruct(data).rho_physical, obs).irreality
+            # 1 + R rows in one block of 64, then in two blocks
+            for n_resamples in (2, 63, 64):
+                mean, _ = monte_carlo_irreality(data, obs, n_resamples, seed=n)
+                assert abs(mean - plug_in) <= 1e-14, (rank, n_resamples)
 
 
 ONE_QUBIT_STATES = {
