@@ -9,7 +9,6 @@ with a schema comment line so downstream parsers can pin the layout.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -29,15 +28,7 @@ from .eraser import (
     omega_state,
     stage_for_target,
 )
-from .mzi import (
-    VISIBILITY_GRID,
-    MziConfig,
-    _phases,
-    _visibility,
-    detector_probabilities,
-    extended_output_analysis,
-    visibility,
-)
+from .mzi import MziConfig, detector_probabilities, extended_output_analysis, visibility
 from .tomography import (
     MAX_COUNT,
     load_dataset,
@@ -131,6 +122,12 @@ def _reprs(column: np.ndarray, defined: np.ndarray | None = None) -> list[str]:
     if defined is not None:
         fields[~defined] = ""
     return fields.tolist()
+
+
+def _phases(size: int) -> np.ndarray:
+    """``size`` phases evenly spaced on [0, 2*pi): the phi column of
+    ``mzi --grid size``."""
+    return np.linspace(0.0, 2 * np.pi, size, endpoint=False)
 
 
 @functools.lru_cache(maxsize=1)
@@ -306,28 +303,24 @@ def cmd_mzi(parser, args) -> int:
     _check_range(parser, "--grid", args.grid, 1, MAX_GRID, "to bound memory")
     if not np.isfinite(args.phi):
         parser.error("--phi must be a finite number")
-    phi = args.phi + 0.0  # -0.0 is the phi = 0 device, so it writes the phi = 0 bytes
     cfg = MziConfig(
-        phi=0.0,
+        phi=args.phi + 0.0,  # -0.0 is the phi = 0 device, so it writes the phi = 0 bytes
         closed=not args.open,
         extended=args.extended,
         decohere_after_first_bs=args.decohere,
     )
     probs = detector_probabilities(cfg, _phases(args.grid))
-
-    # on visibility's own grid the p0 column already holds its samples
-    vis = _visibility(probs[:, 0]) if args.grid == VISIBILITY_GRID else visibility(cfg)
     summary = {
         "closed": cfg.closed,
         "extended": cfg.extended,
         "decohere_after_first_bs": cfg.decohere_after_first_bs,
-        "visibility": vis,
+        "visibility": visibility(cfg),
         "grid": args.grid,
     }
     if cfg.extended:
-        analysis = extended_output_analysis(dataclasses.replace(cfg, phi=phi))
+        analysis = extended_output_analysis(cfg)
         summary["extended_analysis"] = {
-            "phi": phi,
+            "phi": cfg.phi,
             "selection_probability": analysis.selection_probability,
             "entanglement_entropy": analysis.entanglement_entropy,
             "mutual_information": analysis.mutual_information,
@@ -349,7 +342,7 @@ def cmd_mzi(parser, args) -> int:
         "extended": cfg.extended,
         "decohere": cfg.decohere_after_first_bs,
         "grid": args.grid,
-        "phi": phi,
+        "phi": cfg.phi,
     }
     _write_manifest(out_dir, "mzi", config_dict, None)
     print(f"visibility: {summary['visibility']:.9f}")
@@ -475,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     mzi.add_argument("--extended", action="store_true", help="enable path markers d1, d2")
     mzi.add_argument("--decohere", action="store_true", help="decohere the probe after the first beam splitter")
     mzi.add_argument("--phi", type=float, default=0.0, help="phase used for the marker analysis")
-    mzi.add_argument("--grid", type=int, default=VISIBILITY_GRID)
+    mzi.add_argument("--grid", type=int, default=256)
     mzi.add_argument("--out-dir")
 
     sub.add_parser("selftest", help="run quick internal consistency checks")

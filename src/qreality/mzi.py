@@ -51,12 +51,6 @@ _MARKER_WRITE = _controlled(np.kron(_PAULI["X"], _PAULI["I"]), np.kron(_PAULI["I
 _PPT_TOL = 1e-10
 _MARKERS = QubitRegister(("d1", "d2"))
 
-VISIBILITY_GRID = 256  # phases on [0, 2*pi) that visibility samples
-
-
-class UndefinedVisibilityError(ValueError):
-    """Visibility is undefined because the click probability vanishes."""
-
 
 @dataclass(frozen=True)
 class MziConfig:
@@ -68,12 +62,6 @@ class MziConfig:
     def __post_init__(self):
         if not np.isfinite(_real(self.phi, "phi")):
             raise ConfigurationError("phi must be finite")
-
-
-def _phases(size: int) -> np.ndarray:
-    """``size`` phases evenly spaced on [0, 2*pi): the grid of :func:`visibility`
-    and of ``mzi --grid size``."""
-    return np.linspace(0.0, 2 * np.pi, size, endpoint=False)
 
 
 def _markers() -> PureState:
@@ -98,6 +86,12 @@ def _s2_density(extended: bool, decohere: bool) -> DensityMatrix:
     density matrix; built once per flag pair."""
     cfg = MziConfig(phi=0.0, extended=extended, decohere_after_first_bs=decohere)
     return _as_density(mzi_state(cfg, "s2"))
+
+
+def _probe_at_s2(cfg: MziConfig) -> np.ndarray:
+    """Entries of the probe Q at s2 for phi = 0, the markers traced out."""
+    s2 = _s2_density(bool(cfg.extended), bool(cfg.decohere_after_first_bs))
+    return _partial_trace_entries(s2.entries, s2.register, ("Q",))[1]
 
 
 def mzi_state(cfg: MziConfig, stage: str) -> State:
@@ -147,24 +141,27 @@ def detector_probabilities(cfg: MziConfig, phi_grid) -> np.ndarray:
     phis = _grid(phi_grid, "phi")
     if not np.isfinite(phis).all():
         raise ConfigurationError("phi must be finite")
-    s2 = _s2_density(bool(cfg.extended), bool(cfg.decohere_after_first_bs))
-    rho_q = _partial_trace_entries(s2.entries, s2.register, ("Q",))[1]
+    rho_q = _probe_at_s2(cfg)
     shift = np.stack([np.ones_like(phis), np.exp(1j * phis)], axis=-1)  # diag of P(phi)
     bs2 = _BS if cfg.closed else np.eye(2)  # the second beam splitter, if present
     return np.einsum("ki,gi,ij,gj,kj->gk", bs2, shift, rho_q, shift.conj(), bs2.conj()).real
 
 
 def visibility(cfg: MziConfig) -> float:
-    """(max - min) / (max + min) of p0 over VISIBILITY_GRID phases on [0, 2*pi)."""
-    return _visibility(detector_probabilities(cfg, _phases(VISIBILITY_GRID))[:, 0])
+    """Fringe visibility (max - min) / (max + min) of p0 over all phases, in
+    closed form.
 
-
-def _visibility(p0: np.ndarray) -> float:
-    """Visibility of the p0 fringe sampled at the given phases."""
-    top, bottom = float(p0.max()), float(p0.min())
-    if top + bottom < 1e-15:
-        raise UndefinedVisibilityError("click probability vanishes on the whole grid")
-    return (top - bottom) / (top + bottom)
+    With rho_Q the probe at s2 for phi = 0, the closed device has
+    p0(phi) = tr(rho_Q)/2 + |rho_01| cos(phi + delta), so its visibility is
+    2 |rho_01| / tr(rho_Q), the probe's coherence in Englert's duality
+    relation: 1 for the coherent, unmarked probe and 0 once markers record
+    the path or the probe is decohered.  The open device's p0 is rho_00 at
+    every phase, so its visibility is 0.
+    """
+    if not cfg.closed:
+        return 0.0
+    rho_q = _probe_at_s2(cfg)
+    return float(2 * abs(rho_q[0, 1]) / np.trace(rho_q).real)
 
 
 @dataclass(frozen=True)

@@ -849,13 +849,13 @@ class TestMzi:
         out = tmp_path / "run"
         assert run(["mzi", "--closed", "--out-dir", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["visibility"] == pytest.approx(1.0, abs=1e-9)
+        assert summary["visibility"] == 1.0
 
     def test_open_summary(self, tmp_path):
         out = tmp_path / "run"
         run(["mzi", "--open", "--out-dir", str(out)])
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["visibility"] == pytest.approx(0.0, abs=1e-9)
+        assert summary["visibility"] == 0.0
 
     def test_extended_decohered_flags_separable(self, tmp_path):
         out = tmp_path / "run"
@@ -939,8 +939,9 @@ class TestMzi:
         assert isinstance(fields, tuple)
         assert list(fields) == [repr(v) for v in np.linspace(0, 2 * np.pi, 8, endpoint=False).tolist()]
 
+    @pytest.mark.parametrize("grid", [[], ["--grid", "1"], ["--grid", "100"], ["--grid", "257"]])
     @pytest.mark.parametrize("flags", [[], ["--extended", "--decohere"]])
-    def test_default_grid_is_evaluated_once(self, tmp_path, monkeypatch, flags):
+    def test_any_grid_is_evaluated_once(self, tmp_path, monkeypatch, flags, grid):
         calls = []
         original = qreality.mzi.detector_probabilities
 
@@ -950,7 +951,7 @@ class TestMzi:
 
         monkeypatch.setattr(qreality.mzi, "detector_probabilities", counted)
         monkeypatch.setattr(qreality.cli, "detector_probabilities", counted)
-        assert run(["mzi", *flags, "--out-dir", str(tmp_path)]) == 0
+        assert run(["mzi", *flags, *grid, "--out-dir", str(tmp_path)]) == 0
         assert len(calls) == 1
 
     @pytest.mark.parametrize("grid", [256, 100])
@@ -1088,15 +1089,15 @@ GOLDEN_OUTPUTS = {
     },
     ("mzi", "--closed", "--decohere"): {
         "mzi.csv": "291467bedf39322b5d0658e5cd2ff6e469b2fa5cb380b597a95495897c39c1bc",
-        "summary.json": "e77e86839131b32cca0e5057c965c296f230728fa2661ebe278f14d17d3f9f4b",
+        "summary.json": "0ac26e22657ef17d3d995fa91fb576e61753e83ba62ec3373a07fe1355075bb5",
     },
     ("mzi", "--closed", "--extended"): {
         "mzi.csv": "1cb0b3089490956063f3353fa23378d52ba49f2df99833646804538890e70b3c",
-        "summary.json": "24913680ba67adb8b9f2c50e8180d4e0cc3b149ddbe7e7d86cfe40931a2a4b9d",
+        "summary.json": "e6f497dcf01fa3ed3c8a9fcaa589698550a9d5a00232de382dc3796f2019644f",
     },
     ("mzi", "--closed", "--extended", "--decohere"): {
         "mzi.csv": "291467bedf39322b5d0658e5cd2ff6e469b2fa5cb380b597a95495897c39c1bc",
-        "summary.json": "1cd6962da2d3e2e9dfa87dfe62ac3a78ea5915ccec96ba28ff40d4667e540012",
+        "summary.json": "e49e5664c3f967429438010ee4d9db808f73ba50a8dabe3d8b179e0f1fe46c7b",
     },
     ("mzi", "--open"): {
         "mzi.csv": "ce73ac6b76d175793a398bcbe0a1476bbe2ec873b78f5ebf65934db06b65c017",
@@ -1117,15 +1118,15 @@ GOLDEN_OUTPUTS = {
     # the phase grid at one point and on either side of 256
     ("mzi", "--closed", "--extended", "--grid", "1"): {
         "mzi.csv": "d2c02d15432fe80306a4c33057fd1b7bc0cc02e843503b0b35d1e0a5b4c14ea8",
-        "summary.json": "26628b3f105c0014060a285ed0c1298b6d5d81d1448b89e104e338c8c07cd824",
+        "summary.json": "94b00605baf45d9affeaabb05747a98ecfe4b91561f67b434a68c48af6ea10bb",
     },
     ("mzi", "--closed", "--extended", "--grid", "255"): {
         "mzi.csv": "c5118d39b8f10cb63e49141db1b0c7c039d92e4fc5792fe8fdcaaa5b437cc1b8",
-        "summary.json": "b0713d2d44951b752dd7dad3a30339eec4f5c594ea805e2e18e46471c7817ad8",
+        "summary.json": "d693f2f7d227c140f009d90d42e20c1b2fa4a84c285f467ccc6587e16a94edbd",
     },
     ("mzi", "--closed", "--extended", "--grid", "257"): {
         "mzi.csv": "20156aaf9d2e6d8390a8d1fb81b840ac8d1eaab8395bba4f749f51a3c48cf11a",
-        "summary.json": "cf5799aaeee32a7dd3e0e5a4b8c68f2a20a04f9fd06baa94cc4484b0058f9744",
+        "summary.json": "af4608b70713172603ffbbdb9a5e2226dc3ac72465fc21d3030cd82b8b6fcf4f",
     },
     ("mzi", "--open", "--grid", "1"): {
         "mzi.csv": "45283284b765eaa0b92555c22c70834cf6ad3cd647ae98013e585553b2951217",
@@ -1139,10 +1140,15 @@ GOLDEN_OUTPUTS = {
         "mzi.csv": "ce79ce6836839732bfc35b852318d87cf7ffdc2c0f7104cd5e8aada6e36ba3a9",
         "summary.json": "7bee844a37835d93065730a60dbabbbebe8d74eb3dd5484ea9ec81f4559910f2",
     },
+    # -0.0 is the phi = 0 device: the same bytes as `mzi --closed --extended`
+    ("mzi", "--extended", "--phi", "-0.0"): {
+        "mzi.csv": "1cb0b3089490956063f3353fa23378d52ba49f2df99833646804538890e70b3c",
+        "summary.json": "e6f497dcf01fa3ed3c8a9fcaa589698550a9d5a00232de382dc3796f2019644f",
+    },
     # the marker analysis away from phi = 0; mzi.csv does not depend on --phi
     ("mzi", "--closed", "--extended", "--phi", "1.3"): {
         "mzi.csv": "1cb0b3089490956063f3353fa23378d52ba49f2df99833646804538890e70b3c",
-        "summary.json": "0c42a7f1e8dc586024c76af2b9390c04f3f4ea899134029786a215101b6fb093",
+        "summary.json": "259ea3005ed79ffafbd548fc8e4d0f7d9d93d4e66b2724b7b4bdf630a5ca921b",
     },
     ("sweep",): {
         "summary.json": "a839c7a7982bb4d21200305b47aa12fc22dccd66194d95773b9a0b8badc6f9cd",
@@ -1207,11 +1213,12 @@ GOLDEN_OUTPUTS = {
 # no change to the resampling moves it
 GOLDEN_TOMO_SWEEP_MEAN = "b21c3fb949f676d53a6649b93d2e6bbe9eb9134832e52a3ace43499a655cd766"
 # the dataset file of omega2x at theta = pi/2, 1000 shots, seed 7, and what
-# `tomo` writes from it; report.json holds the file's path, so it is left out
+# `tomo counts.json` writes from it; report.json holds the path as given
 GOLDEN_DATASET_FILE = "1634e845b6efb132e4dcc0b9f958b0c98446e5c6ecd4b0ea763524721fc5d990"
 GOLDEN_TOMO_FILE = {
     "density_matrix.json": "0fcc57054764e9a921e78084a666a218e084c56fa5c0f7425fc3967b9a6b0d37",
     "density_matrix_real.csv": "c2a55488f860edc9c2e2f38b27d541656c4528135ffc34fc668b04b19d711eb2",
+    "report.json": "ea0452de53d4e240c5ed5fd4b645421608bdbd3fc4da20a414daecfded9c9e2a",
 }
 
 
@@ -1242,15 +1249,15 @@ class TestGoldenOutputs:
         means = "\n".join(row["irreality_tomo_mean"] for row in rows)
         assert hashlib.sha256(means.encode()).hexdigest() == GOLDEN_TOMO_SWEEP_MEAN
 
-    def test_dataset_file_and_its_tomo_outputs(self, tmp_path):
+    def test_dataset_file_and_its_tomo_outputs(self, tmp_path, monkeypatch):
         cfg = ProtocolConfig(theta=float(np.pi / 2), alice_config="Cx")
         omega, _ = omega_state(cfg, "d1")
-        path = tmp_path / "counts.json"
-        save_dataset(simulate_counts(omega, 1000, 7), path)
-        assert sha256_of(path) == GOLDEN_DATASET_FILE
-        out = tmp_path / "out"
-        assert run(["tomo", str(path), "--out-dir", str(out)]) == 0
-        assert {name: sha256_of(out / name) for name in GOLDEN_TOMO_FILE} == GOLDEN_TOMO_FILE
+        monkeypatch.chdir(tmp_path)  # so report.json's "dataset" is "counts.json"
+        save_dataset(simulate_counts(omega, 1000, 7), Path("counts.json"))
+        assert sha256_of(Path("counts.json")) == GOLDEN_DATASET_FILE
+        assert run(["tomo", "counts.json", "--out-dir", "out"]) == 0
+        written = {name: sha256_of(path) for name, path in outputs_of(Path("out")).items()}
+        assert written == GOLDEN_TOMO_FILE
 
 
 # the demos, the self-test and one run of each subcommand, as a user runs

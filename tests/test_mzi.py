@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from qreality import (
 from qreality.core import _partial_trace_entries, purity
 from qreality.measures import _bipartite_entropies, _eigenvalue_entropies
 
-from oracles import extended_report_reference
+from oracles import detector_probabilities_per_phi, extended_report_reference
 
 MARKER_REG = QubitRegister(("d1", "d2"))
 EXTENDED_CONFIGS = [
@@ -175,24 +177,45 @@ class TestDetectorProbabilities:
             assert a + b == pytest.approx(1.0, abs=1e-12)
 
 
+MZI_FLAGS = list(itertools.product((True, False), repeat=3))  # closed, extended, decohere
+
+
 class TestVisibility:
+    # exact values: only the closed, coherent, unmarked device interferes
     def test_closed_is_unity(self):
-        assert visibility(MziConfig(phi=0.0)) == pytest.approx(1.0, abs=1e-9)
+        assert visibility(MziConfig(phi=0.0)) == 1.0
 
     def test_open_is_zero(self):
-        assert visibility(MziConfig(phi=0.0, closed=False)) == pytest.approx(
-            0.0, abs=1e-9
-        )
+        assert visibility(MziConfig(phi=0.0, closed=False)) == 0.0
 
     def test_marked_paths_kill_interference(self):
         # markers record the path, so tracing them out flattens the fringe
-        assert visibility(MziConfig(phi=0.0, extended=True)) == pytest.approx(
-            0.0, abs=1e-9
-        )
+        assert visibility(MziConfig(phi=0.0, extended=True)) == 0.0
 
     def test_decohered_probe_kills_interference(self):
         cfg = MziConfig(phi=0.0, decohere_after_first_bs=True)
-        assert visibility(cfg) == pytest.approx(0.0, abs=1e-9)
+        assert visibility(cfg) == 0.0
+
+    @pytest.mark.parametrize(
+        "closed, extended, decohere",
+        [(True, True, True), (False, True, False), (False, False, True), (False, True, True)],
+    )
+    def test_other_variants_are_zero(self, closed, extended, decohere):
+        cfg = MziConfig(
+            phi=0.0, closed=closed, extended=extended, decohere_after_first_bs=decohere
+        )
+        assert visibility(cfg) == 0.0
+
+    @pytest.mark.parametrize("closed, extended, decohere", MZI_FLAGS)
+    def test_matches_the_sampled_fringe(self, closed, extended, decohere):
+        # 4096 phases on [0, 2*pi) hold phi = 0 and pi, the cosine's extremes
+        cfg = MziConfig(
+            phi=0.0, closed=closed, extended=extended, decohere_after_first_bs=decohere
+        )
+        phis = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+        p0 = np.array(detector_probabilities_per_phi(cfg, phis))[:, 0]
+        sampled = (p0.max() - p0.min()) / (p0.max() + p0.min())
+        assert abs(visibility(cfg) - sampled) < 1e-12
 
 
 class TestExtendedOutput:
